@@ -38,7 +38,6 @@ func main() {
 	nodes := flag.Int("nodes", 4, "cluster nodes")
 	tpn := flag.Int("threads", 1, "threads per node")
 	detect := flag.String("detect", "probe", "failure detection: probe (honest), oracle")
-	stride := flag.Int("audit-stride", 16, "invariant-auditor page-sweep stride")
 	ring := flag.Int("ring", 64, "flight-recorder ring size per node")
 	verbose := flag.Bool("v", false, "print every cell, not just failures")
 	flag.Parse()
@@ -73,7 +72,7 @@ func main() {
 			for _, mode := range []svm.Mode{svm.ModeBase, svm.ModeFT} {
 				name := fmt.Sprintf("%-8s %-10s %-9s", sc.Name, app, mode)
 				cell := cell{app: app, size: harness.Size(*size), nodes: *nodes, tpn: *tpn,
-					mode: mode, det: det, chaos: sc.Chaos, stride: *stride, ring: *ring}
+					mode: mode, det: det, chaos: sc.Chaos, ring: *ring}
 				line, err := cell.run()
 				ran++
 				if err != nil {
@@ -94,15 +93,14 @@ func main() {
 }
 
 type cell struct {
-	app    string
-	size   harness.Size
-	nodes  int
-	tpn    int
-	mode   svm.Mode
-	det    model.DetectionMode
-	chaos  model.Chaos
-	stride int
-	ring   int
+	app   string
+	size  harness.Size
+	nodes int
+	tpn   int
+	mode  svm.Mode
+	det   model.DetectionMode
+	chaos model.Chaos
+	ring  int
 }
 
 // run executes one app x scenario x mode cell under the auditor and
@@ -126,7 +124,7 @@ func (c cell) run() (string, error) {
 		return "", err
 	}
 	rec := cl.EnableFlightRecorder(c.ring)
-	cl.EnableAuditor(c.stride)
+	cl.EnableAuditor()
 	dump := func(err error) (string, error) {
 		fmt.Printf("flight recorder, %s/%s scenario chaos:\n", c.app, c.mode)
 		rec.Dump(os.Stdout, 8)

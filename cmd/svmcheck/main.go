@@ -68,7 +68,6 @@ func main() {
 	detect := flag.String("detect", "probe", "failure detection: probe (honest probe/ack traffic), oracle")
 	seqsFlag := flag.String("seqs", "1,3,5", "comma-separated release/barrier sequence numbers to target (0: any)")
 	milestonesFlag := flag.String("milestones", strings.Join(defaultMilestones, ","), "comma-separated protocol milestones")
-	stride := flag.Int("audit-stride", 16, "invariant-auditor page-sweep stride (1: every event)")
 	ring := flag.Int("ring", 64, "flight-recorder ring size per node")
 	verbose := flag.Bool("v", false, "print every schedule, not just failures")
 	flag.Parse()
@@ -118,7 +117,7 @@ func main() {
 		*app, *size, *nodes, *tpn, *lock, det, len(milestones), *nodes, len(seqs))
 
 	sch := schedule{app: *app, size: harness.Size(*size), tier: tier, nodes: *nodes, tpn: *tpn,
-		algo: algo, det: det, stride: *stride, ring: *ring}
+		algo: algo, det: det, ring: *ring}
 	ran, unreachable, failed := 0, 0, 0
 	for _, kind := range milestones {
 		kind = strings.TrimSpace(kind)
@@ -151,15 +150,14 @@ func main() {
 }
 
 type schedule struct {
-	app    string
-	size   harness.Size
-	tier   harness.Tier
-	nodes  int
-	tpn    int
-	algo   svm.LockAlgo
-	det    model.DetectionMode
-	stride int
-	ring   int
+	app   string
+	size  harness.Size
+	tier  harness.Tier
+	nodes int
+	tpn   int
+	algo  svm.LockAlgo
+	det   model.DetectionMode
+	ring  int
 }
 
 // run executes one failure schedule. The bool reports whether the kill
@@ -188,7 +186,7 @@ func (s schedule) run(kind string, victim int, seq int64) (reached bool, err err
 	}
 	k.cl = cl
 	rec := cl.EnableFlightRecorder(s.ring)
-	cl.EnableAuditor(s.stride)
+	cl.EnableAuditor()
 	defer func() {
 		if err != nil && reached {
 			fmt.Printf("flight recorder, schedule %s victim=%d seq=%d:\n", kind, victim, seq)

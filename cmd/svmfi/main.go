@@ -57,7 +57,6 @@ func main() {
 	detect := flag.String("detect", "oracle", "failure detection: oracle, probe")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	budget := flag.Int("budget", 0, "cap the sweep at this many boundaries, evenly sampled (0: exhaustive)")
-	stride := flag.Int("audit-stride", 0, "invariant-auditor page-sweep stride (0: every event; large clusters want a sampled stride)")
 	workers := flag.Int("workers", 0, "parallel injection runs (0: GOMAXPROCS)")
 	shard := flag.String("shard", "", "multi-machine split i/n: sweep only boundaries with index = i mod n")
 	kinds := flag.String("kinds", "", "restrict to these boundary kinds (comma-separated)")
@@ -114,9 +113,6 @@ func main() {
 	if *seed != 1 {
 		repro += fmt.Sprintf(" -seed %d", *seed)
 	}
-	if *stride != 0 {
-		repro += fmt.Sprintf(" -audit-stride %d", *stride)
-	}
 	if *degree != 2 {
 		repro += fmt.Sprintf(" -degree %d", *degree)
 	}
@@ -131,7 +127,6 @@ func main() {
 			App: app, Size: harness.Size(*size), Tier: tier,
 			Nodes: cellNodes, ThreadsPerNode: *threads,
 			LockAlgo: svm.LockPolling, Detection: det,
-			AuditStride: *stride,
 			Overrides: func(cfg *model.Config) {
 				cfg.Seed = *seed
 				cfg.ReplicaDegree = *degree

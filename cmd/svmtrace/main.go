@@ -75,7 +75,7 @@ func main() {
 	limit := flag.Int("limit", 2000, "maximum events to print (0: unlimited)")
 	ring := flag.Int("ring", 64, "flight-recorder ring size per node")
 	dump := flag.Bool("dump", false, "dump each node's flight-recorder ring after the run")
-	audit := flag.Bool("audit", false, "enable the online invariant auditor (stride 1)")
+	audit := flag.Bool("audit", false, "enable the online invariant auditor")
 	flag.Parse()
 
 	cfg := model.Default()
@@ -111,7 +111,7 @@ func main() {
 	rec := cl.EnableFlightRecorder(*ring)
 	rec.SetSink(pr.event)
 	if *audit {
-		cl.EnableAuditor(1)
+		cl.EnableAuditor()
 	}
 	if *kill >= 0 {
 		cl.Engine().At(killAt.Nanoseconds(), func() { cl.KillNode(*kill) })

@@ -84,9 +84,6 @@ type Spec struct {
 	// RingSize is the per-node flight-recorder ring (default 512 — the
 	// rings only feed post-mortem dumps; boundary counting streams).
 	RingSize int
-	// AuditStride is the invariant auditor's event stride (default 1:
-	// audit after every engine event).
-	AuditStride int
 }
 
 func (sp Spec) ringSize() int {
@@ -94,13 +91,6 @@ func (sp Spec) ringSize() int {
 		return 512
 	}
 	return sp.RingSize
-}
-
-func (sp Spec) auditStride() int {
-	if sp.AuditStride <= 0 {
-		return 1
-	}
-	return sp.AuditStride
 }
 
 // Trace is the outcome of a recording run: every boundary in stream
@@ -130,7 +120,7 @@ func Record(sp Spec) (*Trace, error) {
 	cl := inst.Cluster
 	rec := cl.EnableFlightRecorder(sp.ringSize())
 	cl.EnableWireTrace()
-	cl.EnableAuditor(sp.auditStride())
+	cl.EnableAuditor()
 
 	tr := &Trace{}
 	occ := map[occKey]int64{}
@@ -215,7 +205,7 @@ func ExploreSchedule(sp Spec, schedule []Boundary, budget int64) (v Verdict) {
 	cl := inst.Cluster
 	rec := cl.EnableFlightRecorder(sp.ringSize())
 	cl.EnableWireTrace()
-	cl.EnableAuditor(sp.auditStride())
+	cl.EnableAuditor()
 	if budget > 0 {
 		cl.Engine().SetEventBudget(budget)
 	}

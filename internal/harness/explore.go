@@ -22,8 +22,7 @@ func ExploreSpec(c Config) explore.Spec {
 		name = fmt.Sprintf("%s/%s/%s/t%d", c.App, c.Size, c.Tier, c.ThreadsPerNode)
 	}
 	return explore.Spec{
-		Name:        name,
-		AuditStride: c.AuditStride,
+		Name: name,
 		New: func() (explore.Instance, error) {
 			cfg, err := c.ModelConfig()
 			if err != nil {

@@ -220,11 +220,10 @@ type Config struct {
 	Chaos *model.Chaos
 	// Overrides tweaks the cost model before the run (ablations).
 	Overrides func(*model.Config)
-	// AuditStride, when > 0, attaches the online invariant auditor with
-	// that page-sweep stride (1: audit every event). Auditing is a
-	// host-side check: virtual metrics are unchanged, only wall time
-	// grows.
-	AuditStride int
+	// Audit attaches the online invariant auditor (every invariant, after
+	// every event). Auditing is a host-side check: virtual metrics are
+	// unchanged, only wall time grows.
+	Audit bool
 	// Workers selects the simulation engine: <= 1 runs the serial engine
 	// (the default), > 1 the conservative parallel engine with that many
 	// lane workers. Virtual metrics are bit-identical either way.
@@ -385,8 +384,8 @@ func runCell(c Config) (Result, svm.ProtoStats) {
 	if kt != nil {
 		kt.cl = cl
 	}
-	if c.AuditStride > 0 {
-		cl.EnableAuditor(c.AuditStride)
+	if c.Audit {
+		cl.EnableAuditor()
 	}
 	if err := cl.Run(); err != nil {
 		return Result{Config: c, Err: err}, svm.ProtoStats{}

@@ -82,7 +82,7 @@ func TestLargeTierMicroWorkloads(t *testing.T) {
 		for _, mode := range []svm.Mode{svm.ModeBase, svm.ModeFT} {
 			cells = append(cells, Config{
 				App: app, Size: SizeSmall, Mode: mode,
-				Tier: TierLarge, ThreadsPerNode: 1, AuditStride: 16,
+				Tier: TierLarge, ThreadsPerNode: 1, Audit: true,
 			})
 		}
 	}
@@ -95,13 +95,12 @@ func TestLargeTierMicroWorkloads(t *testing.T) {
 
 // TestXLargeTierMicroWorkloads is the 512-node smoke: both micro
 // workloads under the full xlarge preset (arity-8 tree, delta vector
-// times, hashed home directory), held to the strided online auditor.
-// FT-mode cells also take a mid-run failure, exercising the hashed
-// rehoming path (override table + reverse-index walk) at full tier
-// scale. The stride is sized for the schedule, not the node count: the
-// 512-way polling lock emits tens of millions of probe events, and each
-// sweep is O(nodes x pages) = 512 x 512, so a 64K stride keeps the
-// audit at a few hundred sweeps instead of dominating the cell.
+// times, hashed home directory), held to the online auditor at every
+// event — the 512-way polling lock emits tens of millions of probe
+// events, which the auditor affords because a boundary costs only what
+// the event wrote, not O(nodes x pages). FT-mode cells also take a
+// mid-run failure, exercising the hashed rehoming path (override table
+// + reverse-index walk) at full tier scale.
 func TestXLargeTierMicroWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("512-node cells take seconds each")
@@ -111,7 +110,7 @@ func TestXLargeTierMicroWorkloads(t *testing.T) {
 		for _, mode := range []svm.Mode{svm.ModeBase, svm.ModeFT} {
 			c := Config{
 				App: app, Size: SizeSmall, Mode: mode,
-				Tier: TierXLarge, ThreadsPerNode: 1, AuditStride: 1 << 16,
+				Tier: TierXLarge, ThreadsPerNode: 1, Audit: true,
 			}
 			if mode == svm.ModeFT {
 				c.KillKind, c.KillVictim, c.KillSeq = "release.done", 256, 2

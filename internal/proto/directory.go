@@ -34,11 +34,9 @@ type Directory interface {
 	Degree() int
 	// Replica returns the item's slot-th home, 0 <= slot < Degree().
 	// Slot 0 is the primary (committed copy); every other slot holds a
-	// symmetric tentative copy. Alloc-free — the hot-path accessor.
+	// symmetric tentative copy. Alloc-free: iterate slots 0..Degree()-1
+	// to visit every home of an item.
 	Replica(item, slot int) NodeID
-	// Replicas returns all k homes of the item, primary first, in a
-	// freshly allocated slice.
-	Replicas(item int) []NodeID
 	// Alive reports whether the directory still considers node live.
 	Alive(n NodeID) bool
 	// AliveCount returns the number of live nodes.

@@ -103,7 +103,7 @@ func TestDirectoryKReplicaInvariant(t *testing.T) {
 				return false
 			}
 			for i := 0; i < items; i++ {
-				rs := d.Replicas(i)
+				rs := replicasOf(d, i)
 				if len(rs) != degree || rs[0] != d.Primary(i) || rs[1] != d.Secondary(i) {
 					return false
 				}
@@ -340,4 +340,13 @@ func TestDirectoryMemoryBytes(t *testing.T) {
 	if d.MemoryBytes() <= before {
 		t.Fatal("override table did not grow the footprint")
 	}
+}
+
+// replicasOf collects all k homes of an item, primary first.
+func replicasOf(d Directory, item int) []NodeID {
+	out := make([]NodeID, d.Degree())
+	for s := range out {
+		out[s] = d.Replica(item, s)
+	}
+	return out
 }

@@ -278,16 +278,6 @@ func (d *HashedDir) resolveSlot(item, slot int) int32 {
 	return int32((int(d.pins[item]) + slot) % d.nodes)
 }
 
-// Replicas returns all k homes of the item, primary first, freshly
-// allocated.
-func (d *HashedDir) Replicas(item int) []NodeID {
-	out := make([]NodeID, d.degree)
-	for s := range out {
-		out[s] = d.Replica(item, s)
-	}
-	return out
-}
-
 // MemoryBytes returns the approximate resident footprint: pins,
 // postings, override entries, ring, and cache.
 func (d *HashedDir) MemoryBytes() int64 {

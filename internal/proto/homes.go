@@ -118,16 +118,6 @@ func (h *HomeMap) Replica(item, slot int) NodeID {
 	}
 }
 
-// Replicas returns all k homes of the item, primary first. The slice is
-// freshly allocated; hot paths should use Replica.
-func (h *HomeMap) Replicas(item int) []NodeID {
-	out := make([]NodeID, h.degree)
-	for s := range out {
-		out[s] = h.Replica(item, s)
-	}
-	return out
-}
-
 // Alive reports whether the map still considers node live.
 func (h *HomeMap) Alive(n NodeID) bool { return h.alive[n] }
 

@@ -2,6 +2,7 @@ package svm
 
 import (
 	"fmt"
+	"strings"
 
 	"ftsvm/internal/proto"
 )
@@ -27,59 +28,123 @@ import (
 //   - page-state structure: a writable page has a twin and a working
 //     copy, a read-only page has a working copy, and stashed dirty
 //     copies (false sharing) come in pairs on invalid pages;
-//   - page-version monotonicity (stride 1 only): a page's required
-//     version vector never regresses outside recovery (the only legal
-//     decrease is recovery's roll-back of the dead node's element).
-//     Several page-state transitions can coalesce inside one event —
-//     a fault and the following write promotion run in a single
-//     process slice — so per-state transition edges are not observable
-//     at event boundaries, but a version regression always is;
+//   - page-version monotonicity: a page's required version vector never
+//     regresses outside recovery (the only legal decrease is recovery's
+//     roll-back of the dead node's element). Several page-state
+//     transitions can coalesce inside one event — a fault and the
+//     following write promotion run in a single process slice — so
+//     per-state transition edges are not observable at event
+//     boundaries, but a version regression always is;
 //   - two-live-replicas (ModeFT, outside recovery): every page's and
-//     every lock's two homes are distinct live nodes and the lock
-//     replicas exist at both.
+//     every lock's k homes are distinct live nodes and the lock
+//     replicas exist at all of them.
+//
+// The check is incremental. A boundary costs O(items touched by the
+// event), not O(nodes x (pages + locks)), under this touch contract:
+//
+//   - every field the per-item invariants read — page.state, working,
+//     twin, dirtyMask, dirtyTwin, dirtyWorking, stashMask, the elements
+//     of reqVer; ownedLock.held; node.lockHomesState[l] — is written
+//     only through its funnel (pagetable.go, locks.go, initLockHome),
+//     which appends the item to this boundary's touched set. An
+//     untouched item still satisfies whatever it satisfied at the
+//     previous boundary, so only touched items are re-checked;
+//   - placement (two-live-replicas) is a pure function of the directory
+//     between Rehome calls, of node.dead, and of the steady gate
+//     (!rec.pending, no node dead-but-not-excluded). It is re-evaluated
+//     only at a boundary where a directory epoch moved or one of
+//     node.dead / node.excluded / rec.pending was written
+//     (Cluster.membershipChanged), plus per lock when that lock's
+//     replica state was touched. A directory that changes an answer
+//     without bumping its epoch is outside the contract: it is caught
+//     at the next such boundary, not at the event that did it.
+//
+// audit_ref_test.go keeps the full sweep as a reference and checks, over
+// healthy and failure runs, that both agree at every boundary and that
+// every (node, item) whose audited fields changed was in the touched set.
 type auditor struct {
-	cl     *Cluster
-	stride int // page sweeps every stride events (locks every event)
-	tick   int
+	cl *Cluster
 
-	prevHeld [][]bool // [node][lock]: node owned lock at last boundary
-	// prevReq ([node][page]: reqVer at last sweep) backs the
-	// version-monotonicity invariant, which only runs at stride 1 — so
-	// the outer structure exists only then, and the per-page vectors are
-	// allocated on first touch. Eager allocation was one NewVector(N)
-	// per node per page: O(N² x pages) setup memory that a 512-node
-	// strided sweep paid without ever reading it. A nil entry means "no
-	// sweep has seen this page yet", equivalent to the zero vector it
-	// lazily becomes (reqVer starts at zero and never goes below).
+	// The current boundary's touched set, appended by the funnels and
+	// drained by afterEvent. pages is deduplicated (page.audTouched);
+	// vers and locks may repeat an entry, which re-checks idempotently.
+	pages       []*page     // structure fields written
+	vers        []verTouch  // reqVer elements written
+	locks       []lockTouch // ownedLock.held or lockHomesState[l] written
+	memberDirty bool        // node.dead, node.excluded or rec.pending written
+
+	held    [][]bool // [node][lock]: live node owned lock at last boundary
+	holders []int32  // [lock]: number of live nodes owning it
+	// prevReq ([node][page]: reqVer at the last boundary) backs version
+	// monotonicity. The per-page vectors are allocated at the page's
+	// first reqVer write: a nil entry means "never written", equivalent
+	// to the zero vector it lazily becomes (reqVer starts at zero and
+	// never goes below).
 	prevReq [][]proto.VectorTime
-	// wasCalm is the calm flag at the previous page sweep, so the sweep
-	// can recognize the boundary that completes a recovery (see
-	// checkPages: legal roll-backs may first surface exactly there).
+	// limbo counts nodes that are dead but not yet excluded: the window
+	// between a kill and the completed recovery, during which home maps
+	// still reference the dead node and replica invariants are
+	// legitimately broken (that is what recovery repairs).
+	limbo int
+	// Directory epochs at the last placement evaluation.
+	pageEpoch, lockEpoch int
+	// wasCalm is the calm flag at the previous boundary, so a boundary
+	// can recognize that it completes a recovery (see checkVersions).
 	wasCalm bool
 }
 
-// EnableAuditor attaches the online invariant auditor. stride controls
-// how often the sweeps run: 1 checks after every event and additionally
-// enables the version-monotonicity invariant; larger strides sample
-// both the lock sweep (O(locks x N) per check) and the page sweep
-// (O(pages x N)), which long svmcheck schedules and the 512-node smoke
-// use to bound cost. Call before Run.
-func (cl *Cluster) EnableAuditor(stride int) {
-	if stride < 1 {
-		stride = 1
+type verTouch struct {
+	pg  *page
+	src int32
+}
+
+type lockTouch struct{ node, lock int32 }
+
+// AuditViolation is the auditor's error: the invariant that broke, where
+// and at which event, and what that event had written.
+type AuditViolation struct {
+	Event     int64  // ordinal of the violating event (Engine.Events())
+	TimeNs    int64  // virtual time of that event
+	Invariant string // "single-holder", "lock-replication", "page-state", "page-transition", "two-live-replicas"
+	Node      int    // node whose state broke it; -1 for a placement violation
+	Item      string // "page 3", "lock 0"
+	Detail    string
+	// Touched is the event's touched set ("n1/p3", "n0/p3.ver[2]",
+	// "n2/l0"), capped at maxTouchedShown entries plus a count.
+	Touched []string
+}
+
+const maxTouchedShown = 16
+
+func (v *AuditViolation) Error() string {
+	where := v.Item
+	if v.Node >= 0 {
+		where = fmt.Sprintf("node %d %s", v.Node, v.Item)
 	}
-	a := &auditor{cl: cl, stride: stride, wasCalm: true}
-	a.prevHeld = make([][]bool, cl.cfg.Nodes)
-	for i := range a.prevHeld {
-		a.prevHeld[i] = make([]bool, cl.lockHomes.Items())
+	return fmt.Sprintf("svm: invariant violation at event %d (t=%dns): %s: %s: %s [touched: %s]",
+		v.Event, v.TimeNs, v.Invariant, where, v.Detail, strings.Join(v.Touched, " "))
+}
+
+// EnableAuditor attaches the online invariant auditor: every invariant,
+// after every event. Call before Run; a second call is a no-op.
+func (cl *Cluster) EnableAuditor() {
+	if cl.aud != nil {
+		return
 	}
-	if stride == 1 {
-		a.prevReq = make([][]proto.VectorTime, cl.cfg.Nodes)
-		for i := range a.prevReq {
-			a.prevReq[i] = make([]proto.VectorTime, cl.pageHomes.Items())
-		}
+	// memberDirty makes the first boundary count limbo and check the
+	// initial placement.
+	a := &auditor{cl: cl, wasCalm: true, memberDirty: true}
+	a.held = make([][]bool, cl.cfg.Nodes)
+	a.prevReq = make([][]proto.VectorTime, cl.cfg.Nodes)
+	for i := range a.held {
+		a.held[i] = make([]bool, cl.lockHomes.Items())
+		a.prevReq[i] = make([]proto.VectorTime, cl.pageHomes.Items())
 	}
+	a.holders = make([]int32, cl.lockHomes.Items())
 	cl.aud = a
+	for _, n := range cl.nodes {
+		n.pt.aud = a
+	}
 	cl.eng.SetAfterEvent(a.afterEvent)
 }
 
@@ -87,182 +152,265 @@ func (cl *Cluster) EnableAuditor(stride int) {
 // performs no scheduling and charges no virtual time; on the first
 // violation it records the error and stops the engine.
 func (a *auditor) afterEvent() {
-	if a.cl.auditErr != nil {
+	cl := a.cl
+	if cl.auditErr != nil {
 		return
 	}
-	a.tick++
-	if a.tick%a.stride != 0 {
+	member := a.memberDirty
+	if member {
+		a.recountMembers()
+	}
+	calm := !cl.rec.pending && a.limbo == 0 // no recovery in flight
+	edge := calm && !a.wasCalm
+	a.wasCalm = calm
+	steady := calm && cl.opt.Mode == ModeFT
+
+	var v *AuditViolation
+	if len(a.locks) > 0 {
+		v = a.checkLocks(steady)
+	}
+	if v == nil && len(a.pages) > 0 {
+		v = a.checkPages()
+	}
+	if v == nil && len(a.vers) > 0 {
+		v = a.checkVersions(calm, edge)
+	}
+	if v == nil && steady {
+		pe, le := cl.pageHomes.Epoch(), cl.lockHomes.Epoch()
+		if member || pe != a.pageEpoch || le != a.lockEpoch {
+			a.pageEpoch, a.lockEpoch = pe, le
+			v = a.checkPlacement()
+		}
+	}
+	if v != nil {
+		a.fail(v)
 		return
 	}
-	err := a.checkLocks()
-	if err == nil {
-		err = a.checkPages()
+	for _, pg := range a.pages {
+		pg.audTouched = false
 	}
-	if err != nil {
-		a.fail(err)
-	}
+	a.pages, a.vers, a.locks, a.memberDirty = a.pages[:0], a.vers[:0], a.locks[:0], false
 }
 
-func (a *auditor) fail(err error) {
-	a.cl.auditErr = fmt.Errorf("svm: invariant violation at t=%dns: %w", a.cl.eng.Now(), err)
+func (a *auditor) fail(v *AuditViolation) {
+	v.Event, v.TimeNs = a.cl.eng.Events(), a.cl.eng.Now()
+	v.Touched = a.touchedStrings()
+	a.cl.auditErr = v
 	a.cl.eng.Stop()
 }
 
-// limbo reports whether a node is dead but not yet excluded: the window
-// between a kill and the completed recovery, during which home maps
-// still reference the dead node and replica invariants are legitimately
-// broken (that is what recovery repairs).
-func (a *auditor) limbo() bool {
-	for _, n := range a.cl.nodes {
-		if n.dead && !n.excluded {
-			return true
-		}
+// touchedStrings renders the boundary's touched set for a violation.
+func (a *auditor) touchedStrings() []string {
+	var out []string
+	for _, pg := range a.pages {
+		out = append(out, fmt.Sprintf("n%d/p%d", pg.pt.node.id, pg.id))
 	}
-	return false
+	for _, t := range a.vers {
+		out = append(out, fmt.Sprintf("n%d/p%d.ver[%d]", t.pg.pt.node.id, t.pg.id, t.src))
+	}
+	for _, t := range a.locks {
+		out = append(out, fmt.Sprintf("n%d/l%d", t.node, t.lock))
+	}
+	if a.memberDirty {
+		out = append(out, "membership")
+	}
+	if extra := len(out) - maxTouchedShown; extra > 0 {
+		out = append(out[:maxTouchedShown], fmt.Sprintf("(+%d more)", extra))
+	}
+	return out
 }
 
-func (a *auditor) checkLocks() error {
+// recountMembers re-derives what the auditor keeps about membership after
+// a write to node.dead, node.excluded or rec.pending: the limbo count,
+// and that a dead node owns no lock.
+func (a *auditor) recountMembers() {
+	a.limbo = 0
+	for _, n := range a.cl.nodes {
+		if !n.dead {
+			continue
+		}
+		if !n.excluded {
+			a.limbo++
+		}
+		for l, h := range a.held[n.id] {
+			if h {
+				a.held[n.id][l] = false
+				a.holders[l]--
+			}
+		}
+	}
+}
+
+// checkLocks re-checks the touched (node, lock) pairs: ownership
+// transitions feed the per-lock holder count and the lock-replication
+// check; a touched lock is also re-checked for placement, which covers
+// writes to its replica state.
+func (a *auditor) checkLocks(steady bool) *AuditViolation {
 	cl := a.cl
-	ft := cl.opt.Mode == ModeFT
-	steady := ft && !cl.rec.pending && !a.limbo()
-	for l := 0; l < cl.lockHomes.Items(); l++ {
-		holder := -1
-		for _, n := range cl.nodes {
-			if n.dead {
-				a.prevHeld[n.id][l] = false
-				continue
-			}
-			ol := n.owned[l]
-			held := ol != nil && ol.held
-			if held {
-				if holder >= 0 {
-					return fmt.Errorf("single-holder: lock %d held by nodes %d and %d", l, holder, n.id)
+	for _, t := range a.locks {
+		n, l := cl.nodes[t.node], int(t.lock)
+		if n.dead {
+			continue // recountMembers already dropped its locks
+		}
+		ol := n.owned[l]
+		held := ol != nil && ol.held
+		if held == a.held[n.id][l] {
+			continue
+		}
+		a.held[n.id][l] = held
+		if !held {
+			a.holders[l]--
+			continue
+		}
+		a.holders[l]++
+		if steady && cl.lockHomes.Primary(l) != n.id {
+			// Newly granted from a remote primary home: the owner
+			// element must already sit in every secondary replica
+			// (see the type comment above).
+			for s := 1; s < cl.lockHomes.Degree(); s++ {
+				sec := cl.lockHomes.Replica(l, s)
+				lh := cl.nodes[sec].lockHomesState[l]
+				if lh == nil || !lh.vec[n.id] {
+					return &AuditViolation{Invariant: "lock-replication", Node: n.id, Item: fmt.Sprintf("lock %d", l),
+						Detail: fmt.Sprintf("granted before its owner element reached secondary home %d", sec)}
 				}
-				holder = n.id
-				if steady && !a.prevHeld[n.id][l] && cl.lockHomes.Primary(l) != n.id {
-					// Newly granted from a remote primary home: the
-					// owner element must already sit in every secondary
-					// replica (see the package comment above).
-					for s := 1; s < cl.lockHomes.Degree(); s++ {
-						sec := cl.lockHomes.Replica(l, s)
-						lh := cl.nodes[sec].lockHomesState[l]
-						if lh == nil || !lh.vec[n.id] {
-							return fmt.Errorf("lock-replication: lock %d granted to node %d before its owner element reached secondary home %d", l, n.id, sec)
-						}
-					}
-				}
 			}
-			a.prevHeld[n.id][l] = held
+		}
+	}
+	// Counts are final only once every transition of the boundary is in:
+	// a release and the matching grant may share one event.
+	for _, t := range a.locks {
+		l := int(t.lock)
+		if a.holders[l] > 1 {
+			return &AuditViolation{Invariant: "single-holder", Node: int(t.node), Item: fmt.Sprintf("lock %d", l),
+				Detail: fmt.Sprintf("held by nodes %v", cl.auditHolders(l))}
 		}
 		if steady {
-			rs := cl.lockHomes.Replicas(l)
-			for a := range rs {
-				for b := a + 1; b < len(rs); b++ {
-					if rs[a] == rs[b] {
-						return fmt.Errorf("two-live-replicas: lock %d has two homes on node %d", l, rs[a])
-					}
-				}
-			}
-			for _, h := range rs {
-				if cl.nodes[h].dead {
-					return fmt.Errorf("two-live-replicas: lock %d homed on dead node %d", l, h)
-				}
-				if cl.nodes[h].lockHomesState[l] == nil {
-					return fmt.Errorf("two-live-replicas: lock %d has no replica state at home %d", l, h)
-				}
+			if v := a.lockPlacement(l); v != nil {
+				return v
 			}
 		}
 	}
 	return nil
 }
 
-func (a *auditor) checkPages() error {
-	cl := a.cl
-	calm := !cl.rec.pending && !a.limbo() // no recovery in flight
-	// The event slice that completes a recovery can also contain the
-	// §4.5.2 roll-back clamp of the dead node's reqVer element
-	// (globalSync mutates state without yielding, and migrateThreads
-	// waits on nothing when the victim's threads all finished), so the
-	// first boundary at which the clamp is observable may already be
-	// calm. Forgive a regression of an excluded node's element at the
-	// not-calm -> calm edge only; every other element, and every later
-	// calm boundary, stays armed.
-	edge := calm && !a.wasCalm
-	a.wasCalm = calm
-	steady := cl.opt.Mode == ModeFT && calm
-	for _, n := range cl.nodes {
+// checkPages re-checks page-state structure on the touched pages.
+func (a *auditor) checkPages() *AuditViolation {
+	tracked := a.cl.tracked
+	for _, pg := range a.pages {
+		n := pg.pt.node
 		if n.dead {
 			continue
 		}
-		for pid, pg := range n.pt.pages {
-			switch pg.state {
-			case pWritable:
-				if pg.twin == nil || pg.working == nil {
-					return fmt.Errorf("page-state: node %d page %d writable without twin/working", n.id, pid)
-				}
-			case pReadOnly:
-				if pg.working == nil {
-					return fmt.Errorf("page-state: node %d page %d read-only without working copy", n.id, pid)
-				}
-			}
-			if pg.dirtyWorking != nil && (pg.dirtyTwin == nil || pg.state != pInvalid) {
-				return fmt.Errorf("page-state: node %d page %d has an inconsistent dirty stash (state=%d)", n.id, pid, pg.state)
-			}
-			// Tracking structure: a twin and its dirty mask travel
-			// together (partial twins are meaningless without the mask
-			// saying which chunks are valid), and vice versa.
-			if cl.tracked {
-				if (pg.twin != nil) != (pg.dirtyMask != nil) {
-					return fmt.Errorf("page-state: node %d page %d twin/dirty-mask mismatch (twin=%v mask=%v)",
-						n.id, pid, pg.twin != nil, pg.dirtyMask != nil)
-				}
-				if (pg.dirtyTwin != nil) != (pg.stashMask != nil) {
-					return fmt.Errorf("page-state: node %d page %d stashed twin/mask mismatch (twin=%v mask=%v)",
-						n.id, pid, pg.dirtyTwin != nil, pg.stashMask != nil)
-				}
-			} else if pg.dirtyMask != nil || pg.stashMask != nil {
-				return fmt.Errorf("page-state: node %d page %d carries a dirty mask with tracking off", n.id, pid)
-			}
-			if a.stride == 1 {
-				prev := a.prevReq[n.id][pid]
-				if prev == nil {
-					prev = proto.NewVector(cl.cfg.Nodes)
-					a.prevReq[n.id][pid] = prev
-				}
-				for src, v := range pg.reqVer {
-					// Regressions are legal only inside recovery (the
-					// roll-back of the dead node's element, §4.5.2) —
-					// first observable, at the event granularity the
-					// auditor runs at, as late as the completion edge.
-					if v < prev[src] && calm && !(edge && cl.nodes[src].excluded) {
-						return fmt.Errorf("page-transition: node %d page %d required version regressed (node %d element %d -> %d)",
-							n.id, pid, src, prev[src], v)
-					}
-					prev[src] = v
-				}
-			}
+		bad := ""
+		switch {
+		case pg.state == pWritable && (pg.twin == nil || pg.working == nil):
+			bad = "writable without twin/working"
+		case pg.state == pReadOnly && pg.working == nil:
+			bad = "read-only without working copy"
+		case pg.dirtyWorking != nil && (pg.dirtyTwin == nil || pg.state != pInvalid):
+			bad = fmt.Sprintf("has an inconsistent dirty stash (state=%d)", pg.state)
+		// Tracking structure: a twin and its dirty mask travel together
+		// (partial twins are meaningless without the mask saying which
+		// chunks are valid), and vice versa.
+		case tracked && (pg.twin != nil) != (pg.dirtyMask != nil):
+			bad = fmt.Sprintf("twin/dirty-mask mismatch (twin=%v mask=%v)", pg.twin != nil, pg.dirtyMask != nil)
+		case tracked && (pg.dirtyTwin != nil) != (pg.stashMask != nil):
+			bad = fmt.Sprintf("stashed twin/mask mismatch (twin=%v mask=%v)", pg.dirtyTwin != nil, pg.stashMask != nil)
+		case !tracked && (pg.dirtyMask != nil || pg.stashMask != nil):
+			bad = "carries a dirty mask with tracking off"
+		}
+		if bad != "" {
+			return &AuditViolation{Invariant: "page-state", Node: n.id, Item: fmt.Sprintf("page %d", pg.id), Detail: bad}
 		}
 	}
-	if steady {
-		for p := 0; p < cl.pageHomes.Items(); p++ {
-			rs := cl.pageHomes.Replicas(p)
-			for a := range rs {
-				if cl.nodes[rs[a]].dead {
-					return fmt.Errorf("two-live-replicas: page %d homed on a dead node (%v)", p, rs)
-				}
-				for b := a + 1; b < len(rs); b++ {
-					if rs[a] == rs[b] {
-						return fmt.Errorf("two-live-replicas: page %d has two homes on node %d", p, rs[a])
-					}
-				}
+	return nil
+}
+
+// checkVersions re-checks version monotonicity on the touched reqVer
+// elements. Regressions are legal only inside recovery (the roll-back of
+// the dead node's element, §4.5.2). The event slice that completes a
+// recovery can also contain that clamp (globalSync mutates state without
+// yielding, and migrateThreads waits on nothing when the victim's threads
+// all finished), so the first boundary at which it is observable may
+// already be calm: a regression of an excluded node's element is forgiven
+// at the not-calm -> calm edge only; every other element, and every later
+// calm boundary, stays armed.
+func (a *auditor) checkVersions(calm, edge bool) *AuditViolation {
+	cl := a.cl
+	for _, t := range a.vers {
+		pg, src := t.pg, int(t.src)
+		n := pg.pt.node
+		if n.dead {
+			continue
+		}
+		prev := a.prevReq[n.id][pg.id]
+		if prev == nil {
+			prev = proto.NewVector(cl.cfg.Nodes)
+			a.prevReq[n.id][pg.id] = prev
+		}
+		v := pg.reqVer[src]
+		if v < prev[src] && calm && !(edge && cl.nodes[src].excluded) {
+			return &AuditViolation{Invariant: "page-transition", Node: n.id, Item: fmt.Sprintf("page %d", pg.id),
+				Detail: fmt.Sprintf("required version regressed (node %d element %d -> %d)", src, prev[src], v)}
+		}
+		prev[src] = v
+	}
+	return nil
+}
+
+// checkPlacement re-evaluates two-live-replicas for every lock and page.
+func (a *auditor) checkPlacement() *AuditViolation {
+	cl := a.cl
+	for l := 0; l < cl.lockHomes.Items(); l++ {
+		if v := a.lockPlacement(l); v != nil {
+			return v
+		}
+	}
+	for p := 0; p < cl.pageHomes.Items(); p++ {
+		if v := a.placement(cl.pageHomes, p, "page"); v != nil {
+			return v
+		}
+	}
+	return nil
+}
+
+func (a *auditor) lockPlacement(l int) *AuditViolation {
+	cl := a.cl
+	if v := a.placement(cl.lockHomes, l, "lock"); v != nil {
+		return v
+	}
+	for s := 0; s < cl.lockHomes.Degree(); s++ {
+		if h := cl.lockHomes.Replica(l, s); cl.nodes[h].lockHomesState[l] == nil {
+			return &AuditViolation{Invariant: "two-live-replicas", Node: -1, Item: fmt.Sprintf("lock %d", l),
+				Detail: fmt.Sprintf("no replica state at home %d", h)}
+		}
+	}
+	return nil
+}
+
+// placement checks that an item's k homes are distinct live nodes.
+func (a *auditor) placement(dir proto.Directory, item int, kind string) *AuditViolation {
+	bad := func(format string, h int) *AuditViolation {
+		return &AuditViolation{Invariant: "two-live-replicas", Node: -1, Item: fmt.Sprintf("%s %d", kind, item),
+			Detail: fmt.Sprintf(format, h) + fmt.Sprintf(" (homes %v)", homesOf(dir, item))}
+	}
+	deg := dir.Degree()
+	for s := 0; s < deg; s++ {
+		h := dir.Replica(item, s)
+		if a.cl.nodes[h].dead {
+			return bad("homed on dead node %d", h)
+		}
+		for s2 := s + 1; s2 < deg; s2++ {
+			if dir.Replica(item, s2) == h {
+				return bad("two homes on node %d", h)
 			}
 		}
 	}
 	return nil
 }
 
-// auditHolders returns the live nodes currently owning lock l — test
-// and debugging support for the single-holder invariant.
+// auditHolders returns the live nodes currently owning lock l.
 func (cl *Cluster) auditHolders(l int) []int {
 	var out []int
 	for _, n := range cl.nodes {

@@ -49,7 +49,7 @@ func TestFailAtBarrierArrivalEpoch(t *testing.T) {
 				t.Fatal(err)
 			}
 			cl.EnableFlightRecorder(64)
-			cl.EnableAuditor(1)
+			cl.EnableAuditor()
 			tracer.cl = cl
 			// A livelock here would spin forever; bound the run so the
 			// regression fails fast instead of hanging the suite.

@@ -9,7 +9,7 @@ import (
 // Chaos regressions: deterministic network degradation aimed at the
 // protocol windows where lost or late messages historically hid bugs.
 // Every run uses honest probe-based failure detection, the online
-// invariant auditor at stride 1, and ends with the application's own
+// invariant auditor, and ends with the application's own
 // result check plus a byte-level replica audit.
 
 // phaseClock records the virtual times of one node's release phase-1 and
@@ -38,7 +38,7 @@ func (pc *phaseClock) Event(e TraceEvent) {
 }
 
 // chaosCluster builds the 4-node counter workload in FT mode with honest
-// detection, full-stride auditing, and the given chaos configuration.
+// detection, the online auditor, and the given chaos configuration.
 func chaosCluster(t *testing.T, chaos model.Chaos, algo LockAlgo, body func(*Thread), tracer Tracer) *Cluster {
 	t.Helper()
 	cfg := model.Default()
@@ -53,7 +53,7 @@ func chaosCluster(t *testing.T, chaos model.Chaos, algo LockAlgo, body func(*Thr
 		t.Fatal(err)
 	}
 	cl.EnableFlightRecorder(64)
-	cl.EnableAuditor(1)
+	cl.EnableAuditor()
 	return cl
 }
 

@@ -25,7 +25,7 @@ func runCounterWithDir(t *testing.T, dir model.DirectoryMode, kill bool) *Cluste
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.EnableAuditor(1)
+	cl.EnableAuditor()
 	if tracer != nil {
 		tracer.cl = cl
 	}
@@ -58,7 +58,7 @@ func TestDirectoryHealthyBitIdentical(t *testing.T) {
 }
 
 // TestDirectoryHashedRecovery runs a mid-release kill with the hashed
-// directory under the full-stride auditor: recovery must rehome through
+// directory under the online auditor: recovery must rehome through
 // the override table, rebuild replicas from reverse-index deltas, and
 // finish with the replica invariants intact.
 func TestDirectoryHashedRecovery(t *testing.T) {
@@ -89,7 +89,7 @@ func TestDirectoryHashedEveryVictim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cl.EnableAuditor(1)
+			cl.EnableAuditor()
 			tracer.cl = cl
 			if err := cl.Run(); err != nil {
 				t.Fatal(err)
@@ -139,42 +139,36 @@ func TestDirectoryHashedParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestAuditorLazyPrevReq pins the strided auditor's lazy allocation: a
-// stride > 1 never allocates the version-history structure at all (the
-// monotonicity invariant only runs at stride 1), so 512-node strided
-// cells skip the O(N² x pages) setup the eager version paid.
+// TestAuditorLazyPrevReq pins the auditor's lazy version history: no
+// per-page vector exists before the run (eager allocation was one
+// NewVector(N) per node per page, O(N² x pages) at 512 nodes), and after
+// it only the pages whose required version was actually written have one.
 func TestAuditorLazyPrevReq(t *testing.T) {
 	cfg := model.Default()
 	cfg.Nodes = 4
-	opt := Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Body: counterBody(4)}
-	cl, err := New(opt)
+	cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Body: counterBody(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.EnableAuditor(16)
-	if cl.aud.prevReq != nil {
-		t.Fatal("strided auditor allocated prevReq eagerly")
+	cl.EnableAuditor()
+	count := func() (n int) {
+		for _, per := range cl.aud.prevReq {
+			for _, v := range per {
+				if v != nil {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if count() != 0 {
+		t.Fatal("auditor pre-allocated per-page version vectors")
 	}
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
-
-	cl2, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Body: counterBody(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl2.EnableAuditor(1)
-	if cl2.aud.prevReq == nil {
-		t.Fatal("stride-1 auditor needs the version-history structure")
-	}
-	for _, per := range cl2.aud.prevReq {
-		for _, v := range per {
-			if v != nil {
-				t.Fatal("stride-1 auditor pre-allocated per-page vectors")
-			}
-		}
-	}
-	if err := cl2.Run(); err != nil {
-		t.Fatal(err)
+	// The counter workload writes page 0 only.
+	if got := count(); got == 0 || got > cfg.Nodes {
+		t.Fatalf("%d per-page version vectors after a one-page workload on %d nodes", got, cfg.Nodes)
 	}
 }

@@ -56,7 +56,7 @@ func runWithKill(t *testing.T, kind string, victim int, seq int64, tpn int) *Clu
 		t.Fatal(err)
 	}
 	cl.EnableFlightRecorder(64)
-	cl.EnableAuditor(1)
+	cl.EnableAuditor()
 	tracer.cl = cl
 	if kind == "time" {
 		cl.Engine().At(seq, func() { cl.KillNode(victim) })
@@ -143,7 +143,7 @@ func TestFailWithNICLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.EnableFlightRecorder(64)
-	cl.EnableAuditor(1)
+	cl.EnableAuditor()
 	cl.Engine().At(3_000_000, func() { cl.KillNode(2) })
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestFailAtBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.EnableFlightRecorder(64)
-	cl.EnableAuditor(1)
+	cl.EnableAuditor()
 	tracer.cl = cl
 	// Kill node 3 shortly after start: it will likely be inside or near a
 	// barrier when the others wait for it.
@@ -218,7 +218,7 @@ func TestSuccessiveFailuresKillTwo(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.EnableFlightRecorder(64)
-	cl.EnableAuditor(1)
+	cl.EnableAuditor()
 	cl.Engine().At(2_000_000, func() { cl.KillNode(1) })
 	// Second, non-simultaneous failure: node 3 dies at one of its later
 	// releases, but only once the first recovery has fully completed.

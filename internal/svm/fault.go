@@ -60,9 +60,9 @@ func (t *Thread) readFault(pg *page) {
 				}
 				pg.homeStale = false
 				if pg.twin != nil {
-					pg.state = pWritable
+					pg.setState(pWritable)
 				} else {
-					pg.state = pReadOnly
+					pg.setState(pReadOnly)
 				}
 				break
 			}
@@ -128,7 +128,7 @@ func (t *Thread) remoteFetch(pg *page, home int) (needRecovery bool) {
 	}
 	// A stale read-only copy may still be installed; the reply replaces it.
 	t.node.putPageBuf(pg.working)
-	pg.working = rep.Data
+	pg.setWorking(rep.Data)
 	t.node.stats.RemoteFetches++
 	t.finishFetch(pg, rep.Ver)
 	return false
@@ -150,26 +150,25 @@ func (t *Thread) finishFetch(pg *page, ver proto.VectorTime) {
 		// exactly the local modifications. Tracked: the dirty set carries
 		// over from the stash, and only those chunks need pre-merge images.
 		if pg.stashMask != nil {
-			pg.dirtyMask, pg.stashMask = pg.stashMask, nil
-			pg.twin = t.node.getPageBuf()
+			pg.setTwin(t.node.getPageBuf(), pg.stashMask)
 			t.node.stats.TwinBytesCopied += int64(mem.CopyMasked(pg.twin, pg.working, pg.dirtyMask))
 		} else {
-			pg.twin = t.node.clonePageBuf(pg.working)
+			pg.setTwin(t.node.clonePageBuf(pg.working), nil)
 			t.node.stats.TwinBytesCopied += int64(cfg.PageSize)
 		}
 		localDiff.Apply(pg.working)
 		dbuf.Release()
 		t.node.putPageBuf(pg.dirtyWorking)
 		t.node.putPageBuf(pg.dirtyTwin)
-		pg.dirtyWorking, pg.dirtyTwin = nil, nil
-		pg.state = pWritable
+		pg.setStash(nil, nil, nil)
+		pg.setState(pWritable)
 		// Re-list the page: the dirty-list entry that accompanied the
 		// stashed writes may already have been consumed by a commit
 		// (duplicates are deduplicated there).
 		t.node.dirty = append(t.node.dirty, pg.id)
 		return
 	}
-	pg.state = pReadOnly
+	pg.setState(pReadOnly)
 }
 
 // writeFault promotes a read-only page to writable: stall while the page
@@ -197,8 +196,7 @@ func (t *Thread) writeFault(pg *page) {
 		// its first write (Thread.track). The buffer holds garbage outside
 		// dirty chunks and is never read there. The modeled cost below is
 		// unchanged: the simulated machine still pays a full-page copy.
-		pg.twin = t.node.getPageBuf()
-		pg.dirtyMask = t.node.getMaskBuf()
+		pg.setTwin(t.node.getPageBuf(), t.node.getMaskBuf())
 		if pg.denseHint {
 			// Dense-writer fast path (see page.denseHint).
 			copy(pg.twin, pg.working)
@@ -207,10 +205,10 @@ func (t *Thread) writeFault(pg *page) {
 			t.node.stats.TwinBytesCopied += int64(cfg.PageSize)
 		}
 	} else {
-		pg.twin = t.node.clonePageBuf(pg.working)
+		pg.setTwin(t.node.clonePageBuf(pg.working), nil)
 		t.node.stats.TwinBytesCopied += int64(cfg.PageSize)
 	}
-	pg.state = pWritable
+	pg.setState(pWritable)
 	t.node.dirty = append(t.node.dirty, pg.id)
 	t.node.stats.WriteFaults++
 	t.charge(CompDataWait, cfg.PageFaultTrapNs)
@@ -227,7 +225,7 @@ func (t *Thread) invalidate(pid int, src int, itv int32) {
 	}
 	pg := n.pt.pages[pid]
 	if pg.reqVer[src] < itv {
-		pg.reqVer[src] = itv
+		pg.setReqVer(src, itv)
 	}
 	t.node.stats.Invalidations++
 	t.charge(CompProtocol, t.cl.cfg.ProtoOpNs)
@@ -244,24 +242,15 @@ func (t *Thread) invalidate(pid int, src int, itv int32) {
 			// A dirty home page keeps its twin: remote diffs patch both
 			// working and twin, so local modifications survive the wait.
 			pg.homeStale = true
-			pg.state = pInvalid
+			pg.setState(pInvalid)
 		}
 		return
 	}
 	switch pg.state {
 	case pWritable:
-		// False sharing: stash the uncommitted local writes; the next
-		// access fetches the home copy and merges them back.
-		pg.dirtyTwin = pg.twin
-		pg.dirtyWorking = pg.working
-		pg.stashMask = pg.dirtyMask
-		pg.twin = nil
-		pg.working = nil
-		pg.dirtyMask = nil
-		pg.maskFull = false
-		pg.state = pInvalid
+		pg.stashDirty()
 	case pReadOnly:
-		pg.state = pInvalid
+		pg.setState(pInvalid)
 	}
 }
 

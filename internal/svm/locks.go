@@ -50,7 +50,7 @@ func (t *Thread) Acquire(l int) {
 		vt = t.nicAcquire(l)
 	}
 	ol.busy = false
-	ol.held = true
+	n.setHeld(l, true)
 	ol.holder = t
 	t.locksHeld++
 	if t.cl.lockHomes.Primary(l) != n.id {
@@ -95,7 +95,7 @@ func (t *Thread) handOver(l int, ol *ownedLock) {
 		// A remote requester was forwarded to us; grant directly.
 		dst := ol.pendingGrant
 		ol.pendingGrant = -1
-		ol.held = false
+		n.setHeld(l, false)
 		t.cl.trace(obs.KLockRelease, n.id, t.id, int64(l))
 		g := &qlGrant{Lock: l, VT: n.vt.Clone()}
 		t.charge(CompLock, t.cl.cfg.NICPostOverheadNs)
@@ -107,7 +107,7 @@ func (t *Thread) handOver(l int, ol *ownedLock) {
 	case t.cl.opt.LockAlgo == LockPolling || t.cl.opt.LockAlgo == LockNIC:
 		// Return the lock: clear our element and store our timestamp at
 		// the home(s), atomically per home.
-		ol.held = false
+		n.setHeld(l, false)
 		t.cl.trace(obs.KLockRelease, n.id, t.id, int64(l))
 		rel := &lockRelease{Lock: l, Node: n.id, VT: n.vt.Clone()}
 		prim := t.cl.lockHomes.Primary(l)
@@ -133,6 +133,22 @@ func (n *node) lockState(l int) *ownedLock {
 		n.owned[l] = ol
 	}
 	return ol
+}
+
+// setHeld is the one place a node's ownership of lock l changes, so the
+// online auditor sees every transition (the lock-side counterpart of the
+// page funnels in pagetable.go; initLockHome is the funnel for the
+// home-side replica state).
+func (n *node) setHeld(l int, held bool) {
+	n.lockState(l).held = held
+	n.touchLock(l)
+}
+
+// touchLock reports (node, lock) to the auditor's touched list.
+func (n *node) touchLock(l int) {
+	if a := n.cl.aud; a != nil {
+		a.locks = append(a.locks, lockTouch{int32(n.id), int32(l)})
+	}
 }
 
 // postLockMsg sends a lock-protocol deposit, applying it locally when this
@@ -395,7 +411,7 @@ func (n *node) applyLockMsg(src int, payload any) {
 		ol := n.lockState(m.Lock)
 		if ol.held && ol.holder == nil && ol.localWaiters == 0 && !ol.busy {
 			// Cached and idle: grant immediately.
-			ol.held = false
+			n.setHeld(m.Lock, false)
 			g := &qlGrant{Lock: m.Lock, VT: ol.releaseVT.Clone()}
 			n.sendOrDeliver(m.Requester, g, n.msgWire(m.Requester, g))
 		} else {

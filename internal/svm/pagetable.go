@@ -68,6 +68,11 @@ type page struct {
 	// clean chunks cannot change the diff (their contents equal the twin).
 	denseHint bool
 
+	// audTouched marks the page as already on the auditor's touched list
+	// for the current event boundary (see touch). It sits with the other
+	// flags so the struct does not grow.
+	audTouched bool
+
 	// dirtyTwin preserves a dirty page's twin across an invalidation
 	// (false sharing: a concurrent remote writer updated the page while we
 	// hold uncommitted local writes). The next access fetches the home
@@ -136,6 +141,9 @@ type page struct {
 type pageTable struct {
 	node  *node
 	pages []*page
+	// aud is the cluster's auditor, nil unless EnableAuditor attached one:
+	// the page funnels below report to it.
+	aud *auditor
 }
 
 func newPageTable(n *node, npages, nnodes int) *pageTable {
@@ -148,6 +156,68 @@ func newPageTable(n *node, npages, nnodes int) *pageTable {
 		}
 	}
 	return pt
+}
+
+// --- Audited-field funnels ---
+//
+// The online auditor (audit.go) re-checks a page only at event boundaries
+// where one of the fields its invariants read was written. That is sound
+// only if every write goes through here: state, working, the twin pair
+// (twin, dirtyMask), the stash triple (dirtyTwin, dirtyWorking, stashMask)
+// and the elements of reqVer are assigned nowhere else. Un-audited runs
+// pay one nil check per write; the funnels change no protocol state of
+// their own.
+
+// touch reports the page to the auditor's touched list, once per boundary.
+func (pg *page) touch() {
+	if a := pg.pt.aud; a != nil && !pg.audTouched {
+		pg.audTouched = true
+		a.pages = append(a.pages, pg)
+	}
+}
+
+func (pg *page) setState(s pageState) {
+	pg.state = s
+	pg.touch()
+}
+
+func (pg *page) setWorking(b []byte) {
+	pg.working = b
+	pg.touch()
+}
+
+// setTwin assigns the twin and the dirty mask that says which of its
+// chunks are valid (nil with tracking off); the two travel together.
+func (pg *page) setTwin(twin []byte, mask []uint64) {
+	pg.twin, pg.dirtyMask = twin, mask
+	pg.touch()
+}
+
+// setStash assigns the stashed dirty pair and the mask that travels with it.
+func (pg *page) setStash(twin, working []byte, mask []uint64) {
+	pg.dirtyTwin, pg.dirtyWorking, pg.stashMask = twin, working, mask
+	pg.touch()
+}
+
+// setReqVer assigns one element of the required version. The auditor keeps
+// the element's value at the previous boundary, so it is told which element
+// moved rather than re-reading the whole vector.
+func (pg *page) setReqVer(src int, v int32) {
+	pg.reqVer[src] = v
+	if a := pg.pt.aud; a != nil {
+		a.vers = append(a.vers, verTouch{pg, int32(src)})
+	}
+}
+
+// stashDirty handles an invalidation of a page holding uncommitted local
+// writes (false sharing): the twin, working copy and dirty mask move to the
+// stash, and the next access fetches the home copy and merges them back.
+func (pg *page) stashDirty() {
+	pg.setStash(pg.twin, pg.working, pg.dirtyMask)
+	pg.setTwin(nil, nil)
+	pg.setWorking(nil)
+	pg.maskFull = false
+	pg.setState(pInvalid)
 }
 
 // --- Page-buffer pool ---
@@ -230,7 +300,7 @@ func (pg *page) fetchNeed(me int) proto.VectorTime {
 // ensureWorking lazily allocates the working copy from the cluster pool.
 func (pg *page) ensureWorking() []byte {
 	if pg.working == nil {
-		pg.working = pg.pt.node.getPageBufZero()
+		pg.setWorking(pg.pt.node.getPageBufZero())
 	}
 	return pg.working
 }
@@ -245,7 +315,7 @@ func (pt *pageTable) initHome(pid int, role proto.Role, ft bool, size, nnodes in
 		// Base-mode home pages are always valid at their home.
 		pg.ensureWorking()
 		if pg.state == pInvalid {
-			pg.state = pReadOnly
+			pg.setState(pReadOnly)
 		}
 		return
 	}

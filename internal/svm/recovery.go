@@ -45,6 +45,7 @@ func (cl *Cluster) KillNode(id int) {
 	}
 	cl.net.Kill(id)
 	n.dead = true
+	cl.membershipChanged()
 	for _, t := range n.threads {
 		if !t.finished {
 			t.dead = true
@@ -52,6 +53,27 @@ func (cl *Cluster) KillNode(id int) {
 		}
 	}
 	cl.trace(obs.KKill, id, -1, 0)
+}
+
+// membershipChanged tells the online auditor that one of the three fields
+// its placement checks are gated on — node.dead (KillNode), node.excluded
+// and rec.pending (below) — was written. These three sites are the only
+// writers.
+func (cl *Cluster) membershipChanged() {
+	if cl.aud != nil {
+		cl.aud.memberDirty = true
+	}
+}
+
+func (cl *Cluster) setRecoveryPending(p bool) {
+	cl.rec.pending = p
+	cl.membershipChanged()
+}
+
+// exclude removes a dead node whose recovery completed from the cluster.
+func (cl *Cluster) exclude(n *node) {
+	n.excluded = true
+	cl.membershipChanged()
 }
 
 // reportFailure is called when any thread detects that a node died (a
@@ -88,7 +110,7 @@ func (cl *Cluster) reportFailure(id int) {
 	if !n.dead {
 		return // false alarm
 	}
-	rec.pending = true
+	cl.setRecoveryPending(true)
 	rec.deads = append(rec.deads[:0], id)
 	rec.arrived = 0
 	rec.claimed = false
@@ -304,7 +326,7 @@ func (t *Thread) runRecovery() {
 	cl.resetBarrierPlumbing()
 
 	for _, dead := range deads {
-		cl.nodes[dead].excluded = true
+		cl.exclude(cl.nodes[dead])
 		t.node.stats.Recoveries++
 		t.charge(CompProtocol, int64(len(cl.nodes))*cfg.ProtoOpNs)
 	}
@@ -317,7 +339,7 @@ func (t *Thread) runRecovery() {
 	// happened to rediscover it (or never, if no one talks to the corpse).
 	leftover := append([]int(nil), rec.deads[len(deads):]...)
 	done := deads
-	rec.pending = false
+	cl.setRecoveryPending(false)
 	rec.epoch++
 	rec.arrived = 0
 	rec.claimed = false

@@ -272,7 +272,8 @@ func (t *Thread) rebuildLocks(dead int) {
 	oldVec := make([][]bool, nlocks)
 	for l := 0; l < nlocks; l++ {
 		vt := proto.NewVector(cfg.Nodes)
-		for _, home := range cl.lockHomes.Replicas(l) {
+		for s := 0; s < cl.lockHomes.Degree(); s++ {
+			home := cl.lockHomes.Replica(l, s)
 			if cl.nodes[home].dead {
 				// Skips the node being processed and any other episode dead
 				// still holding a home slot: a frozen replica must not be
@@ -303,8 +304,8 @@ func (t *Thread) rebuildLocks(dead int) {
 				holders = append(holders, i)
 			}
 		}
-		for _, home := range cl.lockHomes.Replicas(l) {
-			n := cl.nodes[home]
+		for s := 0; s < cl.lockHomes.Degree(); s++ {
+			n := cl.nodes[cl.lockHomes.Replica(l, s)]
 			n.installLock(&lockRebuild{Lock: l, Holders: holders, VT: oldVT[l]})
 		}
 		t.charge(CompProtocol, cfg.ProtoOpNs)
@@ -376,7 +377,7 @@ func (t *Thread) globalSync(dead int, saved *savedState) {
 		// Clamp requirements on the dead node's cancelled intervals.
 		for _, pg := range n.pt.pages {
 			if pg.reqVer[dead] > saved.ts[dead] {
-				pg.reqVer[dead] = saved.ts[dead]
+				pg.setReqVer(dead, saved.ts[dead])
 			}
 		}
 	}
@@ -392,20 +393,13 @@ func (n *node) invalidateRaw(pid, src int, itv int32) {
 	}
 	pg := n.pt.pages[pid]
 	if pg.reqVer[src] < itv {
-		pg.reqVer[src] = itv
+		pg.setReqVer(src, itv)
 	}
 	switch pg.state {
 	case pWritable:
-		pg.dirtyTwin = pg.twin
-		pg.dirtyWorking = pg.working
-		pg.stashMask = pg.dirtyMask
-		pg.twin = nil
-		pg.working = nil
-		pg.dirtyMask = nil
-		pg.maskFull = false
-		pg.state = pInvalid
+		pg.stashDirty()
 	case pReadOnly:
-		pg.state = pInvalid
+		pg.setState(pInvalid)
 	}
 }
 

@@ -92,13 +92,13 @@ func (t *Thread) commitInterval() (int32, []capturedDiff) {
 		} else {
 			if stash {
 				freeCur, freeTwin = pg.dirtyWorking, pg.dirtyTwin
-				pg.dirtyWorking, pg.dirtyTwin, pg.stashMask = nil, nil, nil
+				pg.setStash(nil, nil, nil)
 			} else {
 				freeTwin = pg.twin
-				pg.twin, pg.dirtyMask = nil, nil
+				pg.setTwin(nil, nil)
 				pg.maskFull = false
 				if pg.state == pWritable {
-					pg.state = pReadOnly
+					pg.setState(pReadOnly)
 				}
 			}
 			if pg.writers != nil {

@@ -123,7 +123,7 @@ func TestTreeFanoutBarrier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl.EnableAuditor(1)
+		cl.EnableAuditor()
 		if err := cl.Run(); err != nil {
 			t.Fatalf("nodes=%d arity=%d: %v", tc.nodes, tc.arity, err)
 		}
@@ -153,7 +153,7 @@ func TestTreeFanoutMasterDeath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cl.EnableAuditor(1)
+			cl.EnableAuditor()
 			tracer.cl = cl
 			if delayNs > 0 {
 				// Replace the synchronous kill with a delayed one so part

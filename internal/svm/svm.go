@@ -436,6 +436,7 @@ func (n *node) initLockHome(l int) {
 			tail: -1,
 			init: true,
 		}
+		n.touchLock(l)
 	}
 }
 

@@ -1,6 +1,10 @@
 package svm
 
-import "fmt"
+import (
+	"fmt"
+
+	"ftsvm/internal/proto"
+)
 
 // VerifyReplicas audits the extended protocol's replication invariant
 // after a run: every page's k homes are distinct live nodes, and the
@@ -14,23 +18,21 @@ func (cl *Cluster) VerifyReplicas() error {
 	if cl.opt.Mode != ModeFT {
 		return nil
 	}
-	deg := cl.pageHomes.Degree()
+	dir := cl.pageHomes
+	deg := dir.Degree()
 	for p := 0; p < cl.pageHomes.Items(); p++ {
-		rs := cl.pageHomes.Replicas(p)
-		for a := 0; a < deg; a++ {
-			for b := a + 1; b < deg; b++ {
-				if rs[a] == rs[b] {
-					return fmt.Errorf("page %d: replicas colocated on node %d", p, rs[a])
-				}
-			}
-			if cl.nodes[rs[a]].dead {
-				return fmt.Errorf("page %d: home on dead node (slot %d = node %d)", p, a, rs[a])
+		if err := distinctHomes(dir, p); err != nil {
+			return err
+		}
+		for s := 0; s < deg; s++ {
+			if h := dir.Replica(p, s); cl.nodes[h].dead {
+				return fmt.Errorf("page %d: home on dead node (slot %d = node %d)", p, s, h)
 			}
 		}
-		pgP := cl.nodes[rs[0]].pt.pages[p]
+		pgP := cl.nodes[dir.Replica(p, 0)].pt.pages[p]
 		touched := pgP.committed != nil
 		for s := 1; s < deg; s++ {
-			if cl.nodes[rs[s]].pt.pages[p].tentative != nil {
+			if cl.nodes[dir.Replica(p, s)].pt.pages[p].tentative != nil {
 				touched = true
 			}
 		}
@@ -41,7 +43,7 @@ func (cl *Cluster) VerifyReplicas() error {
 			return fmt.Errorf("page %d: one replica missing", p)
 		}
 		for s := 1; s < deg; s++ {
-			pgS := cl.nodes[rs[s]].pt.pages[p]
+			pgS := cl.nodes[dir.Replica(p, s)].pt.pages[p]
 			if pgS.tentative == nil {
 				return fmt.Errorf("page %d: one replica missing", p)
 			}
@@ -72,18 +74,14 @@ func (cl *Cluster) VerifyAvailability() error {
 	if cl.opt.Mode != ModeFT {
 		return nil
 	}
-	deg := cl.pageHomes.Degree()
+	dir := cl.pageHomes
+	deg := dir.Degree()
 	for p := 0; p < cl.pageHomes.Items(); p++ {
-		rs := cl.pageHomes.Replicas(p)
-		for a := 0; a < deg; a++ {
-			for b := a + 1; b < deg; b++ {
-				if rs[a] == rs[b] {
-					return fmt.Errorf("page %d: replicas colocated on node %d", p, rs[a])
-				}
-			}
+		if err := distinctHomes(dir, p); err != nil {
+			return err
 		}
 		copyAt := func(s int) []byte {
-			pg := cl.nodes[rs[s]].pt.pages[p]
+			pg := cl.nodes[dir.Replica(p, s)].pt.pages[p]
 			if s == 0 {
 				return pg.committed
 			}
@@ -91,7 +89,7 @@ func (cl *Cluster) VerifyAvailability() error {
 		}
 		anyDead, allDead, anyCopy, liveCopy := false, true, false, false
 		for s := 0; s < deg; s++ {
-			dead := cl.nodes[rs[s]].dead
+			dead := cl.nodes[dir.Replica(p, s)].dead
 			anyDead = anyDead || dead
 			allDead = allDead && dead
 			if copyAt(s) != nil {
@@ -102,14 +100,14 @@ func (cl *Cluster) VerifyAvailability() error {
 			}
 		}
 		if allDead {
-			return fmt.Errorf("page %d: all homes dead (%v)", p, rs)
+			return fmt.Errorf("page %d: all homes dead (%v)", p, homesOf(dir, p))
 		}
 		if !anyCopy {
 			continue
 		}
 		if anyDead {
 			if !liveCopy {
-				return fmt.Errorf("page %d: only copy was on a dead home (%v)", p, rs)
+				return fmt.Errorf("page %d: only copy was on a dead home (%v)", p, homesOf(dir, p))
 			}
 			continue // one live copy suffices until recovery rebuilds the rest
 		}
@@ -131,4 +129,26 @@ func (cl *Cluster) VerifyAvailability() error {
 		}
 	}
 	return nil
+}
+
+// distinctHomes checks that no two replica slots of a page share a node.
+func distinctHomes(dir proto.Directory, p int) error {
+	for a := 0; a < dir.Degree(); a++ {
+		for b := a + 1; b < dir.Degree(); b++ {
+			if h := dir.Replica(p, a); h == dir.Replica(p, b) {
+				return fmt.Errorf("page %d: replicas colocated on node %d", p, h)
+			}
+		}
+	}
+	return nil
+}
+
+// homesOf collects an item's k homes, primary first — for error messages;
+// checks iterate Replica slot by slot and never allocate.
+func homesOf(dir proto.Directory, item int) []int {
+	out := make([]int, dir.Degree())
+	for s := range out {
+		out[s] = dir.Replica(item, s)
+	}
+	return out
 }
