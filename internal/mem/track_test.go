@@ -196,7 +196,7 @@ func TestMarkAndSnapshot(t *testing.T) {
 // chunks; with a nil mask the whole diff lands.
 func TestApplyMasked(t *testing.T) {
 	mask := make([]uint64, 1)
-	MarkRange(mask, 64, 64) // chunk 1 only
+	MarkRange(mask, 64, 64)                                                  // chunk 1 only
 	d := &Diff{Runs: []Run{{Off: 60, Data: bytes.Repeat([]byte{0xAB}, 72)}}} // spans chunks 0,1,2
 	dst := make([]byte, 256)
 	d.ApplyMasked(dst, mask)

@@ -2,9 +2,9 @@
 //
 // The engine owns a virtual clock and an event heap. Simulated activities
 // run either as plain callbacks (executed inline in the engine goroutine)
-// or as processes: goroutines that execute one at a time, hand-shaken with
-// the scheduler, so that a simulation with any number of processes is fully
-// deterministic for a given seed.
+// or as processes: coroutines that execute one at a time, switched to and
+// from by the scheduler, so that a simulation with any number of processes
+// is fully deterministic for a given seed.
 //
 // All times are virtual nanoseconds.
 package sim
@@ -35,16 +35,13 @@ type Engine struct {
 	nqHead int
 	rng    *rand.Rand
 
-	live    int // spawned, not yet finished processes
-	yield   chan struct{}
-	current *Proc
-	blocked map[*Proc]struct{}
+	live int // spawned, not yet finished processes
+	// procs lists the spawned processes (finished ones are dropped as it
+	// fills, see SpawnOn); deadlock() reports the parked ones from it.
+	procs []*Proc
 
 	stopped    bool
 	afterEvent func()
-
-	fail     any    // pending panic from a process, re-raised by dispatch
-	failProc string // name of the process that panicked
 
 	executed int64 // events Run has executed so far
 	budget   int64 // when > 0, Run returns a BudgetError after this many events
@@ -152,10 +149,7 @@ func (h *eventHeap) pop() event {
 
 // New returns an engine whose random source is seeded with seed.
 func New(seed int64) *Engine {
-	return &Engine{
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
-	}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time in nanoseconds.
@@ -187,16 +181,7 @@ func (e *Engine) At(delay int64, fn func()) {
 // process's own lane context (the process itself, or lane-local code),
 // so they route through the lane scheduler.
 func (e *Engine) wakeAt(delay int64, p *Proc, gen uint64) {
-	if p.ln != nil {
-		p.ln.sched(p.ln, delay, event{p: p, gen: gen})
-		return
-	}
-	e.seq++
-	if delay <= 0 {
-		e.nowq = append(e.nowq, event{t: e.now, seq: e.seq, p: p, gen: gen})
-		return
-	}
-	e.events.push(event{t: e.now + delay, seq: e.seq, p: p, gen: gen})
+	p.ln.sched(p.ln, delay, event{p: p, gen: gen})
 }
 
 // Stop makes Run return after the current event completes. Pending events
@@ -318,11 +303,8 @@ func (d *DeadlockError) Error() string {
 
 func (e *Engine) deadlock() error {
 	var names []string
-	for p := range e.blocked {
-		names = append(names, p.name)
-	}
-	for _, ln := range e.lanes {
-		for p := range ln.blocked {
+	for _, p := range e.procs {
+		if p.waiting && !p.done {
 			names = append(names, p.name)
 		}
 	}

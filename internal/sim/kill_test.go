@@ -36,23 +36,41 @@ func TestKillWhileRunningUnwindsAtPark(t *testing.T) {
 	}
 }
 
-// TestKillWhileRunningStillRunsDefers: the park-entry unwind must travel
-// the normal panic path so the victim's deferred cleanups run.
+// TestKillWhileRunningStillRunsDefers: a kill unwinds along the normal
+// panic path — at park entry when it was injected from the victim's own
+// context, at the resume when the victim was parked — so the victim's
+// deferred cleanups run, in order and exactly once (the timeout wake that
+// outlives a process killed in WaitTimeout must not re-enter it).
 func TestKillWhileRunningStillRunsDefers(t *testing.T) {
-	eng := New(1)
-	g := &Gate{}
-	order := []string{}
-	eng.Spawn("victim", func(p *Proc) {
-		defer func() { order = append(order, "outer") }()
-		defer func() { order = append(order, "inner") }()
-		p.Kill()
-		g.Wait(p)
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		block  func(p *Proc, g *Gate)
+		killAt int64 // > 0: killed from engine context at this time instead
+	}{
+		{"from its own context", func(p *Proc, g *Gate) { p.Kill(); g.Wait(p) }, 0},
+		{"parked in WaitTimeout", func(p *Proc, g *Gate) { g.WaitTimeout(p, 1_000_000) }, 10},
 	}
-	if len(order) != 2 || order[0] != "inner" || order[1] != "outer" {
-		t.Fatalf("defer order = %v", order)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := New(1)
+			g := &Gate{}
+			order := []string{}
+			victim := eng.Spawn("victim", func(p *Proc) {
+				defer func() { order = append(order, "outer") }()
+				defer func() { order = append(order, "inner") }()
+				tc.block(p, g)
+				t.Error("victim ran past its wait")
+			})
+			if tc.killAt > 0 {
+				eng.At(tc.killAt, victim.Kill)
+			}
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if len(order) != 2 || order[0] != "inner" || order[1] != "outer" {
+				t.Fatalf("defer order = %v", order)
+			}
+		})
 	}
 }
 

@@ -114,15 +114,13 @@ type Lane struct {
 	ci   int
 	opA  int
 
-	cur     lrec // open record of the currently executing event
-	yield   chan struct{}
-	current *Proc
-	blocked map[*Proc]struct{}
-	liveD   int // process exits this window (applied to Engine.live at window end)
+	cur   lrec // open record of the currently executing event
+	liveD int  // process exits this window (applied to Engine.live at window end)
 
-	// Failure capture: failVal/failProc mirror Engine.fail for process
-	// panics inside this lane; failed+failRaise hold the re-panic value
-	// once the window executor caught it (at the open record cur).
+	// Failure capture: failVal/failProc hold a panic that escaped a process
+	// of this lane (and its name) until dispatch re-raises it, on serial
+	// engines too; failed+failRaise hold the re-panic value once the
+	// window executor caught it (at the open record cur).
 	failVal   any
 	failProc  string
 	failed    bool
@@ -165,11 +163,7 @@ type lrec struct {
 // like the corresponding Engine method.
 func (e *Engine) Lane(i int) *Lane {
 	for len(e.lanes) <= i {
-		e.lanes = append(e.lanes, &Lane{
-			eng:   e,
-			id:    len(e.lanes),
-			yield: make(chan struct{}),
-		})
+		e.lanes = append(e.lanes, &Lane{eng: e, id: len(e.lanes)})
 	}
 	return e.lanes[i]
 }
@@ -396,8 +390,7 @@ func (ln *Lane) feedDraw() {
 	ln.drawVal = ln.eng.rng.Int63n(ln.drawSpan)
 	ln.suspended = false
 	ln.drawProc = nil
-	p.resume <- struct{}{}
-	<-ln.yield
+	p.next()
 	if ln.suspended {
 		return // the same event drew again; feed at the next commit step
 	}

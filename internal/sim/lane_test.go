@@ -278,28 +278,41 @@ func TestParallelWithheldSelfOp(t *testing.T) {
 
 // TestParallelProcPanic checks that a panic in a process under the
 // parallel engine surfaces on Run's caller as a ProcPanic naming the
-// process, like the serial engine.
+// process, like the serial engine — whether dispatch sees it in the lane's
+// window, or the process was last resumed by the commit pass feeding it a
+// random draw (Lane.feedDraw), where no dispatch frame is left to raise it.
 func TestParallelProcPanic(t *testing.T) {
-	e := New(1)
-	e.Lane(1)
-	e.Parallel(2, 1000)
-	e.SpawnOn(e.Lane(0), "ok", func(p *Proc) { p.Advance(5000) })
-	e.SpawnOn(e.Lane(1), "boom", func(p *Proc) {
-		p.Advance(2000)
-		panic("exploded")
-	})
-	defer func() {
-		r := recover()
-		pp, ok := r.(*ProcPanic)
-		if !ok {
-			t.Fatalf("recovered %v (%T), want *ProcPanic", r, r)
-		}
-		if pp.Proc != "boom" || pp.Value != "exploded" {
-			t.Fatalf("ProcPanic = {%s %v}", pp.Proc, pp.Value)
-		}
-	}()
-	_ = e.Run()
-	t.Fatalf("Run returned without panicking")
+	cases := []struct {
+		name string
+		boom func(p *Proc)
+	}{
+		{"in a window", func(p *Proc) { p.Advance(2000) }},
+		{"after a window draw", func(p *Proc) { p.Advance(2000); p.Int63n(10) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(1)
+			e.Lane(1)
+			e.Parallel(2, 1000)
+			e.SpawnOn(e.Lane(0), "ok", func(p *Proc) { p.Advance(5000) })
+			e.SpawnOn(e.Lane(1), "boom", func(p *Proc) {
+				tc.boom(p)
+				panic("exploded")
+			})
+			defer func() {
+				r := recover()
+				pp, ok := r.(*ProcPanic)
+				if !ok {
+					t.Fatalf("recovered %v (%T), want *ProcPanic", r, r)
+				}
+				if pp.Proc != "boom" || pp.Value != "exploded" {
+					t.Fatalf("ProcPanic = {%s %v}", pp.Proc, pp.Value)
+				}
+			}()
+			_ = e.Run()
+			t.Fatalf("Run returned without panicking")
+		})
+	}
 }
 
 // TestParallelDeadlock checks deadlock detection across lanes.

@@ -1,12 +1,16 @@
 package sim
 
-import "errors"
+import (
+	"errors"
+	"iter"
+	"slices"
+)
 
 // ErrKilled is the panic value used to unwind a killed process. Process
 // bodies must not recover it; the engine's wrapper does.
 var ErrKilled = errors.New("sim: process killed")
 
-// Proc is a simulated process: a goroutine that runs in lock-step with the
+// Proc is a simulated process: a coroutine that runs in lock-step with the
 // engine. At most one process executes at a time on a serial engine; under
 // Parallel, at most one process per lane executes at a time, and all state
 // a process touches must be local to its lane. Process code needs no
@@ -14,13 +18,19 @@ var ErrKilled = errors.New("sim: process killed")
 // same lane — only logical critical sections (Mutex) for state invariants
 // that must span blocking calls.
 type Proc struct {
-	eng    *Engine
-	ln     *Lane
-	name   string
-	resume chan struct{}
+	eng  *Engine
+	ln   *Lane
+	name string
+
+	// The coroutine hand-off (iter.Pull): next, called by the dispatcher,
+	// switches into the process until it parks or returns; yield, called
+	// by the process, switches back. A direct switch between the two
+	// stacks, with no trip through the Go scheduler on either side.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	sleeps  uint64 // generation counter for wake tokens
-	waiting bool
+	waiting bool   // in a prepared sleep; with !done, what deadlock() reports
 	killed  bool
 	done    bool
 
@@ -46,83 +56,53 @@ func (e *Engine) SpawnOn(ln *Lane, name string, fn func(p *Proc)) *Proc {
 	if e.par != nil && ln.win {
 		panic("sim: SpawnOn inside a parallel window")
 	}
-	p := &Proc{eng: e, ln: ln, name: name, resume: make(chan struct{})}
+	p := &Proc{eng: e, ln: ln, name: name}
 	e.live++
-	go func() {
-		<-p.resume
+	if len(e.procs) == cap(e.procs) {
+		// Full: drop finished processes before growing, so the list stays
+		// proportional to the live ones however many come and go.
+		e.procs = slices.DeleteFunc(e.procs, func(q *Proc) bool { return q.done })
+	}
+	e.procs = append(e.procs, p)
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			p.done = true
 			r := recover()
-			if r == errKilledSentinel {
-				r = nil
+			if e.par != nil && ln.win {
+				// Exiting inside a parallel window: the merge folds the
+				// delta into e.live.
+				ln.liveD--
+			} else {
+				e.live--
 			}
-			if e.par != nil && p.ln.win {
-				// Exiting inside a parallel window: account on the lane; the
-				// merge folds the delta into e.live and the canonical panic
-				// position. yield wakes this lane's executor.
-				p.ln.liveD--
-				delete(p.ln.blocked, p)
-				if r != nil {
-					p.ln.failVal = r
-					p.ln.failProc = p.name
-				}
-				p.ln.yield <- struct{}{}
-				return
+			if r != nil && r != ErrKilled {
+				// Leave the panic for the dispatcher: dispatch (or feedDraw)
+				// re-raises it at its canonical position, so it surfaces on
+				// Run's caller (where a failure harness can recover it)
+				// with the process named.
+				ln.failVal, ln.failProc = r, name
 			}
-			e.live--
-			// A process that unwound out of a prepared sleep (kill at park
-			// entry) is still in the blocked set: drop it, or a finished
-			// process would read as deadlocked.
-			e.unblock(p)
-			if r != nil {
-				// Hand the panic to the engine goroutine: dispatch re-raises
-				// it there, so it surfaces on Run's caller (where a failure
-				// harness can recover it) instead of crashing the process
-				// from an anonymous goroutine while the engine runs on.
-				e.fail = r
-				e.failProc = p.name
-			}
-			e.yield <- struct{}{}
 		}()
 		fn(p)
-	}()
+	})
 	p.dispatchFn = func() { e.dispatch(p) }
 	ln.sched(ln, 0, event{fn: p.dispatchFn})
 	return p
 }
 
-var errKilledSentinel = ErrKilled
-
-// dispatch hands control to p and blocks the dispatching goroutine (the
-// engine, or the lane executor under Parallel) until p parks again.
+// dispatch switches to p and returns, on the dispatching goroutine (the
+// engine, or the lane executor under Parallel), when p parks again.
 func (e *Engine) dispatch(p *Proc) {
 	if p.done {
 		return
 	}
-	if e.par != nil {
-		ln := p.ln
-		prev := ln.current
-		ln.current = p
-		p.resume <- struct{}{}
-		<-ln.yield
-		ln.current = prev
-		if ln.failVal != nil {
-			r, name := ln.failVal, ln.failProc
-			ln.failVal = nil
-			panic(&ProcPanic{Proc: name, Value: r})
-		}
-		return
-	}
-	prev := e.current
-	e.current = p
-	p.resume <- struct{}{}
-	<-e.yield
-	e.current = prev
-	if e.fail != nil {
-		// The process panicked: re-raise on this goroutine — the one that
-		// called Run — with the process named.
-		r, name := e.fail, e.failProc
-		e.fail = nil
+	p.next()
+	if ln := p.ln; ln.failVal != nil {
+		// The process panicked: re-raise on this goroutine with the
+		// process named.
+		r, name := ln.failVal, ln.failProc
+		ln.failVal = nil
 		panic(&ProcPanic{Proc: name, Value: r})
 	}
 }
@@ -136,16 +116,11 @@ func (p *Proc) park() {
 		// e.g. a reply to a request that died in the killed node's own
 		// post queue — so deferring the check to resume would leave a
 		// dead process blocked forever.
-		panic(errKilledSentinel)
+		panic(ErrKilled)
 	}
-	if p.eng.par != nil {
-		p.ln.yield <- struct{}{}
-	} else {
-		p.eng.yield <- struct{}{}
-	}
-	<-p.resume
+	p.yield(struct{}{})
 	if p.killed {
-		panic(errKilledSentinel)
+		panic(ErrKilled)
 	}
 }
 
@@ -181,8 +156,7 @@ func (p *Proc) Int63n(span int64) int64 {
 	ln.suspended = true
 	ln.drawProc = p
 	ln.drawSpan = span
-	ln.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	return ln.drawVal
 }
 
@@ -194,7 +168,6 @@ func (p *Proc) Killed() bool { return p.killed }
 func (p *Proc) prepareSleep() uint64 {
 	p.sleeps++
 	p.waiting = true
-	p.eng.block(p)
 	return p.sleeps
 }
 
@@ -212,7 +185,6 @@ func (p *Proc) wakeIf(gen uint64) {
 		return
 	}
 	p.waiting = false
-	p.eng.unblock(p)
 	p.ln.sched(p.ln, 0, event{fn: p.dispatchFn})
 }
 
@@ -236,29 +208,4 @@ func (p *Proc) Kill() {
 	if p.waiting {
 		p.wakeIf(p.sleeps)
 	}
-}
-
-// block and unblock track parked processes for deadlock reporting. The
-// set lives on the process's lane so membership changes stay lane-local
-// under Parallel; deadlock() unions the lanes.
-func (e *Engine) block(p *Proc) {
-	if p.ln != nil {
-		if p.ln.blocked == nil {
-			p.ln.blocked = make(map[*Proc]struct{})
-		}
-		p.ln.blocked[p] = struct{}{}
-		return
-	}
-	if e.blocked == nil {
-		e.blocked = make(map[*Proc]struct{})
-	}
-	e.blocked[p] = struct{}{}
-}
-
-func (e *Engine) unblock(p *Proc) {
-	if p.ln != nil {
-		delete(p.ln.blocked, p)
-		return
-	}
-	delete(e.blocked, p)
 }

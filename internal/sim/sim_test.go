@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -140,6 +142,77 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 	if len(d.Procs) != 1 || d.Procs[0] != "stuck" {
 		t.Fatalf("blocked procs = %v", d.Procs)
+	}
+}
+
+// TestDeadlockNamesOnlyParked: the report lists exactly the processes
+// still in a sleep, sorted — not one that returned while its siblings
+// stayed parked, and not one that unwound out of a prepared sleep (a kill
+// at park entry leaves it marked waiting, but finished).
+func TestDeadlockNamesOnlyParked(t *testing.T) {
+	e := New(1)
+	var g Gate
+	f := e.NewFuture()
+	e.Spawn("zeta", func(p *Proc) { g.Wait(p) })
+	e.Spawn("returns", func(p *Proc) { p.Advance(10) })
+	e.Spawn("alpha", func(p *Proc) { p.Await(f) })
+	e.Spawn("self-killed", func(p *Proc) { p.Kill(); g.Wait(p) })
+	e.Spawn("mid", func(p *Proc) { p.Advance(20); g.Wait(p) })
+	err := e.Run()
+	var d *DeadlockError
+	if !errors.As(err, &d) {
+		t.Fatalf("err = %v, want DeadlockError", err)
+	}
+	if want := []string{"alpha", "mid", "zeta"}; !slices.Equal(d.Procs, want) {
+		t.Fatalf("blocked procs = %v, want %v", d.Procs, want)
+	}
+}
+
+// TestFinishedProcsLeaveNoGoroutines: a process's coroutine is gone once
+// its body returns, so short-lived processes cost nothing after the run
+// (and the engine's process list does not grow with them).
+func TestFinishedProcsLeaveNoGoroutines(t *testing.T) {
+	const n = 10_000
+	before := runtime.NumGoroutine()
+	e := New(1)
+	ran := 0
+	e.Spawn("spawner", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			e.Spawn("child", func(c *Proc) { c.Advance(5); ran++ })
+			p.Advance(1)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ran != n {
+		t.Fatalf("%d of %d children ran", ran, n)
+	}
+	// Not !=: worker pools of earlier parallel-engine tests may still be
+	// winding down, which only lowers the count. A leak here is 10 000.
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines after the run, %d before it", got, before)
+	}
+	if len(e.procs) > 64 {
+		t.Fatalf("engine still lists %d processes, all finished", len(e.procs))
+	}
+}
+
+// TestProcSwitchAllocFree is the allocation gate for the process switch:
+// in steady state a park, its wake event and the dispatch back allocate
+// nothing.
+func TestProcSwitchAllocFree(t *testing.T) {
+	e := New(1)
+	allocs := -1.0
+	e.Spawn("p", func(p *Proc) {
+		p.Advance(1) // first use sizes the event queues
+		allocs = testing.AllocsPerRun(1000, func() { p.Advance(1) })
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("a park/dispatch round trip allocates %.2f objects", allocs)
 	}
 }
 

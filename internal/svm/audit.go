@@ -349,7 +349,7 @@ func (a *auditor) checkVersions(calm, edge bool) *AuditViolation {
 			prev = proto.NewVector(cl.cfg.Nodes)
 			a.prevReq[n.id][pg.id] = prev
 		}
-		v := pg.reqVer[src]
+		v := pg.reqAt(src)
 		if v < prev[src] && calm && !(edge && cl.nodes[src].excluded) {
 			return &AuditViolation{Invariant: "page-transition", Node: n.id, Item: fmt.Sprintf("page %d", pg.id),
 				Detail: fmt.Sprintf("required version regressed (node %d element %d -> %d)", src, prev[src], v)}

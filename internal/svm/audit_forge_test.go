@@ -182,11 +182,76 @@ func TestAuditorRecoveryClampStaysSilent(t *testing.T) {
 	if !cl.nodes[victim].excluded || cl.ProtoStats().Recoveries != 1 {
 		t.Fatal("the kill was never recovered from")
 	}
-	if pg.reqVer[victim] != 0 {
-		t.Fatalf("recovery left reqVer[%d] = %d, expected the clamp to 0", victim, pg.reqVer[victim])
+	if pg.reqAt(victim) != 0 {
+		t.Fatalf("recovery left reqVer[%d] = %d, expected the clamp to 0", victim, pg.reqAt(victim))
 	}
 	if got := cl.aud.prevReq[1][0][victim]; got != 0 {
 		t.Fatalf("the clamp bypassed the auditor: it still remembers %d", got)
+	}
+	// The clamp visits every page of every survivor; it must read the
+	// never-notified ones, not materialise their vectors.
+	for _, n := range cl.nodes {
+		for _, other := range n.pt.pages {
+			if other != pg && other.reqVer != nil {
+				t.Fatalf("node %d page %d: reqVer materialised without ever being notified", n.id, other.id)
+			}
+		}
+	}
+}
+
+// TestAuditDifferentialFirstNoticeInRecovery covers the one place a
+// required version can come into being outside an acquire or a barrier:
+// node 0 commits an interval nobody hears of before node 3 dies, so the
+// survivors' first-ever notice for that page — the write that turns its
+// nil reqVer into a vector — is recovery's global sync. Both auditors
+// must agree across it, and the touched set must hold the new element.
+func TestAuditDifferentialFirstNoticeInRecovery(t *testing.T) {
+	cfg := model.Default()
+	cfg.Nodes = 4
+	var pg *page
+	atSync := int32(-1)
+	cl, err := New(Options{
+		Config: cfg, Mode: ModeFT, Pages: 2, Locks: 1,
+		Body: func(th *Thread) {
+			if th.ID() == 0 {
+				th.Acquire(0)
+				th.WriteU64(0, 1)
+				th.Release(0)
+			}
+			th.Compute(10_000_000)
+			th.Barrier()
+		},
+		Tracer: tracerFunc(func(e TraceEvent) {
+			if e.Kind == "recovery.sync" {
+				atSync = pg.reqAt(0)
+			}
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := AttachAuditDiff(cl)
+	pg = cl.nodes[1].pt.pages[0]
+	cl.eng.At(5_000_000, func() {
+		if len(cl.nodes[0].intervals) != 1 || pg.reqVer != nil {
+			t.Errorf("stage not set at the kill: node 0 committed %d intervals, node 1 reqVer = %v", len(cl.nodes[0].intervals), pg.reqVer)
+		}
+		cl.KillNode(3)
+	})
+	if err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if cl.ProtoStats().Recoveries != 1 || !cl.Finished() {
+		t.Fatal("the kill was never recovered from")
+	}
+	if atSync != 1 {
+		t.Fatalf("the global sync left node 1 requiring interval %d of node 0, want 1", atSync)
+	}
+	if prev := cl.aud.prevReq[1][0]; prev == nil || prev[0] != 1 {
+		t.Fatalf("that write bypassed the funnel: the auditor remembers %v", prev)
 	}
 }
 
@@ -240,7 +305,13 @@ func TestAuditorFunnelBypassDetected(t *testing.T) {
 			pg.working = make([]byte, cl.cfg.PageSize)
 			pg.state = pReadOnly
 		}},
-		{"reqVer", "node 1 page 0 reqVer[2]", func(cl *Cluster) { cl.nodes[1].pt.pages[0].reqVer[2] = 7 }},
+		{"reqVer", "node 1 page 0 reqVer[2]", func(cl *Cluster) {
+			// reqVer is nil until its first funnel write: materialise it
+			// the way setReqVer would, then write past the funnel.
+			pg := cl.nodes[1].pt.pages[0]
+			pg.reqVer = proto.NewVector(cl.cfg.Nodes)
+			pg.reqVer[2] = 7
+		}},
 		{"held", "node 1 lock 0", func(cl *Cluster) { cl.nodes[1].lockState(0).held = true }},
 		{"membership", "rec.pending", func(cl *Cluster) { cl.rec.pending = true }},
 	}
@@ -286,7 +357,7 @@ func TestAuditBoundaryAllocFree(t *testing.T) {
 		}
 		touch := func() {
 			pg.setState(pg.state)
-			pg.setReqVer(0, pg.reqVer[0])
+			pg.setReqVer(0, pg.reqAt(0))
 			n.setHeld(0, n.lockState(0).held)
 			a.afterEvent()
 		}

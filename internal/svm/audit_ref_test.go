@@ -134,7 +134,8 @@ func (r *refAuditor) checkPages() error {
 				return fmt.Errorf("page-state: node %d page %d carries a dirty mask with tracking off", n.id, pid)
 			}
 			prev := r.prevReq[n.id][pid]
-			for src, v := range pg.reqVer {
+			for src := range prev {
+				v := pg.reqAt(src) // a nil reqVer is the zero vector
 				if v < prev[src] && calm && !(edge && cl.nodes[src].excluded) {
 					return fmt.Errorf("page-transition: node %d page %d required version regressed (node %d element %d -> %d)",
 						n.id, pid, src, prev[src], v)
@@ -360,8 +361,8 @@ func (d *AuditDiff) snapshot(verify bool) {
 				}
 			}
 			prev := d.reqVer[i][pid*nn : (pid+1)*nn]
-			for src, v := range pg.reqVer {
-				if v != prev[src] {
+			for src := range prev {
+				if v := pg.reqAt(src); v != prev[src] { // a nil reqVer is the zero vector
 					prev[src] = v
 					if !d.verSeen[verTouch{pg, int32(src)}] {
 						miss("node %d page %d reqVer[%d]", i, pid, src)

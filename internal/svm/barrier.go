@@ -312,7 +312,8 @@ func (cl *Cluster) fanoutChildren(self int) []int {
 // probeCluster checks node liveness; a dead node found outside a
 // communication error (e.g. while waiting at a barrier) is reported to the
 // failure machinery. This is the heartbeat of §4.1: in oracle mode a free
-// ground-truth sweep over every node (the seed behavior), in probe mode
+// ground-truth sweep over every node (the seed behavior; skipped, with the
+// same outcome, while no node is dead but not yet excluded), in probe mode
 // real probe/ack rounds through the NIC, with a failure reported only once
 // the detector has confirmed ProbeMissLimit consecutive misses. With
 // Config.ProbeNeighbors > 0 each probe-mode sweep covers only a rotating
@@ -323,6 +324,9 @@ func (cl *Cluster) fanoutChildren(self int) []int {
 func (t *Thread) probeCluster() {
 	cl := t.cl
 	if cl.cfg.Detection != model.DetectProbe {
+		if cl.unrecovered == 0 {
+			return
+		}
 		for i, nd := range cl.nodes {
 			if !nd.excluded && !cl.net.Alive(i) {
 				cl.reportFailure(i)

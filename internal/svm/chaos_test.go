@@ -118,11 +118,11 @@ func TestChaosGrayLockHomeDuringHandoff(t *testing.T) {
 	home := probe.lockHomes.Primary(0)
 
 	chaos := model.Chaos{
-		Enabled:   true,
-		Seed:      32,
-		GrayNodes: []int{home},
+		Enabled:    true,
+		Seed:       32,
+		GrayNodes:  []int{home},
 		GrayFactor: 6,
-		BurstSrc:  -1, BurstDst: -1,
+		BurstSrc:   -1, BurstDst: -1,
 	}
 	cl := chaosCluster(t, chaos, LockNIC, counterBody(iters), nil)
 	finishChaosRun(t, cl, iters)

@@ -224,7 +224,7 @@ func (t *Thread) invalidate(pid int, src int, itv int32) {
 		return
 	}
 	pg := n.pt.pages[pid]
-	if pg.reqVer[src] < itv {
+	if pg.reqAt(src) < itv {
 		pg.setReqVer(src, itv)
 	}
 	t.node.stats.Invalidations++

@@ -87,7 +87,10 @@ type page struct {
 	seenCommit int64
 
 	// reqVer is the version this node must observe on its next fetch,
-	// accumulated from write notices at acquires and barriers.
+	// accumulated from write notices at acquires and barriers. nil is the
+	// zero vector: it is allocated by the first setReqVer, so a run pays
+	// for the (node, page) pairs that are ever notified, not for N x pages.
+	// Read elements through reqAt.
 	reqVer proto.VectorTime
 
 	// homeStale marks a base-mode home page whose notified remote diffs
@@ -146,14 +149,13 @@ type pageTable struct {
 	aud *auditor
 }
 
-func newPageTable(n *node, npages, nnodes int) *pageTable {
+func newPageTable(n *node, npages int) *pageTable {
 	pt := &pageTable{node: n, pages: make([]*page, npages)}
-	for i := range pt.pages {
-		pt.pages[i] = &page{
-			id:     i,
-			pt:     pt,
-			reqVer: proto.NewVector(nnodes),
-		}
+	// One slab per node rather than one heap object per page.
+	slab := make([]page, npages)
+	for i := range slab {
+		slab[i].id, slab[i].pt = i, pt
+		pt.pages[i] = &slab[i]
 	}
 	return pt
 }
@@ -203,10 +205,22 @@ func (pg *page) setStash(twin, working []byte, mask []uint64) {
 // the element's value at the previous boundary, so it is told which element
 // moved rather than re-reading the whole vector.
 func (pg *page) setReqVer(src int, v int32) {
+	if pg.reqVer == nil {
+		pg.reqVer = proto.NewVector(pg.pt.node.cl.cfg.Nodes)
+	}
 	pg.reqVer[src] = v
 	if a := pg.pt.aud; a != nil {
 		a.vers = append(a.vers, verTouch{pg, int32(src)})
 	}
+}
+
+// reqAt returns element src of the required version (zero while reqVer is
+// still nil).
+func (pg *page) reqAt(src int) int32 {
+	if pg.reqVer == nil {
+		return 0
+	}
+	return pg.reqVer[src]
 }
 
 // stashDirty handles an invalidation of a page holding uncommitted local
@@ -290,7 +304,8 @@ func (n *node) putMaskBuf(m []uint64) {
 // accumulated write notices plus this node's own last committed interval
 // for the page.
 func (pg *page) fetchNeed(me int) proto.VectorTime {
-	need := pg.reqVer.Clone()
+	need := proto.NewVector(pg.pt.node.cl.cfg.Nodes)
+	copy(need, pg.reqVer)
 	if need[me] < pg.lastLocalItv {
 		need[me] = pg.lastLocalItv
 	}

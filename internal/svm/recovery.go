@@ -45,6 +45,7 @@ func (cl *Cluster) KillNode(id int) {
 	}
 	cl.net.Kill(id)
 	n.dead = true
+	cl.unrecovered++
 	cl.membershipChanged()
 	for _, t := range n.threads {
 		if !t.finished {
@@ -58,7 +59,7 @@ func (cl *Cluster) KillNode(id int) {
 // membershipChanged tells the online auditor that one of the three fields
 // its placement checks are gated on — node.dead (KillNode), node.excluded
 // and rec.pending (below) — was written. These three sites are the only
-// writers.
+// writers, which is also what keeps Cluster.unrecovered exact.
 func (cl *Cluster) membershipChanged() {
 	if cl.aud != nil {
 		cl.aud.memberDirty = true
@@ -73,6 +74,7 @@ func (cl *Cluster) setRecoveryPending(p bool) {
 // exclude removes a dead node whose recovery completed from the cluster.
 func (cl *Cluster) exclude(n *node) {
 	n.excluded = true
+	cl.unrecovered--
 	cl.membershipChanged()
 }
 

@@ -376,7 +376,7 @@ func (t *Thread) globalSync(dead int, saved *savedState) {
 		n.vt.Merge(globalVT)
 		// Clamp requirements on the dead node's cancelled intervals.
 		for _, pg := range n.pt.pages {
-			if pg.reqVer[dead] > saved.ts[dead] {
+			if pg.reqAt(dead) > saved.ts[dead] {
 				pg.setReqVer(dead, saved.ts[dead])
 			}
 		}
@@ -392,7 +392,7 @@ func (n *node) invalidateRaw(pid, src int, itv int32) {
 		return
 	}
 	pg := n.pt.pages[pid]
-	if pg.reqVer[src] < itv {
+	if pg.reqAt(src) < itv {
 		pg.setReqVer(src, itv)
 	}
 	switch pg.state {

@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"slices"
 	"testing"
 
 	"ftsvm/internal/model"
@@ -185,4 +186,75 @@ func TestRecoveryRestoreTrace(t *testing.T) {
 		t.Fatalf("restored snapshot seq %d, victim completed %d releases", restored, victimReleases)
 	}
 	checkCounter(t, cl, 32)
+}
+
+// TestOracleSweepReportsAtSameEvent pins the oracle-mode liveness sweep
+// (probeCluster) against the unconditional scan it replaced. The victims
+// die computing, so no message ever bounces off them: the survivors,
+// parked at the barrier, can only find them by the sweep on a heartbeat
+// timeout, and the report must land in the event recorded with the full
+// scan. At degree 3 a second node dies inside the first report, so the
+// same index-ordered sweep goes on to report it too. The count that gates
+// the sweep is back at zero once the nodes are excluded.
+func TestOracleSweepReportsAtSameEvent(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		nodes, degree   int
+		first, second   int // second < 0: single kill
+		wantEvents      []int64
+		wantUnrecovered []int
+	}{
+		{"degree 2", 4, 2, 3, -1, []int64{29}, []int{1}},
+		{"degree 3, overlapping second kill", 6, 3, 4, 5, []int64{40, 40}, []int{1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := model.Default()
+			cfg.Nodes = tc.nodes
+			cfg.ReplicaDegree = tc.degree
+			// At every failure report: the event it happens in, and how
+			// many failures are unrecovered by then.
+			var cl *Cluster
+			var events []int64
+			var counts []int
+			cl, err := New(Options{
+				Config: cfg, Mode: ModeFT, Pages: 2 * tc.nodes, Locks: 1,
+				Body: func(th *Thread) {
+					if th.node.id >= tc.first {
+						th.Compute(50_000_000)
+					}
+					th.Barrier()
+				},
+				Tracer: tracerFunc(func(e TraceEvent) {
+					if e.Kind != "recovery.start" {
+						return
+					}
+					events = append(events, cl.eng.Events())
+					counts = append(counts, cl.UnrecoveredFailures())
+					if len(events) == 1 && tc.second >= 0 {
+						cl.KillNode(tc.second)
+					}
+				}),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl.eng.At(5_000_000, func() { cl.KillNode(tc.first) })
+			if err := cl.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(events, tc.wantEvents) || !slices.Equal(counts, tc.wantUnrecovered) {
+				t.Fatalf("reports at events %v with %v unrecovered, want %v with %v",
+					events, counts, tc.wantEvents, tc.wantUnrecovered)
+			}
+			if got := cl.UnrecoveredFailures(); got != 0 {
+				t.Fatalf("%d failures still unrecovered after the run", got)
+			}
+			if got := cl.ProtoStats().Recoveries; got != int64(len(tc.wantEvents)) {
+				t.Fatalf("%d recoveries, want %d", got, len(tc.wantEvents))
+			}
+			if !cl.Finished() {
+				t.Fatal("threads stranded after recovery")
+			}
+		})
+	}
 }

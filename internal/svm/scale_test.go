@@ -2,6 +2,7 @@ package svm
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -26,6 +27,31 @@ func TestThreadCapGuard(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "writer-tag") {
 		t.Fatalf("wrong error: %v", err)
+	}
+}
+
+// TestNewClusterAllocBudget is the construction gate for the 512-node
+// tier: New allocates O(nodes + pages) objects — one page slab per node,
+// no per-(node, page) vector — so building the xlarge shape stays within
+// a budget the eager layout exceeded 25-fold (537 687 objects, 682 MB).
+func TestNewClusterAllocBudget(t *testing.T) {
+	cfg := model.Default()
+	cfg.Nodes = 512
+	cfg.Directory = model.DirHashed
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 512, Locks: 1, Body: func(*Thread) {}})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mallocs, mb := after.Mallocs-before.Mallocs, float64(after.TotalAlloc-before.TotalAlloc)/1e6
+	t.Logf("New(512 nodes x 512 pages): %d mallocs, %.1f MB", mallocs, mb)
+	if mallocs > 20_000 || mb > 160 {
+		t.Fatalf("New allocates %d objects / %.1f MB, budget 20000 / 160 MB", mallocs, mb)
+	}
+	if pg := cl.nodes[511].pt.pages[511]; pg.id != 511 || pg.pt != cl.nodes[511].pt || pg.reqVer != nil {
+		t.Fatalf("page slab mis-initialised: %+v", pg)
 	}
 }
 

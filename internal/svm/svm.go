@@ -173,6 +173,11 @@ type Cluster struct {
 	// when a thread that will never arrive finishes, and keeping them
 	// node-local is what lets the parallel engine run exits lane-locally.
 	everKilled bool
+	// unrecovered counts nodes that are dead but not yet excluded, kept by
+	// KillNode and exclude. While it is zero (every healthy run, and a
+	// failure run outside its limbo windows) the oracle-mode liveness
+	// sweep has nothing to find and is skipped.
+	unrecovered int
 
 	// tracked enables dirty-chunk write tracking with lazy partial twins
 	// (the default; see Options.FullTwins).
@@ -400,7 +405,7 @@ func New(opt Options) (*Cluster, error) {
 			barCount:       make(map[int64]int),
 			masterArrivals: make(map[int]map[int]*barArrive),
 		}
-		n.pt = newPageTable(n, opt.Pages, cfg.Nodes)
+		n.pt = newPageTable(n, opt.Pages)
 		n.ep.SetHandler(n.handle)
 		cl.nodes[i] = n
 	}
@@ -622,15 +627,7 @@ func (cl *Cluster) LiveNodes() int {
 // episode has not yet completed (dead but not excluded). The protocol
 // tolerates up to Degree()-1 of these overlapping; the k-th overlapping
 // failure is the one the explorer's refusal rule rejects.
-func (cl *Cluster) UnrecoveredFailures() int {
-	c := 0
-	for _, n := range cl.nodes {
-		if n.dead && !n.excluded {
-			c++
-		}
-	}
-	return c
-}
+func (cl *Cluster) UnrecoveredFailures() int { return cl.unrecovered }
 
 // Nodes returns the cluster size (including failed nodes).
 func (cl *Cluster) Nodes() int { return cl.cfg.Nodes }
