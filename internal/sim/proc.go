@@ -25,7 +25,9 @@ type Proc struct {
 	// The coroutine hand-off (iter.Pull): next, called by the dispatcher,
 	// switches into the process until it parks or returns; yield, called
 	// by the process, switches back. A direct switch between the two
-	// stacks, with no trip through the Go scheduler on either side.
+	// stacks, with no trip through the Go scheduler on either side. (The
+	// runtime's one condition: a goroutine locked to an OS thread can only
+	// resume coroutines created on that thread.)
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 
