@@ -15,8 +15,9 @@
 //	svmbench -ablation detection  # failure-detection timeout sweep
 //	svmbench -ablation slo        # serving tail latency vs offered load
 //	svmbench -size small|medium|paper
-//	svmbench -json out.json       # machine-readable figure-grid report
-//	svmbench -compare old.json    # re-run a report's grid, print deltas
+//
+// It exits 1 when any cell ends in an ERROR row. The recorded values of
+// the grid are gated by the root package's TestGolden, not here.
 package main
 
 import (
@@ -25,8 +26,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
 	"ftsvm/internal/apps"
 	"ftsvm/internal/harness"
@@ -35,52 +34,35 @@ import (
 	"ftsvm/internal/svm"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main behind its exit code, so the profile defers run before
+// the process exits: 0 every cell ran, 1 some cell errored, 2 bad usage.
+func run() int {
 	figure := flag.String("figure", "", "figure to regenerate: 7, 8, 9, 10, overhead, diffs, scaling, all")
 	ablation := flag.String("ablation", "", "ablation to run: locks, postqueue, checkpoint, serial, recovery, aggregate, twophase, pagesize, detection, slo")
 	size := flag.String("size", "medium", "problem size: small, medium, paper")
 	nodes := flag.Int("nodes", 8, "cluster nodes")
-	jsonOut := flag.String("json", "", "run the figure grid and write a machine-readable report to this file")
-	compare := flag.String("compare", "", "re-run the grid recorded in this report and print per-cell deltas")
-	detect := flag.String("detect", "oracle", "failure detection for -json grids and the detection ablation's clean runs: oracle, probe")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the workload to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	benchwall := flag.Int("benchwall", 1, "repetitions of the -json grid; the report records the fastest")
-	fulltwins := flag.Bool("fulltwins", false, "disable write-set tracked diffing (full-page twins and scans)")
-	workers := flag.String("workers", "1", "engine workers per simulation: 1 serial, >1 conservative parallel lanes; -json accepts a comma list (e.g. 1,4) covering each engine in one report")
-	sweep := flag.String("sweep", "", "with -json: also time a full failure-point sweep of these apps (comma-separated) at each -workers count")
-	scaleOut := flag.String("scale", "", "run the 8/64/256-node scaling grid (flat vs tree+delta tiers) and write a report to this file")
-	scaleCompare := flag.String("scalecompare", "", "re-run the scaling grid recorded in this report and fail on any virtual-metric drift")
-	dirScaleOut := flag.String("dirscale", "", "run the 8-512-node flat-vs-hashed directory grid (healthy + mid-run kill) and write a report to this file")
-	dirScaleCompare := flag.String("dirscalecompare", "", "re-run the directory grid recorded in this report and fail on any deterministic-metric drift")
 	flag.Parse()
 
-	sz := harness.Size(*size)
-	out := os.Stdout
-	det, err := model.ParseDetection(*detect)
+	sz, err := harness.ParseSize(*size)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "svmbench: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
-	var workersList []int
-	for _, f := range strings.Split(*workers, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || w < 1 {
-			fmt.Fprintf(os.Stderr, "svmbench: bad -workers %q\n", *workers)
-			os.Exit(2)
-		}
-		workersList = append(workersList, w)
-	}
+	out := os.Stdout
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "svmbench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "svmbench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -99,122 +81,83 @@ func main() {
 		}()
 	}
 
-	if *scaleOut != "" {
-		if err := runScaleJSON(*scaleOut, sz); err != nil {
-			fmt.Fprintf(os.Stderr, "svmbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *scaleCompare != "" {
-		if err := runScaleCompare(*scaleCompare); err != nil {
-			fmt.Fprintf(os.Stderr, "svmbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *dirScaleOut != "" {
-		if err := runDirScaleJSON(*dirScaleOut, sz); err != nil {
-			fmt.Fprintf(os.Stderr, "svmbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *dirScaleCompare != "" {
-		if err := runDirScaleCompare(*dirScaleCompare); err != nil {
-			fmt.Fprintf(os.Stderr, "svmbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonOut != "" {
-		if err := runBenchJSON(*jsonOut, sz, *nodes, det, *benchwall, *fulltwins, workersList, *sweep); err != nil {
-			fmt.Fprintf(os.Stderr, "svmbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *compare != "" {
-		if len(workersList) != 1 {
-			fmt.Fprintf(os.Stderr, "svmbench: -compare takes a single -workers count\n")
-			os.Exit(2)
-		}
-		if err := runBenchCompare(*compare, *fulltwins, workersList[0]); err != nil {
-			fmt.Fprintf(os.Stderr, "svmbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *figure == "" && *ablation == "" {
 		*figure = "all"
 	}
 
+	// failed counts the cells that ended in an ERROR row.
+	failed := 0
 	switch *figure {
 	case "":
 	case "7":
-		harness.FigureBreakdown(out, sz, *nodes, 1, false)
+		failed += harness.FigureBreakdown(out, sz, *nodes, 1, false)
 	case "8":
-		harness.FigureBreakdown(out, sz, *nodes, 1, true)
+		failed += harness.FigureBreakdown(out, sz, *nodes, 1, true)
 	case "9":
-		harness.FigureBreakdown(out, sz, *nodes, 2, false)
+		failed += harness.FigureBreakdown(out, sz, *nodes, 2, false)
 	case "10":
-		harness.FigureBreakdown(out, sz, *nodes, 2, true)
+		failed += harness.FigureBreakdown(out, sz, *nodes, 2, true)
 	case "overhead":
-		harness.OverheadSummary(out, sz, *nodes)
+		failed += harness.OverheadSummary(out, sz, *nodes)
 	case "diffs":
-		harness.DiffAnalysis(out, sz, *nodes)
+		failed += harness.DiffAnalysis(out, sz, *nodes)
 	case "scaling":
-		harness.ScalingSummary(out, sz, []string{"fft", "waternsq", "radix"})
+		failed += harness.ScalingSummary(out, sz, []string{"fft", "waternsq", "radix"})
 	case "all":
-		harness.FigureBreakdown(out, sz, *nodes, 1, false)
+		failed += harness.FigureBreakdown(out, sz, *nodes, 1, false)
 		fmt.Fprintln(out)
-		harness.FigureBreakdown(out, sz, *nodes, 1, true)
+		failed += harness.FigureBreakdown(out, sz, *nodes, 1, true)
 		fmt.Fprintln(out)
-		harness.FigureBreakdown(out, sz, *nodes, 2, false)
+		failed += harness.FigureBreakdown(out, sz, *nodes, 2, false)
 		fmt.Fprintln(out)
-		harness.FigureBreakdown(out, sz, *nodes, 2, true)
+		failed += harness.FigureBreakdown(out, sz, *nodes, 2, true)
 		fmt.Fprintln(out)
-		harness.OverheadSummary(out, sz, *nodes)
+		failed += harness.OverheadSummary(out, sz, *nodes)
 		fmt.Fprintln(out)
-		harness.DiffAnalysis(out, sz, *nodes)
+		failed += harness.DiffAnalysis(out, sz, *nodes)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *figure)
-		os.Exit(2)
+		return 2
 	}
 
 	switch *ablation {
 	case "":
 	case "locks":
-		ablationLocks(sz, *nodes)
+		failed += ablationLocks(sz, *nodes)
 	case "postqueue":
-		ablationPostQueue(sz, *nodes)
+		failed += ablationPostQueue(sz, *nodes)
 	case "checkpoint":
-		ablationCheckpoint(sz, *nodes)
+		failed += ablationCheckpoint(sz, *nodes)
 	case "serial":
-		ablationSerial(sz, *nodes)
+		failed += ablationSerial(sz, *nodes)
 	case "recovery":
-		ablationRecovery(sz, *nodes)
+		failed += ablationRecovery(sz, *nodes)
 	case "aggregate":
-		ablationAggregate(sz, *nodes)
+		failed += ablationAggregate(sz, *nodes)
 	case "twophase":
-		ablationTwoPhase(sz, *nodes)
+		failed += ablationTwoPhase(sz, *nodes)
 	case "pagesize":
-		ablationPageSize(sz, *nodes)
+		failed += ablationPageSize(sz, *nodes)
 	case "detection":
-		ablationDetection(sz, *nodes)
+		failed += ablationDetection(sz, *nodes)
 	case "slo":
-		ablationSLO(sz, *nodes)
+		failed += ablationSLO(sz, *nodes)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown ablation %q\n", *ablation)
-		os.Exit(2)
+		return 2
 	}
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "svmbench: %d cell(s) failed\n", failed)
+		return 1
+	}
+	return 0
 }
 
 // ablationLocks compares GeNIMA's distributed queue lock against the
 // paper's centralized polling lock (§4.3: "the centralized algorithm
 // performs at least as well as the distributed queuing lock").
-func ablationLocks(sz harness.Size, nodes int) {
+func ablationLocks(sz harness.Size, nodes int) int {
+	errs := 0
 	fmt.Printf("Ablation: lock algorithm (base protocol, %d nodes, size=%s)\n", nodes, sz)
 	fmt.Printf("%-14s %-9s %12s %12s\n", "app", "lock", "total ms", "lock ms")
 	for _, app := range []string{"waternsq", "watersp", "radix", "volrend"} {
@@ -225,6 +168,7 @@ func ablationLocks(sz harness.Size, nodes int) {
 			})
 			if r.Err != nil {
 				fmt.Printf("%-14s %-9s ERROR: %v\n", app, algo, r.Err)
+				errs++
 				continue
 			}
 			_, _, lock, _ := r.Breakdown.FourWay()
@@ -232,12 +176,14 @@ func ablationLocks(sz harness.Size, nodes int) {
 				float64(r.ExecNs)/1e6, float64(lock)/1e6)
 		}
 	}
+	return errs
 }
 
 // ablationPostQueue sweeps the NIC post-queue depth, the parameter the
 // paper found critical (§5.3.2): diff bursts at releases overflow short
 // queues and block the sending processor.
-func ablationPostQueue(sz harness.Size, nodes int) {
+func ablationPostQueue(sz harness.Size, nodes int) int {
+	errs := 0
 	fmt.Printf("Ablation: NIC post-queue depth (extended protocol, FFT, %d nodes x 2, size=%s)\n", nodes, sz)
 	fmt.Printf("%8s %12s %14s\n", "depth", "total ms", "post stalls ms")
 	for _, depth := range []int{8, 16, 32, 64, 128, 256} {
@@ -248,16 +194,19 @@ func ablationPostQueue(sz harness.Size, nodes int) {
 		})
 		if r.Err != nil {
 			fmt.Printf("%8d ERROR: %v\n", depth, r.Err)
+			errs++
 			continue
 		}
 		fmt.Printf("%8d %12.1f %14.1f\n", depth, float64(r.ExecNs)/1e6, float64(r.PostStallNs)/1e6)
 	}
+	return errs
 }
 
 // ablationCheckpoint sweeps the thread stack (checkpoint blob floor) size;
 // the paper reports checkpoint overhead proportional to stack size and
 // release count.
-func ablationCheckpoint(sz harness.Size, nodes int) {
+func ablationCheckpoint(sz harness.Size, nodes int) int {
+	errs := 0
 	fmt.Printf("Ablation: checkpoint stack size (extended protocol, WaterNsq, %d nodes x 1, size=%s)\n", nodes, sz)
 	fmt.Printf("%10s %12s %12s %12s\n", "stack B", "total ms", "ckpt ms", "ckpts")
 	for _, stack := range []int{1024, 2048, 4096, 8192, 16384} {
@@ -268,16 +217,19 @@ func ablationCheckpoint(sz harness.Size, nodes int) {
 		})
 		if r.Err != nil {
 			fmt.Printf("%10d ERROR: %v\n", stack, r.Err)
+			errs++
 			continue
 		}
 		fmt.Printf("%10d %12.1f %12.1f %12d\n", stack,
 			float64(r.ExecNs)/1e6, float64(r.Breakdown.Comp[svm.CompCheckpoint])/1e6, r.Checkpoints)
 	}
+	return errs
 }
 
 // ablationSerial quantifies the extended protocol's release serialization
 // (§4.4) by imposing it on the base protocol.
-func ablationSerial(sz harness.Size, nodes int) {
+func ablationSerial(sz harness.Size, nodes int) int {
+	errs := 0
 	fmt.Printf("Ablation: release serialization (base protocol, %d nodes x 2, size=%s)\n", nodes, sz)
 	fmt.Printf("%-14s %10s %10s %9s\n", "app", "parallel", "serial", "delta")
 	for _, app := range []string{"waternsq", "watersp", "radix"} {
@@ -286,12 +238,14 @@ func ablationSerial(sz harness.Size, nodes int) {
 		serR := runSerial(app, sz, nodes)
 		if par.Err != nil || serR.Err != nil {
 			fmt.Printf("%-14s ERROR par=%v ser=%v\n", app, par.Err, serR.Err)
+			errs++
 			continue
 		}
 		fmt.Printf("%-14s %10.1f %10.1f %+8.1f%%\n", app,
 			float64(par.ExecNs)/1e6, float64(serR.ExecNs)/1e6,
 			100*float64(serR.ExecNs-par.ExecNs)/float64(par.ExecNs))
 	}
+	return errs
 }
 
 func runSerial(app string, sz harness.Size, nodes int) harness.Result {
@@ -322,7 +276,8 @@ func runSerial(app string, sz harness.Size, nodes int) harness.Result {
 // ablationAggregate measures the paper's §6 suggestion of propagating
 // fewer, larger diff messages: all of a release's diffs for one home ride
 // in one message.
-func ablationAggregate(sz harness.Size, nodes int) {
+func ablationAggregate(sz harness.Size, nodes int) int {
+	errs := 0
 	fmt.Printf("Ablation: aggregated diff propagation (extended protocol, %d nodes x 2, size=%s)\n", nodes, sz)
 	fmt.Printf("%-14s %-12s %12s %12s %12s\n", "app", "diffs", "total ms", "diff ms", "messages")
 	for _, app := range []string{"fft", "lu", "waternsq"} {
@@ -333,6 +288,7 @@ func ablationAggregate(sz harness.Size, nodes int) {
 			})
 			if r.Err != nil {
 				fmt.Printf("%-14s %-12v ERROR: %v\n", app, agg, r.Err)
+				errs++
 				continue
 			}
 			label := "per-page"
@@ -343,6 +299,7 @@ func ablationAggregate(sz harness.Size, nodes int) {
 				float64(r.ExecNs)/1e6, float64(r.Breakdown.Comp[svm.CompDiff])/1e6, r.MsgsSent)
 		}
 	}
+	return errs
 }
 
 // ablationTwoPhase measures what the two-phase diff propagation's
@@ -350,7 +307,8 @@ func ablationAggregate(sz harness.Size, nodes int) {
 // single-phase variant (both copies updated under one fence). The delta
 // is the price of being able to roll an interrupted release forward or
 // backward.
-func ablationTwoPhase(sz harness.Size, nodes int) {
+func ablationTwoPhase(sz harness.Size, nodes int) int {
+	errs := 0
 	fmt.Printf("Ablation: two-phase vs (unsafe) single-phase propagation (extended, %d nodes x 1, size=%s)\n", nodes, sz)
 	fmt.Printf("%-14s %-14s %12s %12s\n", "app", "propagation", "total ms", "diff ms")
 	for _, app := range []string{"fft", "lu", "waternsq"} {
@@ -361,6 +319,7 @@ func ablationTwoPhase(sz harness.Size, nodes int) {
 			})
 			if r.Err != nil {
 				fmt.Printf("%-14s %-14v ERROR: %v\n", app, unsafe, r.Err)
+				errs++
 				continue
 			}
 			label := "two-phase"
@@ -371,6 +330,7 @@ func ablationTwoPhase(sz harness.Size, nodes int) {
 				float64(r.ExecNs)/1e6, float64(r.Breakdown.Comp[svm.CompDiff])/1e6)
 		}
 	}
+	return errs
 }
 
 // ablationPageSize sweeps the virtual page size, SVM's coherence
@@ -378,7 +338,8 @@ func ablationTwoPhase(sz harness.Size, nodes int) {
 // sharing (FFT) but amplify false sharing and diff volume for apps with
 // fine-grained writes (Water-Nsquared) — and the extended protocol pays
 // the diff price twice, so its overhead grows faster with the page size.
-func ablationPageSize(sz harness.Size, nodes int) {
+func ablationPageSize(sz harness.Size, nodes int) int {
+	errs := 0
 	fmt.Printf("Ablation: page size (coherence granularity, %d nodes x 1, size=%s)\n", nodes, sz)
 	fmt.Printf("%-14s %8s %10s %10s %9s %12s\n", "app", "page B", "base ms", "ext ms", "overhead", "ext diff ms")
 	for _, app := range []string{"fft", "waternsq", "radix"} {
@@ -393,6 +354,7 @@ func ablationPageSize(sz harness.Size, nodes int) {
 			})
 			if base.Err != nil || ext.Err != nil {
 				fmt.Printf("%-14s %8d ERROR base=%v ext=%v\n", app, page, base.Err, ext.Err)
+				errs++
 				continue
 			}
 			fmt.Printf("%-14s %8d %10.1f %10.1f %+8.0f%% %12.1f\n", app, page,
@@ -400,6 +362,7 @@ func ablationPageSize(sz harness.Size, nodes int) {
 				harness.Overhead(base, ext), float64(ext.Breakdown.Comp[svm.CompDiff])/1e6)
 		}
 	}
+	return errs
 }
 
 // ablationDetection sweeps the failure-detection (heartbeat probe)
@@ -409,7 +372,8 @@ func ablationPageSize(sz harness.Size, nodes int) {
 // ProbeMissLimit consecutive misses before recovery may start, so it
 // reports the actual probe message count, the measured kill-to-recovery
 // detection latency, and the detector's false-suspicion margin.
-func ablationDetection(sz harness.Size, nodes int) {
+func ablationDetection(sz harness.Size, nodes int) int {
+	errs := 0
 	fmt.Printf("Ablation: failure detection (extended protocol, FFT + mid-run failure, %d nodes x 1, size=%s)\n", nodes, sz)
 	fmt.Printf("%-8s %12s %14s %14s %11s %8s %8s %11s\n",
 		"detect", "timeout ms", "no-failure ms", "failure ms", "detect ms", "probes", "acks", "false susp")
@@ -423,11 +387,13 @@ func ablationDetection(sz harness.Size, nodes int) {
 			})
 			if clean.Err != nil {
 				fmt.Printf("%-8s %12.1f ERROR: %v\n", det, float64(tmo)/1e6, clean.Err)
+				errs++
 				continue
 			}
 			failed, ks := runWithKill("fft", sz, nodes, clean.ExecNs/3, det, ov)
 			if failed.Err != nil {
 				fmt.Printf("%-8s %12.1f %14.1f ERROR: %v\n", det, float64(tmo)/1e6, float64(clean.ExecNs)/1e6, failed.Err)
+				errs++
 				continue
 			}
 			fmt.Printf("%-8s %12.1f %14.1f %14.1f %11.2f %8d %8d %11d\n",
@@ -435,28 +401,33 @@ func ablationDetection(sz harness.Size, nodes int) {
 				float64(ks.detectNs-ks.killNs)/1e6, ks.probes, ks.acks, ks.falseSusp)
 		}
 	}
+	return errs
 }
 
 // ablationRecovery injects a mid-run failure into every application under
 // the extended protocol and reports completion, verification, and the cost
 // relative to the failure-free run.
-func ablationRecovery(sz harness.Size, nodes int) {
+func ablationRecovery(sz harness.Size, nodes int) int {
+	errs := 0
 	fmt.Printf("Ablation: single-node failure + recovery (extended protocol, %d nodes x 1, size=%s)\n", nodes, sz)
 	fmt.Printf("%-14s %14s %14s %10s\n", "app", "no-failure ms", "failure ms", "verified")
 	for _, app := range harness.AppNames {
 		clean := harness.Run(harness.Config{App: app, Size: sz, Mode: svm.ModeFT, Nodes: nodes, ThreadsPerNode: 1})
 		if clean.Err != nil {
 			fmt.Printf("%-14s ERROR: %v\n", app, clean.Err)
+			errs++
 			continue
 		}
 		failed, _ := runWithKill(app, sz, nodes, clean.ExecNs/3, model.DetectOracle, nil)
 		if failed.Err != nil {
 			fmt.Printf("%-14s %14.1f ERROR: %v\n", app, float64(clean.ExecNs)/1e6, failed.Err)
+			errs++
 			continue
 		}
 		fmt.Printf("%-14s %14.1f %14.1f %10s\n", app,
 			float64(clean.ExecNs)/1e6, float64(failed.ExecNs)/1e6, "yes")
 	}
+	return errs
 }
 
 // killStats captures what the failure-injection run revealed about the
@@ -540,7 +511,8 @@ func runWithKill(app string, sz harness.Size, nodes int, killAt int64, det model
 // recovery? Rates above the knee saturate the store — open-loop arrivals
 // keep coming during the outage, so the backlog (and the tail) grows
 // with the offered rate, which is exactly what this sweep exposes.
-func ablationSLO(sz harness.Size, nodes int) {
+func ablationSLO(sz harness.Size, nodes int) int {
+	errs := 0
 	reqs := map[harness.Size]int{harness.SizeSmall: 200, harness.SizeMedium: 400, harness.SizePaper: 1000}[sz]
 	storm, err := harness.ChaosByName("storm")
 	if err != nil {
@@ -562,6 +534,7 @@ func ablationSLO(sz harness.Size, nodes int) {
 			r := serve.RunCell(sp)
 			if r.Err != nil {
 				fmt.Printf("%-8s %10.0f ERROR: %v\n", det, float64(gap)/1e3, r.Err)
+				errs++
 				continue
 			}
 			tput := float64(r.Completed) / (float64(r.ExecNs) / 1e9) / 1000
@@ -572,4 +545,5 @@ func ablationSLO(sz harness.Size, nodes int) {
 				float64(r.Phases.RecoveryNs)/1e6, float64(r.Phases.RewarmNs)/1e6)
 		}
 	}
+	return errs
 }

@@ -47,6 +47,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	sz, err := harness.ParseSize(*size)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	var scenarios []harness.ChaosScenario
 	if *scenariosFlag == "" {
 		scenarios = harness.ChaosScenarios()
@@ -71,7 +76,7 @@ func main() {
 			app = strings.TrimSpace(app)
 			for _, mode := range []svm.Mode{svm.ModeBase, svm.ModeFT} {
 				name := fmt.Sprintf("%-8s %-10s %-9s", sc.Name, app, mode)
-				cell := cell{app: app, size: harness.Size(*size), nodes: *nodes, tpn: *tpn,
+				cell := cell{app: app, size: sz, nodes: *nodes, tpn: *tpn,
 					mode: mode, det: det, chaos: sc.Chaos, ring: *ring}
 				line, err := cell.run()
 				ran++

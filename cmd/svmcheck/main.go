@@ -87,6 +87,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	sz, err := harness.ParseSize(*size)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	tier, err := harness.ParseTier(*tierFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -116,7 +121,7 @@ func main() {
 	fmt.Printf("svmcheck: %s size=%s, %d nodes x %d thread(s), %s lock, %s detection; %d milestones x %d victims x %d seqs\n",
 		*app, *size, *nodes, *tpn, *lock, det, len(milestones), *nodes, len(seqs))
 
-	sch := schedule{app: *app, size: harness.Size(*size), tier: tier, nodes: *nodes, tpn: *tpn,
+	sch := schedule{app: *app, size: sz, tier: tier, nodes: *nodes, tpn: *tpn,
 		algo: algo, det: det, ring: *ring}
 	ran, unreachable, failed := 0, 0, 0
 	for _, kind := range milestones {

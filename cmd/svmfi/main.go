@@ -81,6 +81,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "svmfi: %v\n", err)
 		os.Exit(2)
 	}
+	sz, err := harness.ParseSize(*size)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "svmfi: %v\n", err)
+		os.Exit(2)
+	}
 	tier, err := harness.ParseTier(*tierFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "svmfi: %v\n", err)
@@ -124,7 +129,7 @@ func main() {
 			continue
 		}
 		sp := harness.ExploreSpec(harness.Config{
-			App: app, Size: harness.Size(*size), Tier: tier,
+			App: app, Size: sz, Tier: tier,
 			Nodes: cellNodes, ThreadsPerNode: *threads,
 			LockAlgo: svm.LockPolling, Detection: det,
 			Overrides: func(cfg *model.Config) {

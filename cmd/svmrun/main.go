@@ -34,7 +34,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	benchwall := flag.Int("benchwall", 1, "run the simulation this many times and report the fastest wall time")
 	fulltwins := flag.Bool("fulltwins", false, "disable write-set tracked diffing (full-page twins and scans)")
 	flag.Parse()
 
@@ -43,13 +42,25 @@ func main() {
 	cfg.ThreadsPerNode = *threads
 	cfg.Seed = *seed
 
-	m := svm.ModeFT
-	if *mode == "base" {
+	var m svm.Mode
+	switch *mode {
+	case "base":
 		m = svm.ModeBase
+	case "extended":
+		m = svm.ModeFT
+	default:
+		fmt.Fprintf(os.Stderr, "svmrun: unknown -mode %q (want base, extended)\n", *mode)
+		os.Exit(2)
 	}
-	la := svm.LockPolling
-	if *lock == "queue" {
+	var la svm.LockAlgo
+	switch *lock {
+	case "polling":
+		la = svm.LockPolling
+	case "queue":
 		la = svm.LockQueue
+	default:
+		fmt.Fprintf(os.Stderr, "svmrun: unknown -lock %q (want polling, queue)\n", *lock)
+		os.Exit(2)
 	}
 
 	if *cpuprofile != "" {
@@ -79,72 +90,52 @@ func main() {
 		}()
 	}
 
-	// The cluster and workload are one-shot; -benchwall rebuilds both per
-	// repetition and reports the fastest wall time (host-noise defense).
-	reps := *benchwall
-	if reps < 1 {
-		reps = 1
+	s := apps.Shape{Nodes: cfg.Nodes, ThreadsPerNode: cfg.ThreadsPerNode, PageSize: cfg.PageSize}
+	w, err := harness.Build(*app, harness.Size(*size), s)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	var cl *svm.Cluster
-	var w *apps.Workload
-	var bestWall time.Duration
-	for rep := 0; rep < reps; rep++ {
-		s := apps.Shape{Nodes: cfg.Nodes, ThreadsPerNode: cfg.ThreadsPerNode, PageSize: cfg.PageSize}
-		var err error
-		w, err = harness.Build(*app, harness.Size(*size), s)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 
-		cl, err = svm.New(svm.Options{
-			Config:     cfg,
-			Mode:       m,
-			LockAlgo:   la,
-			Pages:      w.Pages,
-			Locks:      w.Locks,
-			HomeAssign: w.HomeAssign,
-			Body:       w.Body,
-			FullTwins:  *fulltwins,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if *kill >= 0 {
-			cl.Engine().At(killAt.Nanoseconds(), func() { cl.KillNode(*kill) })
-			if rep == 0 {
-				fmt.Printf("will fail node %d at t=%v\n", *kill, *killAt)
-			}
-		}
+	cl, err := svm.New(svm.Options{
+		Config:     cfg,
+		Mode:       m,
+		LockAlgo:   la,
+		Pages:      w.Pages,
+		Locks:      w.Locks,
+		HomeAssign: w.HomeAssign,
+		Body:       w.Body,
+		FullTwins:  *fulltwins,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if *kill >= 0 {
+		cl.Engine().At(killAt.Nanoseconds(), func() { cl.KillNode(*kill) })
+		fmt.Printf("will fail node %d at t=%v\n", *kill, *killAt)
+	}
 
-		start := time.Now()
-		if err := cl.Run(); err != nil {
-			fmt.Fprintln(os.Stderr, "simulation error:", err)
-			os.Exit(1)
-		}
-		wall := time.Since(start)
-		if rep == 0 || wall < bestWall {
-			bestWall = wall
-		}
-		if reps > 1 {
-			fmt.Printf("  rep %d/%d: %.1f ms wall\n", rep+1, reps, float64(wall)/1e6)
-		}
-		if !cl.Finished() {
-			fmt.Fprintln(os.Stderr, "threads did not finish")
-			os.Exit(1)
-		}
-		if err := w.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "VERIFICATION FAILED:", err)
-			os.Exit(1)
-		}
+	start := time.Now()
+	if err := cl.Run(); err != nil {
+		fmt.Fprintln(os.Stderr, "simulation error:", err)
+		os.Exit(1)
+	}
+	wall := time.Since(start)
+	if !cl.Finished() {
+		fmt.Fprintln(os.Stderr, "threads did not finish")
+		os.Exit(1)
+	}
+	if err := w.Err(); err != nil {
+		fmt.Fprintln(os.Stderr, "VERIFICATION FAILED:", err)
+		os.Exit(1)
 	}
 
 	fmt.Printf("%s  protocol=%s  lock=%s  %d nodes x %d threads  size=%s\n",
 		w.Name, m, la, cfg.Nodes, cfg.ThreadsPerNode, *size)
 	fmt.Printf("verification: OK\n")
 	fmt.Printf("execution time: %.2f ms (virtual), %.2f ms (wall)\n",
-		float64(cl.ExecTime())/1e6, float64(bestWall)/1e6)
+		float64(cl.ExecTime())/1e6, float64(wall)/1e6)
 
 	bd := cl.AvgBreakdown()
 	fmt.Println("breakdown (avg per thread, ms):")

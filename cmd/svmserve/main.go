@@ -8,19 +8,17 @@
 // the cluster's failure-lifecycle milestones.
 //
 // Every quantity is virtual time from a deterministic simulation: the
-// same flags produce a byte-identical report, which -compare gates.
+// same flags print the same table. The default matrix is pinned, cell by
+// cell, by the root package's TestGolden (the serve/ rows).
 //
 // Usage:
 //
 //	svmserve                              # 6 scenarios x {oracle, probe}
 //	svmserve -scenarios none,storm -detect probe
 //	svmserve -no-kill                     # healthy baseline sweep
-//	svmserve -json BENCH_PR7.json         # write the report
-//	svmserve -compare BENCH_PR7.json      # re-run and diff (CI gate)
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -48,8 +46,6 @@ func main() {
 	noKill := flag.Bool("no-kill", false, "skip failure injection (healthy baseline)")
 	victim := flag.Int("victim", 1, "node to kill")
 	rewarm := flag.Float64("rewarm-factor", 2, "re-warm exit threshold, x healthy p99")
-	jsonOut := flag.String("json", "", "write the report to this file")
-	compare := flag.String("compare", "", "re-run and diff against this saved report (exit 1 on drift)")
 	flag.Parse()
 
 	var scenarios []harness.ChaosScenario
@@ -118,17 +114,6 @@ func main() {
 	rs := serve.RunCells(specs)
 	wall := time.Since(start)
 
-	rep := serve.Report{
-		Grid: serve.Grid{
-			Nodes: base.Nodes, ThreadsPerNode: base.ThreadsPerNode,
-			Buckets: base.Buckets, SlotsPerBucket: base.SlotsPerBucket, Keys: base.Keys,
-			ZipfS: base.ZipfS, ReadPct: base.ReadPct, Requests: base.Requests,
-			MeanGapNs: base.MeanGapNs, ServiceNs: base.ServiceNs,
-			Seed: base.Seed, ArrivalSeed: base.ArrivalSeed,
-			KillAtNs: base.KillAtNs, Victim: base.Victim, RewarmFactor: base.RewarmFactor,
-		},
-		WallMs: float64(wall.Microseconds()) / 1000,
-	}
 	failed := 0
 	fmt.Printf("%-8s %-6s  %9s %8s %8s %8s %8s  %s\n",
 		"scenario", "detect", "kreq/s", "p50", "p99", "p999", "max", "timeline (healthy|undet|detect|recov|rewarm|restored)")
@@ -139,7 +124,6 @@ func main() {
 			continue
 		}
 		c := r.Report()
-		rep.Cells = append(rep.Cells, c)
 		tput := float64(c.Completed) / (float64(c.ExecNs) / 1e9) / 1000
 		ph := c.Phases
 		fmt.Printf("%-8s %-6s  %9.1f %8s %8s %8s %8s  %s|%s|%s|%s|%s|%s\n",
@@ -148,42 +132,9 @@ func main() {
 			ms(ph.HealthyNs), ms(ph.UndetectedNs), ms(ph.DetectingNs),
 			ms(ph.RecoveryNs), ms(ph.RewarmNs), ms(ph.RestoredNs))
 	}
-	fmt.Printf("svmserve: %d cells in %.1fms wall, %d FAILED\n", len(rs), rep.WallMs, failed)
+	fmt.Printf("svmserve: %d cells in %.1fms wall, %d FAILED\n", len(rs), float64(wall.Microseconds())/1000, failed)
 	if failed > 0 {
 		os.Exit(1)
-	}
-
-	if *jsonOut != "" {
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonOut, append(b, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
-	}
-	if *compare != "" {
-		b, err := os.ReadFile(*compare)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		var saved serve.Report
-		if err := json.Unmarshal(b, &saved); err != nil {
-			fmt.Fprintf(os.Stderr, "svmserve: parse %s: %v\n", *compare, err)
-			os.Exit(1)
-		}
-		if diffs := serve.Diff(saved, rep); len(diffs) > 0 {
-			fmt.Printf("svmserve: DRIFT against %s:\n", *compare)
-			for _, d := range diffs {
-				fmt.Println("  " + d)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("svmserve: bit-identical to %s\n", *compare)
 	}
 }
 

@@ -60,24 +60,36 @@ func TestKVStoreViaHarness(t *testing.T) {
 // counts) and checks the computed range line is well-formed.
 func TestOverheadSummaryRenders(t *testing.T) {
 	var buf bytes.Buffer
-	OverheadSummary(&buf, SizeSmall, 2)
+	failed := OverheadSummary(&buf, SizeSmall, 2)
 	out := buf.String()
-	if strings.Contains(out, "ERROR") {
-		t.Fatalf("summary contains errors:\n%s", out)
+	if failed != 0 || strings.Contains(out, "ERROR") {
+		t.Fatalf("summary reports %d failed cells:\n%s", failed, out)
 	}
 	for _, want := range []string{"2 nodes x 1 thread", "2 nodes x 2 thread", "range:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}
 	}
+	// No pair can run on one node: every row is an ERROR, each is
+	// counted, and there is no range to print.
+	buf.Reset()
+	failed = OverheadSummary(&buf, SizeSmall, 1)
+	out = buf.String()
+	if want := 2 * len(AppNames); failed != want || strings.Count(out, "ERROR") != want {
+		t.Fatalf("one-node summary reports %d failed cells, want %d:\n%s", failed, want, out)
+	}
+	if strings.Contains(out, "range:") {
+		t.Fatalf("range line printed with no successful pair:\n%s", out)
+	}
 }
 
-// TestRunErrorPaths drives every error branch of runWithStats: unknown
+// TestRunErrorPaths drives every error branch of Run: unknown
 // application, invalid option combination, and the degenerate one-node
 // cluster the fault-tolerant protocol rejects (no distinct second home).
 func TestRunErrorPaths(t *testing.T) {
 	cases := []Config{
 		{App: "nosuchapp", Size: SizeSmall, Mode: svm.ModeBase, Nodes: 4, ThreadsPerNode: 1},
+		{App: "counter", Size: "bogus", Mode: svm.ModeFT, Nodes: 4, ThreadsPerNode: 1},
 		{App: "fft", Size: SizeSmall, Mode: svm.ModeFT, LockAlgo: svm.LockQueue, Nodes: 4, ThreadsPerNode: 1},
 		{App: "fft", Size: SizeSmall, Mode: svm.ModeFT, Nodes: 1, ThreadsPerNode: 1},
 	}
@@ -102,24 +114,23 @@ func TestFigureBreakdownErrorRow(t *testing.T) {
 	saved := AppNames
 	AppNames = []string{"nosuchapp"}
 	defer func() { AppNames = saved }()
+	// Each renderer prints the ERROR rows and returns how many there
+	// were, which is what svmbench turns into its exit status.
 	var buf bytes.Buffer
-	FigureBreakdown(&buf, SizeSmall, 2, 1, false)
-	if !strings.Contains(buf.String(), "ERROR") {
-		t.Fatalf("expected ERROR row:\n%s", buf.String())
-	}
-	buf.Reset()
-	DiffAnalysis(&buf, SizeSmall, 2)
-	if !strings.Contains(buf.String(), "ERROR") {
-		t.Fatalf("expected ERROR row:\n%s", buf.String())
-	}
-	buf.Reset()
-	OverheadSummary(&buf, SizeSmall, 2)
-	if !strings.Contains(buf.String(), "ERROR") {
-		t.Fatalf("expected ERROR row:\n%s", buf.String())
-	}
-	buf.Reset()
-	ScalingSummary(&buf, SizeSmall, AppNames)
-	if !strings.Contains(buf.String(), "ERROR") {
-		t.Fatalf("expected ERROR row:\n%s", buf.String())
+	for _, tc := range []struct {
+		name   string
+		render func() int
+		want   int
+	}{
+		{"FigureBreakdown", func() int { return FigureBreakdown(&buf, SizeSmall, 2, 1, false) }, 2},
+		{"DiffAnalysis", func() int { return DiffAnalysis(&buf, SizeSmall, 2) }, 1},
+		{"OverheadSummary", func() int { return OverheadSummary(&buf, SizeSmall, 2) }, 2},
+		{"ScalingSummary", func() int { return ScalingSummary(&buf, SizeSmall, AppNames) }, 4},
+	} {
+		buf.Reset()
+		failed := tc.render()
+		if failed != tc.want || strings.Count(buf.String(), "ERROR") != tc.want {
+			t.Fatalf("%s: %d failed cells reported, want %d:\n%s", tc.name, failed, tc.want, buf.String())
+		}
 	}
 }

@@ -11,11 +11,9 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ftsvm/internal/apps"
 	"ftsvm/internal/model"
-	"ftsvm/internal/obs"
 	"ftsvm/internal/serve"
 	"ftsvm/internal/svm"
 )
@@ -38,9 +36,23 @@ const (
 	SizePaper Size = "paper"
 )
 
+// ParseSize maps a flag string to a Size.
+func ParseSize(s string) (Size, error) {
+	switch Size(s) {
+	case SizeSmall, SizeMedium, SizePaper:
+		return Size(s), nil
+	}
+	return "", fmt.Errorf("harness: unknown size %q (want small, medium, paper)", s)
+}
+
 // Build constructs the named workload at the given size for a cluster
 // shape.
 func Build(app string, size Size, s apps.Shape) (*apps.Workload, error) {
+	// The per-size maps below read 0 for an unknown size, which the apps
+	// take for an empty (or invalid) problem.
+	if _, err := ParseSize(string(size)); err != nil {
+		return nil, err
+	}
 	switch app {
 	case "fft":
 		n := map[Size]int{SizeSmall: 4096, SizeMedium: 65536, SizePaper: 1 << 20}[size]
@@ -250,18 +262,9 @@ type Result struct {
 	Checkpoints int64
 	// Proto carries the cluster's protocol event counters.
 	Proto svm.ProtoStats
-	// Metrics is the unified registry snapshot (svm.*, ckpt.*, vmmc.*
-	// counters) the cluster exposes through the obs layer.
-	Metrics obs.Snapshot
-	// WallNs is the host wall-clock time the simulation took (a simulator
-	// performance metric; everything else above is virtual).
-	WallNs int64
 	// DirBytes is the resident footprint of the page + lock home
 	// directories at the end of the run.
 	DirBytes int64
-	// RehomeWallNs is the host wall time spent inside directory Rehome
-	// calls (zero when no failure was injected).
-	RehomeWallNs int64
 	// Phase holds the failure-lifecycle milestones (virtual times; zero
 	// fields when no failure happened).
 	Phase svm.PhaseTimes
@@ -271,12 +274,6 @@ type Result struct {
 	EngineWorkers  int
 	SerialFallback string
 	Err            error
-}
-
-// Run executes one experiment cell.
-func Run(c Config) Result {
-	r, _ := runWithStats(c)
-	return r
 }
 
 // RunGrid executes the cells concurrently on up to GOMAXPROCS workers and
@@ -315,15 +312,6 @@ func RunGrid(cells []Config) []Result {
 	return out
 }
 
-// runWithStats executes one cell and also returns the protocol counters.
-func runWithStats(c Config) (Result, svm.ProtoStats) {
-	start := time.Now()
-	r, st := runCell(c)
-	r.WallNs = int64(time.Since(start))
-	r.Proto = st
-	return r, st
-}
-
 // ModelConfig assembles the cell's cost-model configuration: defaults,
 // then the tier preset, then the cell's explicit shape fields, then the
 // ablation override hook. Shared by the benchmark runner and the failure
@@ -349,15 +337,16 @@ func (c Config) ModelConfig() (model.Config, error) {
 	return cfg, nil
 }
 
-func runCell(c Config) (Result, svm.ProtoStats) {
+// Run executes one experiment cell.
+func Run(c Config) Result {
 	cfg, err := c.ModelConfig()
 	if err != nil {
-		return Result{Config: c, Err: err}, svm.ProtoStats{}
+		return Result{Config: c, Err: err}
 	}
 	s := apps.Shape{Nodes: cfg.Nodes, ThreadsPerNode: cfg.ThreadsPerNode, PageSize: cfg.PageSize}
 	w, err := Build(c.App, c.Size, s)
 	if err != nil {
-		return Result{Config: c, Err: err}, svm.ProtoStats{}
+		return Result{Config: c, Err: err}
 	}
 	opt := svm.Options{
 		Config:            cfg,
@@ -379,7 +368,7 @@ func runCell(c Config) (Result, svm.ProtoStats) {
 	}
 	cl, err := svm.New(opt)
 	if err != nil {
-		return Result{Config: c, Err: err}, svm.ProtoStats{}
+		return Result{Config: c, Err: err}
 	}
 	if kt != nil {
 		kt.cl = cl
@@ -388,18 +377,19 @@ func runCell(c Config) (Result, svm.ProtoStats) {
 		cl.EnableAuditor()
 	}
 	if err := cl.Run(); err != nil {
-		return Result{Config: c, Err: err}, svm.ProtoStats{}
+		return Result{Config: c, Err: err}
 	}
 	if !cl.Finished() {
-		return Result{Config: c, Err: fmt.Errorf("harness: %s did not finish", c.App)}, svm.ProtoStats{}
+		return Result{Config: c, Err: fmt.Errorf("harness: %s did not finish", c.App)}
 	}
 	if err := w.Err(); err != nil {
-		return Result{Config: c, Err: err}, svm.ProtoStats{}
+		return Result{Config: c, Err: err}
 	}
 	r := Result{
 		Config:         c,
 		ExecNs:         cl.ExecTime(),
 		Breakdown:      cl.AvgBreakdown(),
+		Proto:          cl.ProtoStats(),
 		EngineWorkers:  cl.EngineWorkers(),
 		SerialFallback: cl.SerialFallbackReason(),
 	}
@@ -410,11 +400,9 @@ func runCell(c Config) (Result, svm.ProtoStats) {
 		r.PostStallNs += st.PostStallsNs
 	}
 	r.Checkpoints = cl.CheckpointCount()
-	r.Metrics = cl.Metrics()
 	r.DirBytes = cl.DirectoryBytes()
-	r.RehomeWallNs = cl.RehomeWallNs()
 	r.Phase = cl.PhaseTimes()
-	return r, cl.ProtoStats()
+	return r
 }
 
 // killTracer fail-stops a node the seq'th time it emits the configured
@@ -466,8 +454,9 @@ func Overhead(base, ext Result) float64 {
 }
 
 // FigureBreakdown renders the paper's Figure 7/9 (4-component) or 8/10
-// (6-component) table for the given thread count.
-func FigureBreakdown(out io.Writer, size Size, nodes, tpn int, six bool) {
+// (6-component) table for the given thread count. Like the other
+// renderers it returns the number of cells that ended in an ERROR row.
+func FigureBreakdown(out io.Writer, size Size, nodes, tpn int, six bool) (failed int) {
 	kind, cols := "Figure 7", "compute data lock barrier"
 	switch {
 	case six && tpn == 1:
@@ -489,6 +478,7 @@ func FigureBreakdown(out io.Writer, size Size, nodes, tpn int, six bool) {
 		base, ext := results[2*i], results[2*i+1]
 		for _, r := range []Result{base, ext} {
 			if r.Err != nil {
+				failed++
 				fmt.Fprintf(out, "%-14s %-9s ERROR: %v\n", app, r.Mode, r.Err)
 				continue
 			}
@@ -498,6 +488,7 @@ func FigureBreakdown(out io.Writer, size Size, nodes, tpn int, six bool) {
 			fmt.Fprintf(out, "%-14s overhead %+8.0f%%\n", app, Overhead(base, ext))
 		}
 	}
+	return failed
 }
 
 func columnHeader(cols string) string {
@@ -526,7 +517,7 @@ func breakdownCells(bd svm.Breakdown, six bool) string {
 
 // OverheadSummary prints the headline numbers (paper: 20-67% at 1 thread,
 // 24-100% at 2 threads).
-func OverheadSummary(out io.Writer, size Size, nodes int) {
+func OverheadSummary(out io.Writer, size Size, nodes int) (failed int) {
 	for _, tpn := range []int{1, 2} {
 		lo, hi := 1e18, -1e18
 		fmt.Fprintf(out, "Overhead, %d nodes x %d thread(s)/node, size=%s\n", nodes, tpn, size)
@@ -538,6 +529,7 @@ func OverheadSummary(out io.Writer, size Size, nodes int) {
 		for i, app := range AppNames {
 			base, ext := results[2*i], results[2*i+1]
 			if base.Err != nil || ext.Err != nil {
+				failed++
 				fmt.Fprintf(out, "  %-12s ERROR base=%v ext=%v\n", app, base.Err, ext.Err)
 				continue
 			}
@@ -551,15 +543,18 @@ func OverheadSummary(out io.Writer, size Size, nodes int) {
 			fmt.Fprintf(out, "  %-12s base %8s ms  extended %8s ms  overhead %+5.0f%%\n",
 				app, ms(base.ExecNs), ms(ext.ExecNs), ov)
 		}
-		fmt.Fprintf(out, "  range: %+.0f%% .. %+.0f%%\n", lo, hi)
+		if lo <= hi { // some pair succeeded
+			fmt.Fprintf(out, "  range: %+.0f%% .. %+.0f%%\n", lo, hi)
+		}
 	}
+	return failed
 }
 
 // DiffAnalysis renders the §5.3.1 diff/checkpoint analysis table: how many
 // pages each application diffs, the fraction landing on the committer's
 // own home pages (the base protocol never diffs those; the extension ships
 // them twice), and the checkpoint count.
-func DiffAnalysis(out io.Writer, size Size, nodes int) {
+func DiffAnalysis(out io.Writer, size Size, nodes int) (failed int) {
 	fmt.Fprintf(out, "Diff analysis (extended protocol, %d nodes x 1 thread, size=%s)\n", nodes, size)
 	fmt.Fprintf(out, "%-14s %12s %12s %10s %12s\n", "app", "pages diffed", "home pages", "home frac", "checkpoints")
 	cells := make([]Config, len(AppNames))
@@ -569,6 +564,7 @@ func DiffAnalysis(out io.Writer, size Size, nodes int) {
 	for i, r := range RunGrid(cells) {
 		app := AppNames[i]
 		if r.Err != nil {
+			failed++
 			fmt.Fprintf(out, "%-14s ERROR: %v\n", app, r.Err)
 			continue
 		}
@@ -576,6 +572,7 @@ func DiffAnalysis(out io.Writer, size Size, nodes int) {
 		fmt.Fprintf(out, "%-14s %12d %12d %9.0f%% %12d\n",
 			app, st.PagesDiffed, st.HomePagesDiffed, 100*st.HomeDiffFraction(), r.Checkpoints)
 	}
+	return failed
 }
 
 // ScalingSummary sweeps the cluster size: the paper evaluates only 8
@@ -583,7 +580,7 @@ func DiffAnalysis(out io.Writer, size Size, nodes int) {
 // backup checkpoints) shift with scale — at 2 nodes every page's two
 // replicas cover the whole machine, while larger clusters localize the
 // replication traffic.
-func ScalingSummary(out io.Writer, size Size, apps []string) {
+func ScalingSummary(out io.Writer, size Size, apps []string) (failed int) {
 	fmt.Fprintf(out, "Scaling: extended-protocol overhead vs cluster size (1 thread/node, size=%s)\n", size)
 	fmt.Fprintf(out, "%-14s %8s %12s %12s %10s\n", "app", "nodes", "base ms", "extended ms", "overhead")
 	nodeCounts := []int{2, 4, 8, 16}
@@ -599,6 +596,7 @@ func ScalingSummary(out io.Writer, size Size, apps []string) {
 			k := 2 * (i*len(nodeCounts) + j)
 			base, ext := results[k], results[k+1]
 			if base.Err != nil || ext.Err != nil {
+				failed++
 				fmt.Fprintf(out, "%-14s %8d ERROR base=%v ext=%v\n", app, nodes, base.Err, ext.Err)
 				continue
 			}
@@ -606,4 +604,5 @@ func ScalingSummary(out io.Writer, size Size, apps []string) {
 				app, nodes, float64(base.ExecNs)/1e6, float64(ext.ExecNs)/1e6, Overhead(base, ext))
 		}
 	}
+	return failed
 }

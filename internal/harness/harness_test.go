@@ -23,6 +23,14 @@ func TestBuildAllApps(t *testing.T) {
 	if _, err := Build("nosuch", SizeSmall, s); err == nil {
 		t.Fatal("unknown app did not error")
 	}
+	// An unknown size must not reach the apps as problem size 0 (FFT
+	// panics on it; the micro workloads run zero iterations and "pass").
+	for _, app := range append([]string{"counter", "kvserve"}, AppNames...) {
+		_, err := Build(app, "bogus", s)
+		if err == nil || !strings.Contains(err.Error(), `unknown size "bogus"`) {
+			t.Fatalf("%s at size bogus: err = %v, want one naming the size", app, err)
+		}
+	}
 }
 
 func TestRunPairSmall(t *testing.T) {

@@ -154,7 +154,7 @@ const (
 	VTDelta
 )
 
-// String returns the flag spelling of the codec mode.
+// String returns the name of the codec mode.
 func (m VTCodecMode) String() string {
 	switch m {
 	case VTFull:
@@ -163,17 +163,6 @@ func (m VTCodecMode) String() string {
 		return "delta"
 	}
 	return fmt.Sprintf("VTCodecMode(%d)", int(m))
-}
-
-// ParseVTCodec parses a -vtcodec flag value.
-func ParseVTCodec(s string) (VTCodecMode, error) {
-	switch s {
-	case "full":
-		return VTFull, nil
-	case "delta":
-		return VTDelta, nil
-	}
-	return 0, fmt.Errorf("model: unknown vector-time codec %q (want full or delta)", s)
 }
 
 // DirectoryMode selects the home-directory implementation.
@@ -192,7 +181,7 @@ const (
 	DirHashed
 )
 
-// String returns the flag spelling of the directory mode.
+// String returns the name of the directory mode.
 func (m DirectoryMode) String() string {
 	switch m {
 	case DirFlat:
@@ -201,17 +190,6 @@ func (m DirectoryMode) String() string {
 		return "hashed"
 	}
 	return fmt.Sprintf("DirectoryMode(%d)", int(m))
-}
-
-// ParseDirectory parses a -dir flag value.
-func ParseDirectory(s string) (DirectoryMode, error) {
-	switch s {
-	case "flat":
-		return DirFlat, nil
-	case "hashed":
-		return DirHashed, nil
-	}
-	return 0, fmt.Errorf("model: unknown directory mode %q (want flat or hashed)", s)
 }
 
 // Chaos configures the deterministic per-link fault layer of the simulated

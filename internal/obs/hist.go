@@ -10,8 +10,8 @@ import "math/bits"
 // range fits in under a thousand counters. The counts array is embedded
 // in the struct and indexing is pure bit arithmetic, so the record path
 // allocates nothing and the same value sequence always produces the
-// same counts: histograms are safe to put under bit-identity replay
-// gates (svmserve -compare).
+// same counts: histograms are safe to put under a bit-identity gate
+// (the golden file's serve/ rows hash them).
 
 const (
 	// histSubBits is the sub-bucket resolution: 1<<histSubBits sub-buckets

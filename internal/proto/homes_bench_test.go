@@ -65,8 +65,8 @@ func BenchmarkRehome(b *testing.B) {
 }
 
 // BenchmarkRehomeFirstFailure measures a single Rehome from a healthy
-// cluster — the paper's single-failure model and the recovery-latency
-// number BENCH_PR9 records. From healthy membership the per-hit
+// cluster — the paper's single-failure model, and the case the golden
+// file's dir/ kill rows run. From healthy membership the per-hit
 // nextAlive scan terminates in one step, so flat-ref and flat are close
 // here; the hashed walk visits only the victim's postings.
 func BenchmarkRehomeFirstFailure(b *testing.B) {

@@ -1,16 +1,11 @@
 package serve
 
-import (
-	"encoding/json"
-	"fmt"
+import "ftsvm/internal/obs"
 
-	"ftsvm/internal/obs"
-)
-
-// CellReport is the JSON form of one cell's result. Every compared
-// field is an integer count or a virtual-time nanosecond value —
-// nothing host-dependent — so two same-seed runs marshal to identical
-// bytes, which is what the svmserve -compare gate checks.
+// CellReport is the JSON form of one cell's result. Every field is an
+// integer count or a virtual-time nanosecond value — nothing
+// host-dependent — so two same-seed runs marshal to identical bytes; the
+// root package's TestGolden pins a hash of them per serve/ cell.
 type CellReport struct {
 	Scenario string `json:"scenario"`
 	Detect   string `json:"detect"`
@@ -58,62 +53,4 @@ func (r Result) Report() CellReport {
 		Hist:         r.Hist.Buckets(),
 	}
 	return cr
-}
-
-// Grid records the workload parameters shared by every cell of a
-// report, so a saved report is reproducible from its own contents.
-type Grid struct {
-	Nodes          int     `json:"nodes"`
-	ThreadsPerNode int     `json:"threads_per_node"`
-	Buckets        int     `json:"buckets"`
-	SlotsPerBucket int     `json:"slots_per_bucket"`
-	Keys           int     `json:"keys"`
-	ZipfS          float64 `json:"zipf_s"`
-	ReadPct        int     `json:"read_pct"`
-	Requests       int     `json:"requests"`
-	MeanGapNs      int64   `json:"mean_gap_ns"`
-	ServiceNs      int64   `json:"service_ns"`
-	Seed           int64   `json:"seed"`
-	ArrivalSeed    uint64  `json:"arrival_seed"`
-	KillAtNs       int64   `json:"kill_at_ns"`
-	Victim         int     `json:"victim"`
-	RewarmFactor   float64 `json:"rewarm_factor"`
-}
-
-// Report is the full svmserve output: the grid parameters and one cell
-// per scenario x detection mode. WallMs is informational only and is
-// excluded from the comparison.
-type Report struct {
-	Grid   Grid         `json:"grid"`
-	WallMs float64      `json:"wall_ms"`
-	Cells  []CellReport `json:"cells"`
-}
-
-// Diff compares two reports cell by cell, ignoring WallMs, and returns
-// a human-readable line per mismatch (empty: identical).
-func Diff(a, b Report) []string {
-	var diffs []string
-	if ga, gb := mustJSON(a.Grid), mustJSON(b.Grid); ga != gb {
-		diffs = append(diffs, fmt.Sprintf("grid: %s != %s", ga, gb))
-	}
-	if len(a.Cells) != len(b.Cells) {
-		diffs = append(diffs, fmt.Sprintf("cell count: %d != %d", len(a.Cells), len(b.Cells)))
-		return diffs
-	}
-	for i := range a.Cells {
-		ca, cb := mustJSON(a.Cells[i]), mustJSON(b.Cells[i])
-		if ca != cb {
-			diffs = append(diffs, fmt.Sprintf("cell %s/%s: mismatch\n  a: %s\n  b: %s",
-				a.Cells[i].Scenario, a.Cells[i].Detect, ca, cb))
-		}
-	}
-	return diffs
-}
-
-func mustJSON(v any) string {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return string(b)
 }

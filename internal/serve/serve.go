@@ -14,7 +14,7 @@
 // in aggregate wall time. Every input (arrival jitter, key choice,
 // op mix) is drawn from seeded xorshift64* streams, so a cell's
 // histogram and timeline are bit-identical across repeat runs at the
-// same seed — replayable under svmserve -compare.
+// same seed, which is what lets the golden file pin them.
 package serve
 
 import (
