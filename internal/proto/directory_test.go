@@ -186,9 +186,55 @@ func randLiveVictim(rng *rand.Rand, d Directory) NodeID {
 	}
 }
 
-// TestFlatRehomeMatchesReference pins the successor-table fast path to
-// the seed's per-hit nextAlive scan: identical reassignment lists and
-// identical resulting maps over random assignments and failure orders.
+// nextAlive returns the first live node after n in ring order that differs
+// from exclude.
+func (h *HomeMap) nextAlive(n NodeID, exclude NodeID) NodeID {
+	for i := 1; i <= h.nodes; i++ {
+		c := (n + i) % h.nodes
+		if h.alive[c] && c != exclude {
+			return c
+		}
+	}
+	panic("proto: no live node available for rehoming")
+}
+
+// rehomeReference is the seed's Rehome — the paper's pair rule, every
+// hit paying a full nextAlive ring scan — kept verbatim as the
+// bit-identity reference for HomeMap.Rehome at k = 2. Tests run both on
+// clones and compare the resulting maps and reassignment lists
+// element-wise.
+func (h *HomeMap) rehomeReference(failed NodeID) []Reassignment {
+	if !h.alive[failed] {
+		return nil
+	}
+	h.alive[failed] = false
+	h.nAlive--
+	if h.nAlive < 2 {
+		panic("proto: fewer than 2 live nodes; replication impossible")
+	}
+	h.epoch++
+	var out []Reassignment
+	for i := range h.primary {
+		switch {
+		case h.primary[i] == failed:
+			h.primary[i] = h.secondary[i]
+			h.secondary[i] = h.nextAlive(h.primary[i], h.primary[i])
+			out = append(out,
+				Reassignment{Item: i, Role: Primary, NewNode: h.primary[i], Survivor: h.primary[i]},
+				Reassignment{Item: i, Role: Secondary, NewNode: h.secondary[i], Survivor: h.primary[i]})
+		case h.secondary[i] == failed:
+			h.secondary[i] = h.nextAlive(h.primary[i], h.primary[i])
+			out = append(out,
+				Reassignment{Item: i, Role: Secondary, NewNode: h.secondary[i], Survivor: h.primary[i]})
+		}
+	}
+	return out
+}
+
+// TestFlatRehomeMatchesReference pins Rehome — the general-k code with
+// its successor table, run at k = 2 — to the seed's pair rule and
+// per-hit nextAlive scan: identical reassignment lists and identical
+// resulting maps over random assignments and failure orders.
 func TestFlatRehomeMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -203,7 +249,7 @@ func TestFlatRehomeMatchesReference(t *testing.T) {
 		perm := rng.Perm(nodes)
 		for k := 0; k < nodes-2; k++ {
 			rf := fast.Rehome(perm[k])
-			rr := ref.RehomeReference(perm[k])
+			rr := ref.rehomeReference(perm[k])
 			if len(rf) != len(rr) {
 				return false
 			}

@@ -316,28 +316,6 @@ func (d *HashedDir) buildRing() {
 	d.ring = pts
 }
 
-// pick returns the live node owning the ring successor of item's hash
-// point, skipping dead nodes' points and points of exclude: O(log N)
-// search plus a walk whose expected length is the dead fraction of the
-// ring — short until most of the cluster has failed, and the directory
-// refuses to operate below 2 live nodes anyway.
-func (d *HashedDir) pick(item int, exclude int32) int32 {
-	h := splitmix64(d.seed^uint64(item)*0x9E3779B97F4A7C15) &^ (1<<ringNodeBits - 1)
-	i, _ := slices.BinarySearch(d.ring, h)
-	for off := 0; off < len(d.ring); off++ {
-		n := int32(d.ring[(i+off)%len(d.ring)] & (1<<ringNodeBits - 1))
-		if n != exclude && d.alive[n] {
-			return n
-		}
-	}
-	panic("proto: hash ring has no live node besides the excluded one")
-}
-
-// setOverride records the item's new homes at the current epoch.
-func (d *HashedDir) setOverride(item, prim, sec int32) {
-	d.shards[int(item)&(dirShards-1)][item] = dirOverride{prim: prim, sec: sec, epoch: int32(d.epoch)}
-}
-
 // Rehome marks failed as dead and reassigns exactly the home roles it
 // held, walking the failed node's reverse-index postings instead of
 // scanning every item. Promotions follow the paper's rule — the
@@ -358,39 +336,10 @@ func (d *HashedDir) Rehome(failed NodeID) []Reassignment {
 	d.post[failed] = nil
 	f := int32(failed)
 	out := make([]Reassignment, 0, len(items)*2)
-	if d.degree == 2 {
-		// The paper's pair rule, kept verbatim as the k=2 fast path
-		// (bit-identity with the seed and the flat directory).
-		for _, it := range items {
-			item := int(it)
-			p, s := d.resolve(item)
-			switch {
-			case p == f:
-				newP := s
-				newS := d.pick(item, newP)
-				d.setOverride(it, newP, newS)
-				d.post[newS] = append(d.post[newS], it)
-				out = append(out,
-					Reassignment{Item: item, Role: Primary, NewNode: NodeID(newP), Survivor: NodeID(newP)},
-					Reassignment{Item: item, Role: Secondary, NewNode: NodeID(newS), Survivor: NodeID(newP)})
-			case s == f:
-				newS := d.pick(item, p)
-				d.setOverride(it, p, newS)
-				d.post[newS] = append(d.post[newS], it)
-				out = append(out,
-					Reassignment{Item: item, Role: Secondary, NewNode: NodeID(newS), Survivor: NodeID(p)})
-			default:
-				// Postings are exact (see the field comment); a miss means
-				// the index and the override table disagree.
-				panic(fmt.Sprintf("proto: reverse index lists item %d on node %d, but its homes are %d/%d", item, failed, p, s))
-			}
-		}
-		return out
-	}
-	// General k: drop the failed slot, shift the surviving replicas left
-	// (a slot-0 death promotes the first secondary in place), and pick a
-	// fresh tail replica off the hash ring, excluding every node that
-	// already holds a copy.
+	// Drop the failed slot, shift the surviving replicas left (a slot-0
+	// death promotes the first secondary in place), and pick a fresh tail
+	// replica off the hash ring, excluding every node that already holds
+	// a copy. At k = 2 this is the paper's pair rule.
 	homes := make([]int32, d.degree)
 	for _, it := range items {
 		item := int(it)
@@ -424,8 +373,10 @@ func (d *HashedDir) Rehome(failed NodeID) []Reassignment {
 }
 
 // pickExcluding returns the live node owning the ring successor of
-// item's hash point, skipping dead nodes and every member of exclude —
-// the k-replica generalization of pick.
+// item's hash point, skipping dead nodes and every member of exclude:
+// an O(log N) search plus a walk whose expected length is the dead
+// fraction of the ring — short until most of the cluster has failed,
+// and the directory refuses to operate below k live nodes anyway.
 func (d *HashedDir) pickExcluding(item int, exclude []int32) int32 {
 	h := splitmix64(d.seed^uint64(item)*0x9E3779B97F4A7C15) &^ (1<<ringNodeBits - 1)
 	i, _ := slices.BinarySearch(d.ring, h)

@@ -154,18 +154,6 @@ func (h *HomeMap) Clone() *HomeMap {
 	return c
 }
 
-// nextAlive returns the first live node after n in ring order that differs
-// from exclude.
-func (h *HomeMap) nextAlive(n NodeID, exclude NodeID) NodeID {
-	for i := 1; i <= h.nodes; i++ {
-		c := (n + i) % h.nodes
-		if h.alive[c] && c != exclude {
-			return c
-		}
-	}
-	panic("proto: no live node available for rehoming")
-}
-
 // Rehome marks failed as dead and reassigns every home role it held,
 // guaranteeing the two replicas of each item stay on distinct live nodes.
 // It returns the reassignments so the caller can rebuild the new copies
@@ -175,8 +163,9 @@ func (h *HomeMap) nextAlive(n NodeID, exclude NodeID) NodeID {
 // The live-ring successor of every node is computed once up front, so a
 // call costs O(items + N) instead of the per-hit nextAlive scan's
 // O(items x N) — at 512 nodes with block-distributed pages roughly every
-// item's scan paid the full ring walk. RehomeReference keeps the legacy
-// per-hit scan; TestFlatRehomeMatchesReference pins bit-identity.
+// item's scan paid the full ring walk. The test files keep the seed's
+// per-hit scan as rehomeReference; TestFlatRehomeMatchesReference pins
+// bit-identity.
 func (h *HomeMap) Rehome(failed NodeID) []Reassignment {
 	if !h.alive[failed] {
 		return nil
@@ -202,31 +191,11 @@ func (h *HomeMap) Rehome(failed NodeID) []Reassignment {
 		}
 	}
 	var out []Reassignment
-	if h.degree == 2 {
-		// The paper's pair rule, kept verbatim as the k=2 fast path
-		// (bit-identity with the seed and RehomeReference).
-		for i := range h.primary {
-			switch {
-			case h.primary[i] == failed:
-				// Promote the secondary, then pick a fresh secondary.
-				h.primary[i] = h.secondary[i]
-				h.secondary[i] = succ[h.primary[i]]
-				out = append(out,
-					Reassignment{Item: i, Role: Primary, NewNode: h.primary[i], Survivor: h.primary[i]},
-					Reassignment{Item: i, Role: Secondary, NewNode: h.secondary[i], Survivor: h.primary[i]})
-			case h.secondary[i] == failed:
-				h.secondary[i] = succ[h.primary[i]]
-				out = append(out,
-					Reassignment{Item: i, Role: Secondary, NewNode: h.secondary[i], Survivor: h.primary[i]})
-			}
-		}
-		return out
-	}
-	// General k: drop the failed slot, shift the surviving replicas left
-	// (a slot-0 death promotes the first secondary in place), and append
-	// a fresh tail replica — the first live ring successor of the new
-	// primary not already holding a copy. At k=2 this is exactly the
-	// pair rule above.
+	// Drop the failed slot, shift the surviving replicas left (a slot-0
+	// death promotes the first secondary in place), and append a fresh
+	// tail replica — the first live ring successor of the new primary
+	// not already holding a copy. At k = 2 this is the paper's pair rule:
+	// promote the secondary, then pick a fresh secondary.
 	homes := make([]NodeID, h.degree)
 	for i := range h.primary {
 		slot := -1
@@ -288,36 +257,4 @@ func freshTail(succ, homes []NodeID) NodeID {
 		c = succ[c]
 	}
 	panic("proto: no live node available for rehoming")
-}
-
-// RehomeReference is the seed's Rehome, kept verbatim as the
-// bit-identity reference for the successor-table fast path: every hit
-// pays a full nextAlive ring scan. Tests run both on clones and compare
-// the resulting maps and reassignment lists element-wise.
-func (h *HomeMap) RehomeReference(failed NodeID) []Reassignment {
-	if !h.alive[failed] {
-		return nil
-	}
-	h.alive[failed] = false
-	h.nAlive--
-	if h.nAlive < 2 {
-		panic("proto: fewer than 2 live nodes; replication impossible")
-	}
-	h.epoch++
-	var out []Reassignment
-	for i := range h.primary {
-		switch {
-		case h.primary[i] == failed:
-			h.primary[i] = h.secondary[i]
-			h.secondary[i] = h.nextAlive(h.primary[i], h.primary[i])
-			out = append(out,
-				Reassignment{Item: i, Role: Primary, NewNode: h.primary[i], Survivor: h.primary[i]},
-				Reassignment{Item: i, Role: Secondary, NewNode: h.secondary[i], Survivor: h.primary[i]})
-		case h.secondary[i] == failed:
-			h.secondary[i] = h.nextAlive(h.primary[i], h.primary[i])
-			out = append(out,
-				Reassignment{Item: i, Role: Secondary, NewNode: h.secondary[i], Survivor: h.primary[i]})
-		}
-	}
-	return out
 }

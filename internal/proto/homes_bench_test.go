@@ -34,7 +34,7 @@ func BenchmarkRehome(b *testing.B) {
 				h := base.Clone()
 				b.StartTimer()
 				for f := 0; f < nodes-2; f++ {
-					h.RehomeReference(f)
+					h.rehomeReference(f)
 				}
 			}
 		})

@@ -102,42 +102,24 @@ func (t *Thread) saveThreadState(s *Thread) {
 	}
 	t.node.ckptCount++
 	t.charge(CompCheckpoint, cfg.CheckpointNs(sz))
-	if deg := t.cl.Degree(); deg > 2 {
-		// Replicate the checkpoint at k-1 backups so any k-1 overlapping
-		// failures leave a surviving copy (mirrors saveTimestamp).
-		for {
-			backups := t.cl.backupsOf(t.node.id, deg-1)
-			t.charge(CompCheckpoint, int64(len(backups))*cfg.NICPostOverheadNs)
-			t0 := t.beginWait()
-			for _, backup := range backups {
-				m := &ckptMsg{ThreadID: s.id, HomeNode: t.node.id, Snap: snap}
-				t.node.ep.Post(t.proc, backup, t.node.msgWire(backup, m), m)
-			}
-			err := t.node.ep.Fence(t.proc)
-			t.endWait(CompCheckpoint, t0)
-			if err == nil {
-				return
-			}
-			if errors.Is(err, vmmc.ErrNodeDead) {
-				t.joinRecoveryErr(err)
-				continue
-			}
-			panic(fmt.Sprintf("svm: checkpoint deposit: %v", err))
-		}
-	}
+	// One copy at each of the k-1 backups, so any k-1 overlapping
+	// failures leave a surviving one (mirrors saveTimestamp).
+	var scratch [backupScratch]int
 	for {
-		backup := t.cl.backupOf(t.node.id)
-		m := &ckptMsg{ThreadID: s.id, HomeNode: t.node.id, Snap: snap}
-		t.charge(CompCheckpoint, cfg.NICPostOverheadNs)
+		backups := t.cl.backupsOf(t.node.id, t.cl.Degree()-1, scratch[:0])
+		t.charge(CompCheckpoint, int64(len(backups))*cfg.NICPostOverheadNs)
 		t0 := t.beginWait()
-		t.node.ep.Post(t.proc, backup, t.node.msgWire(backup, m), m)
+		for _, backup := range backups {
+			m := &ckptMsg{ThreadID: s.id, HomeNode: t.node.id, Snap: snap}
+			t.node.ep.Post(t.proc, backup, t.node.msgWire(backup, m), m)
+		}
 		err := t.node.ep.Fence(t.proc)
 		t.endWait(CompCheckpoint, t0)
 		if err == nil {
 			return
 		}
 		if errors.Is(err, vmmc.ErrNodeDead) {
-			// The backup died; recover and resend to the new backup.
+			// A backup died; recover and resend to the new backup set.
 			t.joinRecoveryErr(err)
 			continue
 		}

@@ -625,38 +625,14 @@ func (t *Thread) saveTimestamp(itv int32, caps []capturedDiff) {
 	snap, sz := t.encodeSnapshot()
 	t.node.ckptCount++
 	t.charge(CompCheckpoint, t.cl.cfg.CheckpointNs(sz))
-	if deg == 2 {
-		// Single-backup fast path: the seed's exact sequence.
-		for {
-			backup := t.cl.backupOf(n.id)
-			m := &saveTSMsg{
-				Node: n.id, TS: n.vt.Clone(), List: n.intervals[itv-1], Stash: stash,
-				CkptThread: t.id, CkptHome: n.id, Snap: snap,
-			}
-			t.charge(CompCheckpoint, t.cl.cfg.NICPostOverheadNs)
-			t0 := t.beginWait()
-			n.ep.Post(t.proc, backup, n.msgWire(backup, m), m)
-			err := n.ep.Fence(t.proc)
-			// The deposit's bulk is the point-B thread state; the paper counts
-			// remote state saving under checkpointing.
-			t.endWait(CompCheckpoint, t0)
-			if err == nil {
-				return
-			}
-			if errors.Is(err, vmmc.ErrNodeDead) {
-				t.joinRecoveryErr(err)
-				continue // backup reassigned; save again
-			}
-			panic(fmt.Sprintf("svm: timestamp save: %v", err))
-		}
-	}
-	// Degree k: the deposit is replicated at the first k-1 live ring
-	// successors, so any k-1 overlapping failures leave at least one
-	// surviving copy of the arbitration state. One fence covers the
-	// whole replicated deposit — it is atomic with respect to failures
-	// the same way the single deposit is: recovery reads any survivor.
+	// The deposit is replicated at the first k-1 live ring successors
+	// (the paper's k = 2: the one backup node), so any k-1 overlapping
+	// failures leave at least one surviving copy of the arbitration
+	// state. One fence covers the whole replicated deposit, so it is
+	// atomic with respect to failures: recovery reads any survivor.
+	var scratch [backupScratch]int
 	for {
-		backups := t.cl.backupsOf(n.id, deg-1)
+		backups := t.cl.backupsOf(n.id, deg-1, scratch[:0])
 		t.charge(CompCheckpoint, int64(len(backups))*t.cl.cfg.NICPostOverheadNs)
 		t0 := t.beginWait()
 		for _, backup := range backups {
@@ -667,6 +643,8 @@ func (t *Thread) saveTimestamp(itv int32, caps []capturedDiff) {
 			n.ep.Post(t.proc, backup, n.msgWire(backup, m), m)
 		}
 		err := n.ep.Fence(t.proc)
+		// The deposit's bulk is the point-B thread state; the paper counts
+		// remote state saving under checkpointing.
 		t.endWait(CompCheckpoint, t0)
 		if err == nil {
 			return

@@ -729,12 +729,14 @@ func (cl *Cluster) backupOf(id int) int {
 	panic("svm: no live backup node")
 }
 
-// backupsOf returns the first m distinct live, non-excluded ring
+// backupScratch sizes the stack array the release path hands backupsOf:
+// up to degree 5 the deposit targets never touch the heap.
+const backupScratch = 4
+
+// backupsOf appends to out the first m distinct live, non-excluded ring
 // successors of node id — the deposit targets for k-replicated saved
-// state (m = Degree()-1). The degree-2 hot path uses backupOf and never
-// allocates.
-func (cl *Cluster) backupsOf(id, m int) []int {
-	out := make([]int, 0, m)
+// state (m = Degree()-1) — and returns it.
+func (cl *Cluster) backupsOf(id, m int, out []int) []int {
 	for i := 1; i < len(cl.nodes) && len(out) < m; i++ {
 		c := (id + i) % len(cl.nodes)
 		if !cl.nodes[c].dead && !cl.nodes[c].excluded {
