@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -305,26 +306,19 @@ func primeGob(t *testing.T) {
 	}
 }
 
-// runCells runs one family through harness.RunGrid; -short leaves out
-// the cells at 256 nodes and up and records their names in skipped.
-func runCells(t *testing.T, cells []namedCell, skipped map[string]bool) ([]namedCell, []harness.Result) {
-	var ran []namedCell
-	var cfgs []harness.Config
-	for _, c := range cells {
-		if testing.Short() && c.Nodes >= 256 {
-			skipped[c.name] = true
-			continue
-		}
-		ran = append(ran, c)
-		cfgs = append(cfgs, c.Config)
+// runCells runs cells through harness.RunGrid; any error is fatal.
+func runCells(t *testing.T, cells []namedCell) []harness.Result {
+	cfgs := make([]harness.Config, len(cells))
+	for i, c := range cells {
+		cfgs[i] = c.Config
 	}
 	rs := harness.RunGrid(cfgs)
 	for i, r := range rs {
 		if r.Err != nil {
-			t.Fatalf("%s: %v", ran[i].name, r.Err)
+			t.Fatalf("%s: %v", cells[i].name, r.Err)
 		}
 	}
-	return ran, rs
+	return rs
 }
 
 func TestGolden(t *testing.T) {
@@ -333,16 +327,20 @@ func TestGolden(t *testing.T) {
 	}
 	primeGob(t)
 
+	// -short leaves out the cells at 256 nodes and up.
 	skipped := map[string]bool{}
+	cells := slices.DeleteFunc(slices.Concat(gridFamily(), scaleFamily(), dirFamily()), func(c namedCell) bool {
+		if testing.Short() && c.Nodes >= 256 {
+			skipped[c.name] = true
+		}
+		return skipped[c.name]
+	})
 	byName := map[string]goldenRow{}
 	var got []goldenRow
-	for _, family := range [][]namedCell{gridFamily(), scaleFamily(), dirFamily()} {
-		ran, rs := runCells(t, family, skipped)
-		for i, r := range rs {
-			row := harnessRow(ran[i].name, r)
-			byName[row.name] = row
-			got = append(got, row)
-		}
+	for i, r := range runCells(t, cells) {
+		row := harnessRow(cells[i].name, r)
+		byName[row.name] = row
+		got = append(got, row)
 	}
 
 	// The grid again with tracked diffing off, and again on the parallel
@@ -358,12 +356,12 @@ func TestGolden(t *testing.T) {
 		for i := range replay {
 			variant.set(&replay[i].Config)
 		}
-		ran, rs := runCells(t, replay, skipped)
-		for i, r := range rs {
+		for i, r := range runCells(t, replay) {
+			name := replay[i].name
 			if r.Workers == 4 && r.EngineWorkers != 4 {
-				t.Errorf("%s with Workers: 4 ran on %d engine worker(s): %s", ran[i].name, r.EngineWorkers, r.SerialFallback)
+				t.Errorf("%s with Workers: 4 ran on %d engine worker(s): %s", name, r.EngineWorkers, r.SerialFallback)
 			}
-			if d := diffRow(byName[ran[i].name], harnessRow(ran[i].name, r)); d != "" {
+			if d := diffRow(byName[name], harnessRow(name, r)); d != "" {
 				t.Errorf("replay with %s differs from the plain run: %s", variant.name, d)
 			}
 		}

@@ -198,11 +198,10 @@ func (h *HomeMap) nextAlive(n NodeID, exclude NodeID) NodeID {
 	panic("proto: no live node available for rehoming")
 }
 
-// rehomeReference is the seed's Rehome — the paper's pair rule, every
-// hit paying a full nextAlive ring scan — kept verbatim as the
-// bit-identity reference for HomeMap.Rehome at k = 2. Tests run both on
-// clones and compare the resulting maps and reassignment lists
-// element-wise.
+// rehomeReference is the seed's Rehome, kept verbatim as the
+// bit-identity reference for HomeMap.Rehome's successor table at k = 2:
+// every hit pays a full nextAlive ring scan. Tests run both on clones
+// and compare the resulting maps and reassignment lists element-wise.
 func (h *HomeMap) rehomeReference(failed NodeID) []Reassignment {
 	if !h.alive[failed] {
 		return nil
@@ -231,10 +230,9 @@ func (h *HomeMap) rehomeReference(failed NodeID) []Reassignment {
 	return out
 }
 
-// TestFlatRehomeMatchesReference pins Rehome — the general-k code with
-// its successor table, run at k = 2 — to the seed's pair rule and
-// per-hit nextAlive scan: identical reassignment lists and identical
-// resulting maps over random assignments and failure orders.
+// TestFlatRehomeMatchesReference pins the successor-table fast path to
+// the seed's per-hit nextAlive scan: identical reassignment lists and
+// identical resulting maps over random assignments and failure orders.
 func TestFlatRehomeMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -12,11 +12,12 @@ import (
 	"testing"
 )
 
-// Stress harness for the rare parallel-engine determinism flake
-// (ROADMAP: the -workers 4 BENCH_PR1 gate very occasionally drifting
-// 1-2 µs under heavy host load, invisible to -race and to uncontended
-// repeats). The window needs three ingredients this file manufactures
-// deterministically:
+// Stress harness for parallel-engine determinism under host load. It was
+// written to chase a 1-2 µs drift of the paper grid at four workers,
+// invisible to -race and to uncontended repeats; that drift turned out
+// to be harness.RunGrid goroutines racing for gob type ids, not the
+// engine (DESIGN §14), but the window this file manufactures is the one
+// a real lane race would need:
 //
 //   - CPU contention: busy-spinner goroutines oversubscribe every P, so
 //     lane workers get descheduled mid-window at arbitrary points;
