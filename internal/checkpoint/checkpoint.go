@@ -15,6 +15,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 
 	"ftsvm/internal/proto"
@@ -36,24 +37,113 @@ type Snapshot struct {
 	Blob []byte
 }
 
-// encBufs recycles encode scratch buffers. The encoder itself is NOT
-// reused: a fresh encoder re-sends type descriptors, and the blob must be
-// byte-for-byte what a standalone encode would produce (its length is a
-// modeled checkpoint cost). Only the scratch allocation is amortized.
-var encBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// typeEncoder is the long-lived encoding state of one state type. A blob
+// must be byte-for-byte what a new gob.Encoder would write for the value
+// (its length is a modeled checkpoint cost), and a new encoder writes the
+// type's descriptor messages, which are constant once gob has numbered the
+// type, followed by one value message, which does not depend on what the
+// encoder sent before. So one encoder per type lives on and writes value
+// messages, and each blob is the cached descriptor bytes followed by what
+// the encoder just wrote. An encoder is never shared between two types:
+// its set of already-sent types is what makes the split valid.
+type typeEncoder struct {
+	// fresh marks a type the split is not valid for; see lazyDescriptors.
+	fresh bool
+
+	mu     sync.Mutex   // held for one encode, never across a run
+	enc    *gob.Encoder // nil until the first encode, and again after an error
+	buf    bytes.Buffer // enc's writer
+	prefix []byte       // what a new encoder writes before the value message
+}
+
+var encoders sync.Map // reflect.Type -> *typeEncoder
+
+func encoderFor(t reflect.Type) *typeEncoder {
+	if te, ok := encoders.Load(t); ok {
+		return te.(*typeEncoder)
+	}
+	te, _ := encoders.LoadOrStore(t, &typeEncoder{fresh: t == nil || lazyDescriptors(t, map[reflect.Type]bool{})})
+	return te.(*typeEncoder)
+}
+
+// lazyDescriptors reports whether gob's output for a value of type t can
+// depend on more than the value and the process-wide type numbering. An
+// interface does: the descriptor of the concrete type inside it is sent
+// when first met, once per encoder, so a long-lived encoder would drop it
+// from every later blob. A map does: its entries are written in iteration
+// order, so two encodes of one value need not agree and the descriptor
+// prefix cannot be checked. seen makes the walk terminate on recursive
+// types.
+func lazyDescriptors(t reflect.Type, seen map[reflect.Type]bool) bool {
+	if seen[t] {
+		return false
+	}
+	seen[t] = true
+	switch t.Kind() {
+	case reflect.Interface, reflect.Map:
+		return true
+	case reflect.Pointer, reflect.Slice, reflect.Array:
+		return lazyDescriptors(t.Elem(), seen)
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if lazyDescriptors(t.Field(i).Type, seen) {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 // Encode serializes an application state value (typically a pointer to a
-// struct) for checkpointing.
+// struct) for checkpointing. The result is what gob.NewEncoder(&b).Encode
+// would write to a new b at this moment in this process.
 func Encode(state any) ([]byte, error) {
-	buf := encBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(state); err != nil {
-		encBufs.Put(buf)
+	blob, err := encoderFor(reflect.TypeOf(state)).encode(state)
+	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encode: %w", err)
 	}
-	blob := make([]byte, buf.Len())
-	copy(blob, buf.Bytes())
-	encBufs.Put(buf)
+	return blob, nil
+}
+
+func (te *typeEncoder) encode(state any) ([]byte, error) {
+	if te.fresh {
+		var b bytes.Buffer
+		err := gob.NewEncoder(&b).Encode(state)
+		return b.Bytes(), err
+	}
+	te.mu.Lock()
+	defer te.mu.Unlock()
+	if te.enc == nil {
+		return te.start(state)
+	}
+	te.buf.Reset()
+	if err := te.enc.Encode(state); err != nil {
+		te.enc = nil // its sent set and the stream no longer agree
+		return nil, err
+	}
+	return slices.Concat(te.prefix, te.buf.Bytes()), nil
+}
+
+// start encodes state on a new encoder, whose output is the standalone
+// blob, and keeps the encoder. It finds the descriptor prefix without
+// knowing gob's framing: a second encode of the same value writes the
+// value message alone, which must be how the first output ends.
+func (te *typeEncoder) start(state any) ([]byte, error) {
+	te.buf.Reset()
+	enc := gob.NewEncoder(&te.buf)
+	if err := enc.Encode(state); err != nil {
+		return nil, err
+	}
+	blob := bytes.Clone(te.buf.Bytes())
+	te.buf.Reset()
+	if err := enc.Encode(state); err != nil {
+		return nil, err
+	}
+	if !bytes.HasSuffix(blob, te.buf.Bytes()) {
+		return nil, fmt.Errorf("gob stream of %T is not descriptors followed by a history-free value message", state)
+	}
+	te.prefix = bytes.Clone(blob[:len(blob)-te.buf.Len()])
+	te.enc = enc
 	return blob, nil
 }
 
@@ -147,15 +237,3 @@ func (s *Store) LatestValid(tid int, ok func(Snapshot) bool) (Snapshot, bool) {
 	}
 	return ts.snaps[best], true
 }
-
-// Threads returns the ids of all threads with at least one snapshot.
-func (s *Store) Threads() []int {
-	var out []int
-	for tid := range s.slots {
-		out = append(out, tid)
-	}
-	return out
-}
-
-// Drop removes all snapshots for thread tid (after a successful migration).
-func (s *Store) Drop(tid int) { delete(s.slots, tid) }
