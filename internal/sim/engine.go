@@ -12,6 +12,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 )
 
@@ -214,6 +215,17 @@ func (e *Engine) SetAfterEvent(fn func()) {
 	e.afterEvent = fn
 }
 
+// yieldMask makes the serial run loop give up its P once every 4096
+// events. Process switches are coroutine hand-offs that bypass the Go
+// scheduler, so a run that keeps every P busy never reaches a scheduling
+// point: the collector's concurrent mark worker then waits for the 10 ms
+// preemption tick to get a P, and for as long as its mark phase stays
+// open every pointer store in the simulation pays the write barrier.
+// Where a P is idle the mark worker has one already and each yield only
+// wakes a thread that finds nothing to do, which is what bounds the
+// stride from below (DESIGN section 9 has both sets of measurements).
+const yieldMask = 1<<12 - 1
+
 // Run executes events until none remain or Stop is called. It returns a
 // DeadlockError if processes are still blocked when the event heap drains.
 func (e *Engine) Run() error {
@@ -255,6 +267,9 @@ func (e *Engine) Run() error {
 		}
 		if e.budget > 0 && e.executed >= e.budget && !e.stopped {
 			return &BudgetError{Time: e.now, Executed: e.executed}
+		}
+		if e.executed&yieldMask == 0 {
+			runtime.Gosched()
 		}
 	}
 	if e.stopped {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 )
 
@@ -213,6 +214,34 @@ func TestProcSwitchAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("a park/dispatch round trip allocates %.2f objects", allocs)
+	}
+}
+
+// TestRunYieldsToScheduler pins the run loop's periodic yield. With one P
+// and no yield, a goroutine made runnable before Run gets the P only at
+// the 10 ms preemption tick, and 8192 callback events (two yield strides)
+// take a fraction of a millisecond; the collector's mark worker is such a
+// goroutine.
+func TestRunYieldsToScheduler(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ran atomic.Bool
+	go ran.Store(true)
+	e := New(1)
+	n, ranByLast := 0, false
+	var tick func()
+	tick = func() {
+		if n++; n < 8192 {
+			e.At(1, tick)
+			return
+		}
+		ranByLast = ran.Load()
+	}
+	e.At(1, tick)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !ranByLast {
+		t.Fatalf("a runnable goroutine had not run by event %d: Run never yielded its P", n)
 	}
 }
 
