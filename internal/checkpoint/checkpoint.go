@@ -47,7 +47,7 @@ type Snapshot struct {
 // the encoder just wrote. An encoder is never shared between two types:
 // its set of already-sent types is what makes the split valid.
 type typeEncoder struct {
-	// fresh marks a type the split is not valid for; see lazyDescriptors.
+	// fresh marks a type the split is not valid for; see needsNewEncoder.
 	fresh bool
 
 	mu     sync.Mutex   // held for one encode, never across a run
@@ -62,19 +62,19 @@ func encoderFor(t reflect.Type) *typeEncoder {
 	if te, ok := encoders.Load(t); ok {
 		return te.(*typeEncoder)
 	}
-	te, _ := encoders.LoadOrStore(t, &typeEncoder{fresh: t == nil || lazyDescriptors(t, map[reflect.Type]bool{})})
+	te, _ := encoders.LoadOrStore(t, &typeEncoder{fresh: t == nil || needsNewEncoder(t, map[reflect.Type]bool{})})
 	return te.(*typeEncoder)
 }
 
-// lazyDescriptors reports whether gob's output for a value of type t can
+// needsNewEncoder reports whether gob's output for a value of type t can
 // depend on more than the value and the process-wide type numbering. An
-// interface does: the descriptor of the concrete type inside it is sent
-// when first met, once per encoder, so a long-lived encoder would drop it
-// from every later blob. A map does: its entries are written in iteration
-// order, so two encodes of one value need not agree and the descriptor
-// prefix cannot be checked. seen makes the walk terminate on recursive
-// types.
-func lazyDescriptors(t reflect.Type, seen map[reflect.Type]bool) bool {
+// interface makes it: the concrete type inside is described the first
+// time an encoder meets it, so a long-lived encoder would leave the
+// description out of every later blob. So does a map: its entries are
+// written in iteration order, so two encodes of one value need not agree
+// and the descriptor prefix cannot be checked. seen makes the walk
+// terminate on recursive types.
+func needsNewEncoder(t reflect.Type, seen map[reflect.Type]bool) bool {
 	if seen[t] {
 		return false
 	}
@@ -83,10 +83,10 @@ func lazyDescriptors(t reflect.Type, seen map[reflect.Type]bool) bool {
 	case reflect.Interface, reflect.Map:
 		return true
 	case reflect.Pointer, reflect.Slice, reflect.Array:
-		return lazyDescriptors(t.Elem(), seen)
+		return needsNewEncoder(t.Elem(), seen)
 	case reflect.Struct:
 		for i := range t.NumField() {
-			if lazyDescriptors(t.Field(i).Type, seen) {
+			if needsNewEncoder(t.Field(i).Type, seen) {
 				return true
 			}
 		}
