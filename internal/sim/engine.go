@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -27,14 +28,24 @@ type Engine struct {
 	seq    uint64
 	events eventHeap
 	// nowq holds events scheduled with zero delay — process dispatches and
-	// NIC drains, the majority of all events — in FIFO order, bypassing the
+	// NIC drains, a third of all events — in FIFO order, bypassing the
 	// heap. Ordering stays exact: a zero-delay event is created at the
-	// current instant, so its seq is greater than that of any heap event
+	// current instant, so its seq is greater than that of any timed event
 	// already due, and FIFO order within the queue is seq order. The run
-	// loop therefore drains due heap events before the now-queue.
+	// loop therefore drains due timed events before the now-queue.
 	nowq   []event
 	nqHead int
-	rng    *rand.Rand
+	// fifos hold timed events by delay value, in front of the heap (see
+	// fifo). fifoMask has bit i set while fifos[i] is non-empty. minSrc
+	// names the source holding the (t, seq)-minimal timed event — a fifo
+	// index, heapSrc, or noSrc when no timed event is pending — and minT is
+	// that event's time; both are kept current by pushTimed and popMin, so
+	// an event taken off the now-queue looks at no timed source.
+	fifos    [numFifos]fifo
+	fifoMask uint8
+	minSrc   int8
+	minT     int64
+	rng      *rand.Rand
 
 	live int // spawned, not yet finished processes
 	// procs lists the spawned processes (finished ones are dropped as it
@@ -148,9 +159,121 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
+// numFifos is the number of constant-delay queues in front of the heap;
+// fifoIndex takes that many of the hash's top bits and fifoMask, a uint8,
+// has one bit each.
+const (
+	fifoBits = 3
+	numFifos = 1 << fifoBits
+)
+
+// Values of Engine.minSrc besides a fifo index.
+const (
+	heapSrc = numFifos
+	noSrc   = -1
+)
+
+// fifo holds the pending timed events of one delay value, oldest first, in
+// a ring. A simulated network has one wire latency and a few fixed
+// timeouts, so most timed events are scheduled with one of a handful of
+// delay values, and events scheduled with one delay value are created in
+// (t, seq) order: now never goes backwards and seq only grows. Appending
+// them to a queue keeps them sorted with no sift. A fifo holds one delay
+// value at a time and takes another only when it is empty, so the argument
+// holds for its whole contents; an event whose delay finds its fifo holding
+// a different value goes to the heap, as every timed event used to. The
+// run loop takes the (t, seq)-minimum over the heap top and the fifo
+// heads, which is the minimum over all timed events, so every event
+// executes at the position a single heap would have given it.
+type fifo struct {
+	delay int64   // the delay value of every event held; meaningless while n == 0
+	buf   []event // ring; len is zero or a power of two
+	head  int
+	n     int
+}
+
+// fifoIndex maps a delay value to its fifo (Fibonacci hashing: the common
+// delays are round numbers that differ in few bits).
+func fifoIndex(delay int64) int {
+	return int(uint64(delay) * 0x9E3779B97F4A7C15 >> (64 - fifoBits))
+}
+
+func (q *fifo) push(ev event) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = ev
+	q.n++
+}
+
+func (q *fifo) grow() {
+	buf := make([]event, max(16, 2*len(q.buf)))
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
+}
+
+func (q *fifo) pop() event {
+	ev := q.buf[q.head]
+	q.buf[q.head] = event{} // release the fn and p references for the GC
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return ev
+}
+
+// pushTimed queues ev to run delay > 0 nanoseconds from now; the caller
+// has set ev.seq.
+func (e *Engine) pushTimed(delay int64, ev event) {
+	ev.t = e.now + delay
+	src := heapSrc
+	i := fifoIndex(delay)
+	if q := &e.fifos[i]; q.n == 0 || q.delay == delay {
+		q.delay = delay
+		q.push(ev)
+		e.fifoMask |= 1 << i
+		src = i
+	} else {
+		e.events.push(ev)
+	}
+	// ev has the largest seq so far: it precedes the current minimum only
+	// with a strictly earlier time, and it then heads its source.
+	if e.minSrc == noSrc || ev.t < e.minT {
+		e.minSrc, e.minT = int8(src), ev.t
+	}
+}
+
+// popMin removes and returns the (t, seq)-minimal timed event, which
+// minSrc names, and finds the next one.
+func (e *Engine) popMin() event {
+	var ev event
+	if i := e.minSrc; i == heapSrc {
+		ev = e.events.pop()
+	} else {
+		q := &e.fifos[i]
+		ev = q.pop()
+		if q.n == 0 {
+			e.fifoMask &^= 1 << i
+		}
+	}
+	src, t, seq := noSrc, int64(0), uint64(0)
+	if e.events.len() > 0 {
+		top := &e.events.a[0]
+		src, t, seq = heapSrc, top.t, top.seq
+	}
+	for m := e.fifoMask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros8(m)
+		q := &e.fifos[i]
+		if h := &q.buf[q.head]; src == noSrc || h.t < t || (h.t == t && h.seq < seq) {
+			src, t, seq = i, h.t, h.seq
+		}
+	}
+	e.minSrc, e.minT = int8(src), t
+	return ev
+}
+
 // New returns an engine whose random source is seeded with seed.
 func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{rng: rand.New(rand.NewSource(seed)), minSrc: noSrc}
 }
 
 // Now returns the current virtual time in nanoseconds.
@@ -174,7 +297,7 @@ func (e *Engine) At(delay int64, fn func()) {
 		e.nowq = append(e.nowq, event{t: e.now, seq: e.seq, fn: fn})
 		return
 	}
-	e.events.push(event{t: e.now + delay, seq: e.seq, fn: fn})
+	e.pushTimed(delay, event{seq: e.seq, fn: fn})
 }
 
 // wakeAt schedules p.wakeIf(gen) after delay nanoseconds without
@@ -234,22 +357,18 @@ func (e *Engine) Run() error {
 	}
 	for !e.stopped {
 		var ev event
-		if e.nqHead < len(e.nowq) {
-			// Due heap events were scheduled before time reached e.now, so
-			// their seqs precede every now-queue entry: drain them first.
-			if e.events.len() > 0 && e.events.a[0].t <= e.now {
-				ev = e.events.pop()
-			} else {
-				ev = e.nowq[e.nqHead]
-				e.nowq[e.nqHead] = event{}
-				e.nqHead++
-				if e.nqHead == len(e.nowq) {
-					e.nowq = e.nowq[:0]
-					e.nqHead = 0
-				}
+		// Due timed events were scheduled before time reached e.now, so
+		// their seqs precede every now-queue entry: drain them first.
+		if e.nqHead < len(e.nowq) && (e.minSrc == noSrc || e.minT > e.now) {
+			ev = e.nowq[e.nqHead]
+			e.nowq[e.nqHead] = event{}
+			e.nqHead++
+			if e.nqHead == len(e.nowq) {
+				e.nowq = e.nowq[:0]
+				e.nqHead = 0
 			}
-		} else if e.events.len() > 0 {
-			ev = e.events.pop()
+		} else if e.minSrc != noSrc {
+			ev = e.popMin()
 			if ev.t > e.now {
 				e.now = ev.t
 			}

@@ -206,7 +206,7 @@ func (e *Engine) Parallel(workers int, lookaheadNs int64) {
 	if len(e.lanes) < 2 {
 		panic("sim: Parallel needs at least 2 lanes (create them with Engine.Lane first)")
 	}
-	if e.events.len() > 0 || e.nqHead < len(e.nowq) {
+	if e.minSrc != noSrc || e.nqHead < len(e.nowq) {
 		// Events scheduled before this call sit in the global serial
 		// queues, which the parallel run loop never drains.
 		panic("sim: Parallel must be enabled before scheduling any events")
@@ -263,8 +263,7 @@ func (ln *Lane) sched(target *Lane, delay int64, ev event) {
 			ev.t = e.now
 			e.nowq = append(e.nowq, ev)
 		} else {
-			ev.t = e.now + delay
-			e.events.push(ev)
+			e.pushTimed(delay, ev)
 		}
 		return
 	}
