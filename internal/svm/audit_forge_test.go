@@ -88,7 +88,7 @@ func TestAuditorForgedViolations(t *testing.T) {
 			// would have nothing to diff against.
 			name: "page-state", mode: ModeFT, invariant: "page-state",
 			forge: func(cl *Cluster) {
-				pg := cl.nodes[1].pt.pages[0]
+				pg := cl.nodes[1].pt.page(0)
 				pg.ensureWorking()
 				pg.setState(pWritable)
 			},
@@ -97,9 +97,9 @@ func TestAuditorForgedViolations(t *testing.T) {
 			// A required version that goes backwards at a calm boundary:
 			// the node would accept a stale copy of the page.
 			name: "version-regression", mode: ModeFT, invariant: "page-transition",
-			forge: func(cl *Cluster) { cl.nodes[1].pt.pages[0].setReqVer(2, 3) },
+			forge: func(cl *Cluster) { cl.nodes[1].pt.page(0).setReqVer(2, 3) },
 			setup: func(cl *Cluster) {
-				cl.eng.At(400, func() { cl.nodes[1].pt.pages[0].setReqVer(2, 5) })
+				cl.eng.At(400, func() { cl.nodes[1].pt.page(0).setReqVer(2, 5) })
 			},
 		},
 		{
@@ -167,10 +167,20 @@ func TestAuditorForgedViolations(t *testing.T) {
 // That regression of an excluded node's element must not trip the
 // auditor, incremental or reference.
 func TestAuditorRecoveryClampStaysSilent(t *testing.T) {
-	cl := idleCluster(t, ModeFT, 4)
+	// Every page is homed on nodes 0 and 1, so node 2 touches none.
+	cfg := model.Default()
+	cfg.Nodes = 4
+	cl, err := New(Options{
+		Config: cfg, Mode: ModeFT, Pages: 2 * pageRunLen, Locks: 1,
+		HomeAssign: func(int) int { return 0 },
+		Body:       func(th *Thread) { th.Compute(10_000_000); th.Barrier() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := AttachAuditDiff(cl)
 	const victim = 3
-	pg := cl.nodes[1].pt.pages[0]
+	pg := cl.nodes[1].pt.page(0)
 	cl.eng.At(400, func() { pg.setReqVer(victim, 5) })
 	cl.eng.At(500, func() { cl.KillNode(victim) })
 	if err := cl.Run(); err != nil {
@@ -188,14 +198,17 @@ func TestAuditorRecoveryClampStaysSilent(t *testing.T) {
 	if got := cl.aud.prevReq[1][0][victim]; got != 0 {
 		t.Fatalf("the clamp bypassed the auditor: it still remembers %d", got)
 	}
-	// The clamp visits every page of every survivor; it must read the
-	// never-notified ones, not materialise their vectors.
+	// The clamp looks over every survivor's table; it must read the
+	// never-notified pages, not materialise their vectors — or the pages.
 	for _, n := range cl.nodes {
-		for _, other := range n.pt.pages {
+		for other := range n.pt.present() {
 			if other != pg && other.reqVer != nil {
 				t.Fatalf("node %d page %d: reqVer materialised without ever being notified", n.id, other.id)
 			}
 		}
+	}
+	for other := range cl.nodes[2].pt.present() {
+		t.Fatalf("node 2 page %d: materialised without ever being touched", other.id)
 	}
 }
 
@@ -231,7 +244,7 @@ func TestAuditDifferentialFirstNoticeInRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := AttachAuditDiff(cl)
-	pg = cl.nodes[1].pt.pages[0]
+	pg = cl.nodes[1].pt.page(0)
 	cl.eng.At(5_000_000, func() {
 		if len(cl.nodes[0].intervals) != 1 || pg.reqVer != nil {
 			t.Errorf("stage not set at the kill: node 0 committed %d intervals, node 1 reqVer = %v", len(cl.nodes[0].intervals), pg.reqVer)
@@ -301,14 +314,14 @@ func TestAuditorFunnelBypassDetected(t *testing.T) {
 		write      func(cl *Cluster)
 	}{
 		{"page-state", "node 1 page 0 structure", func(cl *Cluster) {
-			pg := cl.nodes[1].pt.pages[0]
+			pg := cl.nodes[1].pt.page(0)
 			pg.working = make([]byte, cl.cfg.PageSize)
 			pg.state = pReadOnly
 		}},
 		{"reqVer", "node 1 page 0 reqVer[2]", func(cl *Cluster) {
 			// reqVer is nil until its first funnel write: materialise it
 			// the way setReqVer would, then write past the funnel.
-			pg := cl.nodes[1].pt.pages[0]
+			pg := cl.nodes[1].pt.page(0)
 			pg.reqVer = proto.NewVector(cl.cfg.Nodes)
 			pg.reqVer[2] = 7
 		}},
@@ -351,7 +364,7 @@ func TestAuditBoundaryAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		a, n := cl.aud, cl.nodes[1]
-		pg := n.pt.pages[0]
+		pg := n.pt.page(0)
 		if got := testing.AllocsPerRun(100, a.afterEvent); got != 0 {
 			t.Errorf("degree %d: empty boundary allocates %.1f objects", degree, got)
 		}

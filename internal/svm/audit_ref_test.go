@@ -2,6 +2,7 @@ package svm
 
 import (
 	"fmt"
+	"iter"
 
 	"ftsvm/internal/proto"
 )
@@ -30,6 +31,25 @@ func newRefAuditor(cl *Cluster) *refAuditor {
 		}
 	}
 	return r
+}
+
+// every yields all npages pages of the table in page order, for the sweeps
+// that are the reference because they skip nothing. It materialises none:
+// an absent page is yielded as the zero page it stands for.
+func (pt *pageTable) every() iter.Seq2[int, *page] {
+	return func(yield func(int, *page) bool) {
+		var zero page
+		for pid := range pt.npages {
+			zero = page{id: pid, pt: pt}
+			pg := &zero
+			if r := pt.runs[pid>>pageRunShift]; r != nil {
+				pg = &r[pid&(pageRunLen-1)]
+			}
+			if !yield(pid, pg) {
+				return
+			}
+		}
+	}
 }
 
 func (r *refAuditor) check() error {
@@ -109,7 +129,7 @@ func (r *refAuditor) checkPages() error {
 		if n.dead {
 			continue
 		}
-		for pid, pg := range n.pt.pages {
+		for pid, pg := range n.pt.every() {
 			switch pg.state {
 			case pWritable:
 				if pg.twin == nil || pg.working == nil {
@@ -213,8 +233,8 @@ func AttachAuditDiff(cl *Cluster) *AuditDiff {
 	d.lockSig = make([][]uint8, nn)
 	d.member = make([]uint8, nn)
 	for i, n := range cl.nodes {
-		d.pageSig[i] = make([]uint8, len(n.pt.pages))
-		d.reqVer[i] = make([]int32, len(n.pt.pages)*nn)
+		d.pageSig[i] = make([]uint8, n.pt.npages)
+		d.reqVer[i] = make([]int32, n.pt.npages*nn)
 		d.lockSig[i] = make([]uint8, cl.lockHomes.Items())
 	}
 	d.snapshot(false)
@@ -284,7 +304,7 @@ func (d *AuditDiff) compareHistory() string {
 		if n.dead {
 			continue
 		}
-		for pid := range n.pt.pages {
+		for pid := range n.pt.npages {
 			prev, ref := a.prevReq[i][pid], r.prevReq[i][pid]
 			for src, v := range ref {
 				got := int32(0) // a nil history is the zero vector
@@ -353,7 +373,7 @@ func (d *AuditDiff) snapshot(verify bool) {
 		if n.dead {
 			continue // a dead node's state is not audited
 		}
-		for pid, pg := range n.pt.pages {
+		for pid, pg := range n.pt.every() {
 			if sig := pageSigOf(pg); sig != d.pageSig[i][pid] {
 				d.pageSig[i][pid] = sig
 				if !pg.audTouched {

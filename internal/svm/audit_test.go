@@ -50,7 +50,7 @@ func lockStepBody(iters, nlocks int) func(*Thread) {
 func finalU64(t *testing.T, cl *Cluster, addr int) uint64 {
 	t.Helper()
 	home := cl.pageHomes.Primary(0)
-	pg := cl.nodes[home].pt.pages[0]
+	pg := cl.nodes[home].pt.page(0)
 	buf := pg.working
 	if cl.opt.Mode == ModeFT {
 		buf = pg.committed

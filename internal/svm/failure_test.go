@@ -285,7 +285,7 @@ func TestNoPostCheckpointLeakage(t *testing.T) {
 		if n.dead {
 			continue
 		}
-		for _, pg := range n.pt.pages {
+		for _, pg := range n.pt.every() {
 			for _, buf := range [][]byte{pg.committed, pg.tentative} {
 				if buf == nil {
 					continue

@@ -223,7 +223,7 @@ func (t *Thread) invalidate(pid int, src int, itv int32) {
 	if src == n.id {
 		return
 	}
-	pg := n.pt.pages[pid]
+	pg := n.pt.page(pid)
 	if pg.reqAt(src) < itv {
 		pg.setReqVer(src, itv)
 	}

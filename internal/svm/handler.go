@@ -65,7 +65,7 @@ func (n *node) handle(d *vmmc.Delivery) {
 
 // applyDiffMsg lands a diff at a home copy.
 func (n *node) applyDiffMsg(m *diffMsg) {
-	pg := n.pt.pages[m.Page]
+	pg := n.pt.page(m.Page)
 	cfg := n.cl.cfg
 	switch m.Phase {
 	case 0: // base protocol: the working copy is the home copy
@@ -115,7 +115,7 @@ func (n *node) applyDiffMsg(m *diffMsg) {
 
 // handleFetch serves (or defers) a remote page fetch.
 func (n *node) handleFetch(d *vmmc.Delivery, m *fetchReq) {
-	pg := n.pt.pages[m.Page]
+	pg := n.pt.page(m.Page)
 	cfg := n.cl.cfg
 	var buf []byte
 	var ver proto.VectorTime

@@ -21,7 +21,7 @@ func (cl *Cluster) PeekBytes(addr, n int) []byte {
 			chunk = n - i
 		}
 		home := cl.pageHomes.Primary(pid)
-		pg := cl.nodes[home].pt.pages[pid]
+		pg := cl.nodes[home].pt.page(pid)
 		var buf []byte
 		if cl.opt.Mode == ModeFT {
 			buf = pg.committed
@@ -57,11 +57,11 @@ func (cl *Cluster) PeekLiveBytes(addr, n int) []byte {
 		}
 		var buf []byte
 		if home := cl.pageHomes.Primary(pid); !cl.nodes[home].dead {
-			buf = cl.nodes[home].pt.pages[pid].committed
+			buf = cl.nodes[home].pt.page(pid).committed
 		} else {
 			for s := 1; s < cl.pageHomes.Degree(); s++ {
 				if sec := cl.pageHomes.Replica(pid, s); !cl.nodes[sec].dead {
-					buf = cl.nodes[sec].pt.pages[pid].tentative
+					buf = cl.nodes[sec].pt.page(pid).tentative
 					break
 				}
 			}
@@ -92,14 +92,14 @@ func (cl *Cluster) DebugPage(p int) string {
 	S := cl.pageHomes.Secondary(p)
 	out := fmt.Sprintf("page %d: P=n%d S=n%d\n", p, P, S)
 	for i, nd := range cl.nodes {
-		pg := nd.pt.pages[p]
+		pg := nd.pt.page(p)
 		out += fmt.Sprintf("  n%d dead=%v state=%v commit=%v%v tent=%v%v work=%v base=%v req=%v lastItv=%d\n",
 			i, nd.dead, pg.state,
 			pg.committed != nil, pg.commitVer,
 			pg.tentative != nil, pg.tentVer,
 			pg.working != nil, pg.baseVer, pg.reqVer, pg.lastLocalItv)
 	}
-	pgP, pgS := cl.nodes[P].pt.pages[p], cl.nodes[S].pt.pages[p]
+	pgP, pgS := cl.nodes[P].pt.page(p), cl.nodes[S].pt.page(p)
 	div := -1
 	if pgP.committed != nil && pgS.tentative != nil {
 		for i := range pgP.committed {

@@ -134,7 +134,7 @@ func (cl *Cluster) wakeForRecovery() {
 		for _, ol := range n.owned {
 			ol.gate.Broadcast()
 		}
-		for _, pg := range n.pt.pages {
+		for pg := range n.pt.present() {
 			if pg.locked {
 				pg.lockGate.Broadcast()
 			}
@@ -355,7 +355,7 @@ func (t *Thread) runRecovery() {
 		if n.dead {
 			continue
 		}
-		for _, pg := range n.pt.pages {
+		for pg := range n.pt.present() {
 			if len(pg.waiters) > 0 && pg.committed != nil {
 				pg.serveWaiters(pg.commitVer, pg.committed, cfg.PageSize+64)
 			}

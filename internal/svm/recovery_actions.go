@@ -48,13 +48,13 @@ func (t *Thread) reconcilePages(deads []int, saveds []*savedState) {
 			if cl.nodes[P].dead {
 				continue // no committed copy; the promotion rebuilds from a survivor
 			}
-			pgP := cl.nodes[P].pt.pages[p]
+			pgP := cl.nodes[P].pt.page(p)
 			for s := 1; s < deg; s++ {
 				S := cl.pageHomes.Replica(p, s)
 				if cl.nodes[S].dead {
 					continue // this tentative copy died; rehomeAndReplicate rebuilds it
 				}
-				pgS := cl.nodes[S].pt.pages[p]
+				pgS := cl.nodes[S].pt.page(p)
 				if pgP.committed == nil && pgS.tentative == nil {
 					continue
 				}
@@ -106,7 +106,7 @@ func (t *Thread) reconcilePages(deads []int, saveds []*savedState) {
 			if cl.nodes[P].dead {
 				continue // no committed copy survives; handled by replay
 			}
-			pg := cl.nodes[P].pt.pages[d.Page]
+			pg := cl.nodes[P].pt.page(d.Page)
 			ensureCommitted(cl, pg)
 			if pg.commitVer[dead] < tsD {
 				d.Apply(pg.committed)
@@ -148,8 +148,8 @@ func (t *Thread) rehomeAndReplicate(dead int, deads []int, tsOf []int32) {
 	cfg := cl.cfg
 	bytesMoved := 0
 	for _, r := range t.rehome(cl.pageHomes, dead) {
-		pg := cl.nodes[r.NewNode].pt.pages[r.Item]
-		sv := cl.nodes[r.Survivor].pt.pages[r.Item]
+		pg := cl.nodes[r.NewNode].pt.page(r.Item)
+		sv := cl.nodes[r.Survivor].pt.page(r.Item)
 		switch r.Role {
 		case proto.Primary:
 			// Promotion in place: the old secondary becomes primary; its
@@ -180,7 +180,7 @@ func (t *Thread) rehomeAndReplicate(dead int, deads []int, tsOf []int32) {
 				// nodes' uncommitted updates back too, or a later promotion
 				// of that replica would resurrect a cancelled interval.
 				for s := 1; s < deg; s++ {
-					osPg := cl.nodes[cl.pageHomes.Replica(r.Item, s)].pt.pages[r.Item]
+					osPg := cl.nodes[cl.pageHomes.Replica(r.Item, s)].pt.page(r.Item)
 					if osPg.tentative == nil || osPg.tentVer == nil {
 						continue
 					}
@@ -212,7 +212,7 @@ func (t *Thread) rehomeAndReplicate(dead int, deads []int, tsOf []int32) {
 					if n == r.NewNode || cl.nodes[n].dead {
 						continue
 					}
-					if cand := cl.nodes[n].pt.pages[r.Item]; cand.tentative != nil {
+					if cand := cl.nodes[n].pt.page(r.Item); cand.tentative != nil {
 						src = cand
 						break
 					}
@@ -375,7 +375,7 @@ func (t *Thread) globalSync(dead int, saved *savedState) {
 		}
 		n.vt.Merge(globalVT)
 		// Clamp requirements on the dead node's cancelled intervals.
-		for _, pg := range n.pt.pages {
+		for pg := range n.pt.present() {
 			if pg.reqAt(dead) > saved.ts[dead] {
 				pg.setReqVer(dead, saved.ts[dead])
 			}
@@ -391,7 +391,7 @@ func (n *node) invalidateRaw(pid, src int, itv int32) {
 	if src == n.id {
 		return
 	}
-	pg := n.pt.pages[pid]
+	pg := n.pt.page(pid)
 	if pg.reqAt(src) < itv {
 		pg.setReqVer(src, itv)
 	}

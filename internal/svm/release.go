@@ -40,7 +40,7 @@ func (t *Thread) commitInterval() (int32, []capturedDiff) {
 	diffBytes := 0
 	n.commitSeq++
 	for _, pid := range n.dirty {
-		pg := n.pt.pages[pid]
+		pg := n.pt.page(pid)
 		if pg.seenCommit == n.commitSeq {
 			continue // duplicate dirty-list entry (fetch-merge re-listing)
 		}
@@ -159,7 +159,7 @@ func (t *Thread) commitInterval() (int32, []capturedDiff) {
 		sink(n.id, itv, n.vt.Clone(), logged)
 	}
 	for _, pid := range pages {
-		n.pt.pages[pid].lastLocalItv = itv
+		n.pt.page(pid).lastLocalItv = itv
 	}
 
 	t.charge(CompDiff, cfg.DiffNs(diffBytes))
@@ -170,7 +170,7 @@ func (t *Thread) commitInterval() (int32, []capturedDiff) {
 		// updates to home pages; expose their new version immediately.
 		for _, pid := range pages {
 			if t.cl.pageHomes.Primary(pid) == n.id {
-				pg := n.pt.pages[pid]
+				pg := n.pt.page(pid)
 				if pg.baseVer[n.id] < itv {
 					pg.baseVer[n.id] = itv
 				}
@@ -305,7 +305,7 @@ func (t *Thread) releaseFT(afterVisible func()) {
 			t.propagateSinglePhase(caps, itv)
 		}
 		for _, c := range caps {
-			pg := n.pt.pages[c.pid]
+			pg := n.pt.page(c.pid)
 			pg.locked = false
 			pg.lockGate.Broadcast()
 		}
@@ -340,7 +340,7 @@ func (t *Thread) releaseFT(afterVisible func()) {
 		}
 		t.cl.trace(obs.KReleasePhase2, n.id, t.id, n.releaseSeq+1)
 		for _, c := range caps {
-			pg := n.pt.pages[c.pid]
+			pg := n.pt.page(c.pid)
 			pg.locked = false
 			pg.lockGate.Broadcast()
 		}
@@ -583,7 +583,7 @@ func (t *Thread) propagatePhase(caps []capturedDiff, itv int32, phase int) {
 // copy (primary homes hold committed copies, secondary homes tentative).
 func (t *Thread) applyLocalDiff(c capturedDiff, itv int32, phase int) {
 	n := t.node
-	pg := n.pt.pages[c.pid]
+	pg := n.pt.page(c.pid)
 	cfg := t.cl.cfg
 	t.charge(CompDiff, cfg.CopyNs(c.diff.DataBytes()))
 	if phase == 1 {

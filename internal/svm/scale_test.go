@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ftsvm/internal/model"
 )
@@ -30,10 +31,33 @@ func TestThreadCapGuard(t *testing.T) {
 	}
 }
 
+// xlargeConfig is the 512-node tier's model configuration
+// (harness.TierXLarge, which this package cannot import).
+func xlargeConfig() model.Config {
+	cfg := model.Default()
+	cfg.Nodes = 512
+	cfg.FanoutArity = 8
+	cfg.VTCodec = model.VTDelta
+	cfg.ProbeNeighbors = 3
+	cfg.LockBackoffMaxNs = 40_000 * 512 * 512 / 64
+	cfg.Directory = model.DirHashed
+	return cfg
+}
+
+// presentPages counts the pages node n has materialised.
+func presentPages(n *node) (c int) {
+	for range n.pt.present() {
+		c++
+	}
+	return c
+}
+
 // TestNewClusterAllocBudget is the construction gate for the 512-node
-// tier: New allocates O(nodes + pages) objects — one page slab per node,
-// no per-(node, page) vector — so building the xlarge shape stays within
-// a budget the eager layout exceeded 25-fold (537 687 objects, 682 MB).
+// tier: New allocates O(nodes + pages) objects and bytes — a node's page
+// table starts with the runs that hold its home pages, and no
+// per-(node, page) vector — so building the xlarge shape stays within a
+// budget the eager layout exceeded 40-fold (537 687 objects, 682 MB) and
+// one slab of every page per node 9-fold (145 MB).
 func TestNewClusterAllocBudget(t *testing.T) {
 	cfg := model.Default()
 	cfg.Nodes = 512
@@ -47,11 +71,74 @@ func TestNewClusterAllocBudget(t *testing.T) {
 	}
 	mallocs, mb := after.Mallocs-before.Mallocs, float64(after.TotalAlloc-before.TotalAlloc)/1e6
 	t.Logf("New(512 nodes x 512 pages): %d mallocs, %.1f MB", mallocs, mb)
-	if mallocs > 20_000 || mb > 160 {
-		t.Fatalf("New allocates %d objects / %.1f MB, budget 20000 / 160 MB", mallocs, mb)
+	if mallocs > 20_000 || mb > 16 {
+		t.Fatalf("New allocates %d objects / %.1f MB, budget 20000 / 16 MB", mallocs, mb)
 	}
-	if pg := cl.nodes[511].pt.pages[511]; pg.id != 511 || pg.pt != cl.nodes[511].pt || pg.reqVer != nil {
-		t.Fatalf("page slab mis-initialised: %+v", pg)
+	// Node 511 is home to pages 510 and 511 and has touched nothing else.
+	pt := cl.nodes[511].pt
+	if pt.runs[0] != nil {
+		t.Fatal("node 511 holds page 0, which nothing has touched")
+	}
+	if pg := pt.page(0); pg.id != 0 || pg.pt != pt || pg.state != pInvalid || pg.reqVer != nil || pg.working != nil || pg.locked {
+		t.Fatalf("page 0, materialised on first touch, is not the zero page: id %d state %d", pg.id, pg.state)
+	}
+	if pg := pt.page(511); pg.id != 511 || pg.pt != pt || pg.committed == nil {
+		t.Fatalf("home page 511 mis-initialised: id %d, committed copy %v", pg.id, pg.committed != nil)
+	}
+}
+
+// TestPageRunFitsSizeClass pins the arithmetic behind pageRunLen: a full
+// run and the allocator's 8-byte header for a pointerful object must fit
+// the 8 KB size class. One more word in page and every run moves to the
+// 9.25 KB class, 16% more memory for every page any node touches.
+func TestPageRunFitsSizeClass(t *testing.T) {
+	if sz := pageRunLen*unsafe.Sizeof(page{}) + 8; sz > 8192 {
+		t.Fatalf("a run of %d pages of %d bytes takes %d bytes with its header, over the 8192-byte size class", pageRunLen, unsafe.Sizeof(page{}), sz)
+	}
+}
+
+// TestPageTableStaysSparse runs the lock-bound micro-workload on the
+// 512-node tier, healthy and with a node killed at its second release: a
+// node touches the counter's page and its own home pages, recovery hands
+// a survivor a few of the victim's, and the walks recovery makes over
+// every survivor's table (wakeForRecovery, the waiter re-serve, the
+// dead-node clamp) must not build the rest. Four runs of pages is what a
+// node's own three can grow to with a rehomed page in a fourth.
+func TestPageTableStaysSparse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 512-node runs")
+	}
+	const bound = 4 * pageRunLen
+	for _, kill := range []bool{false, true} {
+		opt := Options{Config: xlargeConfig(), Mode: ModeFT, Pages: 512, Locks: 1, Body: counterBody(6)}
+		var tracer *killTracer
+		if kill {
+			tracer = &killTracer{kind: "release.done", node: 256, seq: 2}
+			opt.Tracer = tracer
+		}
+		cl, err := New(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kill {
+			tracer.cl = cl
+		}
+		if err := cl.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if kill && cl.ProtoStats().Recoveries != 1 {
+			t.Fatal("the kill was never recovered from")
+		}
+		checkCounter(t, cl, 512*6)
+		most, total := 0, 0
+		for _, n := range cl.nodes {
+			c := presentPages(n)
+			most, total = max(most, c), total+c
+		}
+		t.Logf("kill=%v: %d of %d (node, page) pairs materialised, at most %d on one node", kill, total, 512*512, most)
+		if most > bound {
+			t.Fatalf("kill=%v: a node materialised %d of 512 pages, bound %d", kill, most, bound)
+		}
 	}
 }
 

@@ -64,7 +64,7 @@ func checkCounter(t *testing.T, cl *Cluster, want uint64) {
 	t.Helper()
 	// Read the final value out of the primary home's authoritative copy.
 	home := cl.pageHomes.Primary(0)
-	pg := cl.nodes[home].pt.pages[0]
+	pg := cl.nodes[home].pt.page(0)
 	var buf []byte
 	if cl.opt.Mode == ModeFT {
 		buf = pg.committed

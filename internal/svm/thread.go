@@ -170,10 +170,10 @@ func (t *Thread) pageOf(addr int) (*page, int) {
 		psz := t.cl.cfg.PageSize
 		pid, off = addr/psz, addr%psz
 	}
-	if pid < 0 || pid >= len(t.node.pt.pages) {
+	if pid < 0 || pid >= t.node.pt.npages {
 		panic(fmt.Sprintf("svm: address %d out of shared space", addr))
 	}
-	return t.node.pt.pages[pid], off
+	return t.node.pt.page(pid), off
 }
 
 // readable ensures the page may be read locally, faulting if needed.

@@ -29,10 +29,10 @@ func (cl *Cluster) VerifyReplicas() error {
 				return fmt.Errorf("page %d: home on dead node (slot %d = node %d)", p, s, h)
 			}
 		}
-		pgP := cl.nodes[dir.Replica(p, 0)].pt.pages[p]
+		pgP := cl.nodes[dir.Replica(p, 0)].pt.page(p)
 		touched := pgP.committed != nil
 		for s := 1; s < deg; s++ {
-			if cl.nodes[dir.Replica(p, s)].pt.pages[p].tentative != nil {
+			if cl.nodes[dir.Replica(p, s)].pt.page(p).tentative != nil {
 				touched = true
 			}
 		}
@@ -43,7 +43,7 @@ func (cl *Cluster) VerifyReplicas() error {
 			return fmt.Errorf("page %d: one replica missing", p)
 		}
 		for s := 1; s < deg; s++ {
-			pgS := cl.nodes[dir.Replica(p, s)].pt.pages[p]
+			pgS := cl.nodes[dir.Replica(p, s)].pt.page(p)
 			if pgS.tentative == nil {
 				return fmt.Errorf("page %d: one replica missing", p)
 			}
@@ -81,7 +81,7 @@ func (cl *Cluster) VerifyAvailability() error {
 			return err
 		}
 		copyAt := func(s int) []byte {
-			pg := cl.nodes[dir.Replica(p, s)].pt.pages[p]
+			pg := cl.nodes[dir.Replica(p, s)].pt.page(p)
 			if s == 0 {
 				return pg.committed
 			}
