@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Future is a one-shot value that processes can block on. A Future is
 // created in the pending state and becomes done exactly once, via Resolve
 // or Fail. Futures must be manipulated from engine or process context.
@@ -21,6 +23,16 @@ func (f *Future) addWaiter(w waiter) {
 		f.waiters = f.w0[:0]
 	}
 	f.waiters = append(f.waiters, w)
+}
+
+// removeWaiter drops w, keeping the others in order. A wait that timed out
+// would otherwise leave its entry behind until the future completes: a
+// no-op then, but a caller that waits in a loop of timeouts (a request
+// re-armed every heartbeat) grows the list by one per round.
+func (f *Future) removeWaiter(w waiter) {
+	if i := slices.Index(f.waiters, w); i >= 0 {
+		f.waiters = slices.Delete(f.waiters, i, i+1)
+	}
 }
 
 type waiter struct {
@@ -86,6 +98,7 @@ func (p *Proc) AwaitTimeout(f *Future, d int64) (any, error, bool) {
 	p.eng.wakeAt(d, p, gen)
 	p.doSleep()
 	if !f.done {
+		f.removeWaiter(waiter{p, gen})
 		return nil, nil, false
 	}
 	return f.val, f.err, true

@@ -117,6 +117,60 @@ func TestAwaitTimeout(t *testing.T) {
 	}
 }
 
+// TestAwaitTimeoutLeavesNoWaiter pins what a timed-out wait leaves on the
+// future: nothing. A request that re-arms its wait every heartbeat used to
+// add one stale waiter per round, spilling the inline slot to the heap.
+func TestAwaitTimeoutLeavesNoWaiter(t *testing.T) {
+	e := New(1)
+	f := e.NewFuture()
+	allocs := -1.0
+	e.Spawn("p", func(p *Proc) {
+		p.AwaitTimeout(f, 5) // first use sizes the event queues
+		allocs = testing.AllocsPerRun(1000, func() {
+			if _, _, ok := p.AwaitTimeout(f, 5); ok {
+				t.Error("a pending future reported done")
+			}
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.waiters) > 1 {
+		t.Fatalf("the future holds %d waiters after 1000 timeouts", len(f.waiters))
+	}
+	if allocs != 0 {
+		t.Fatalf("a timed-out wait allocates %.2f objects", allocs)
+	}
+}
+
+// TestAwaitTimeoutKeepsOtherWaiters: removing the entry of a wait that
+// timed out leaves the others waiting, and in their order.
+func TestAwaitTimeoutKeepsOtherWaiters(t *testing.T) {
+	e := New(1)
+	f := e.NewFuture()
+	var order []string
+	wait := func(name string, d int64) {
+		e.Spawn(name, func(p *Proc) {
+			if d == 0 {
+				p.Await(f)
+			} else if _, _, ok := p.AwaitTimeout(f, d); ok {
+				t.Errorf("%s: timed wait reported done at %d", name, p.Now())
+			}
+			order = append(order, name)
+		})
+	}
+	wait("a", 0)
+	wait("b", 10)
+	wait("c", 0)
+	e.At(20, func() { f.Resolve(nil) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(order, []string{"b", "a", "c"}) {
+		t.Fatalf("wake order %v, want [b a c]", order)
+	}
+}
+
 func TestFutureFail(t *testing.T) {
 	e := New(1)
 	f := e.NewFuture()
