@@ -275,38 +275,34 @@ func (n *node) deliverBarRelease(rel *barRelease) {
 // fanoutChildren returns the ids this node forwards a tree broadcast to:
 // the live (non-excluded) membership is listed in ascending id order with
 // the current master rotated to the root, and the node at tree index i
-// has children at indexes k*i+1 .. k*i+k. Recomputed per call so the tree
-// always reflects the current membership — a recovery that excludes a
-// node reshapes the tree for every later broadcast.
+// has children at indexes k*i+1 .. k*i+k. The order is built once per
+// membership — a recovery that excludes a node drops it, which reshapes
+// the tree for every later broadcast — and the result is a window into
+// it: callers only range over it.
 func (cl *Cluster) fanoutChildren(self int) []int {
-	k := cl.cfg.FanoutArity
-	live := make([]int, 0, len(cl.nodes))
-	master := cl.masterNode()
-	live = append(live, master)
-	for id, nd := range cl.nodes {
-		if !nd.excluded && id != master {
-			live = append(live, id)
+	if cl.fanoutOrder == nil {
+		master := cl.masterNode()
+		cl.fanoutOrder = append(make([]int, 0, len(cl.nodes)), master)
+		cl.fanoutIndex = make([]int, len(cl.nodes))
+		for id, nd := range cl.nodes {
+			switch {
+			case nd.excluded:
+				cl.fanoutIndex[id] = -1 // excluded nodes relay nothing
+			case id != master: // the master is at index 0 already
+				cl.fanoutIndex[id] = len(cl.fanoutOrder)
+				cl.fanoutOrder = append(cl.fanoutOrder, id)
+			}
 		}
 	}
-	idx := -1
-	for i, id := range live {
-		if id == self {
-			idx = i
-			break
-		}
-	}
+	idx := cl.fanoutIndex[self]
 	if idx < 0 {
-		return nil // excluded nodes relay nothing
-	}
-	lo := k*idx + 1
-	if lo >= len(live) {
 		return nil
 	}
-	hi := lo + k
-	if hi > len(live) {
-		hi = len(live)
+	lo := cl.cfg.FanoutArity*idx + 1
+	if lo >= len(cl.fanoutOrder) {
+		return nil
 	}
-	return live[lo:hi]
+	return cl.fanoutOrder[lo:min(lo+cl.cfg.FanoutArity, len(cl.fanoutOrder))]
 }
 
 // probeCluster checks node liveness; a dead node found outside a

@@ -74,6 +74,7 @@ func (cl *Cluster) setRecoveryPending(p bool) {
 // exclude removes a dead node whose recovery completed from the cluster.
 func (cl *Cluster) exclude(n *node) {
 	n.excluded = true
+	cl.fanoutOrder = nil
 	cl.unrecovered--
 	cl.membershipChanged()
 }

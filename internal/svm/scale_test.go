@@ -3,6 +3,7 @@ package svm
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -344,4 +345,54 @@ func TestBoundedProbeDetection(t *testing.T) {
 		t.Fatal("no recovery ran — the kill never happened?")
 	}
 	checkPhased(t, cl, 5)
+}
+
+// fanoutChildrenRef is fanoutChildren as it was before the membership
+// order was cached: rebuilt from the nodes on every call.
+func fanoutChildrenRef(cl *Cluster, self int) []int {
+	k := cl.cfg.FanoutArity
+	master := cl.masterNode()
+	live := []int{master}
+	for id, nd := range cl.nodes {
+		if !nd.excluded && id != master {
+			live = append(live, id)
+		}
+	}
+	idx := slices.Index(live, self)
+	if idx < 0 || k*idx+1 >= len(live) {
+		return nil
+	}
+	return live[k*idx+1 : min(k*idx+1+k, len(live))]
+}
+
+// TestFanoutChildrenCached holds the cached tree order to the recomputed
+// one for every node across a sequence of exclusions — the master, a leaf,
+// an inner node, the next master — and pins that relaying a release in a
+// settled membership allocates nothing.
+func TestFanoutChildrenCached(t *testing.T) {
+	cfg := model.Default()
+	cfg.Nodes = 23
+	cfg.FanoutArity = 3
+	cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 23, Locks: 1, Body: func(*Thread) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		for self := range cl.nodes {
+			if got, want := cl.fanoutChildren(self), fanoutChildrenRef(cl, self); !slices.Equal(got, want) {
+				t.Fatalf("%s: children of node %d = %v, recomputed %v", when, self, got, want)
+			}
+		}
+	}
+	check("full membership")
+	for _, victim := range []int{0, 22, 2, 1, 11} {
+		cl.nodes[victim].dead = true
+		cl.unrecovered++
+		cl.exclude(cl.nodes[victim])
+		check(fmt.Sprintf("node %d excluded", victim))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { cl.fanoutChildren(7) }); allocs != 0 {
+		t.Fatalf("fanoutChildren allocates %.1f objects per call in a settled membership", allocs)
+	}
 }

@@ -179,6 +179,12 @@ type Cluster struct {
 	// sweep has nothing to find and is skipped.
 	unrecovered int
 
+	// fanoutOrder is the tree broadcast's membership order and fanoutIndex
+	// each node's index in it (-1 once excluded), built by fanoutChildren
+	// on first use and dropped by exclude, the one writer of node.excluded.
+	fanoutOrder []int
+	fanoutIndex []int
+
 	// tracked enables dirty-chunk write tracking with lazy partial twins
 	// (the default; see Options.FullTwins).
 	tracked bool
