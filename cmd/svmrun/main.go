@@ -25,7 +25,7 @@ import (
 func main() {
 	app := flag.String("app", "fft", "application: fft, lu, waternsq, watersp, radix, volrend")
 	mode := flag.String("mode", "extended", "protocol: base, extended")
-	lock := flag.String("lock", "polling", "lock algorithm: polling, queue")
+	lock := flag.String("lock", "polling", "lock algorithm: polling, queue, nic")
 	size := flag.String("size", "medium", "problem size: small, medium, paper")
 	nodes := flag.Int("nodes", 8, "cluster nodes")
 	threads := flag.Int("threads", 1, "compute threads per node")
@@ -58,8 +58,10 @@ func main() {
 		la = svm.LockPolling
 	case "queue":
 		la = svm.LockQueue
+	case "nic":
+		la = svm.LockNIC
 	default:
-		fmt.Fprintf(os.Stderr, "svmrun: unknown -lock %q (want polling, queue)\n", *lock)
+		fmt.Fprintf(os.Stderr, "svmrun: unknown -lock %q (want polling, queue, nic)\n", *lock)
 		os.Exit(2)
 	}
 

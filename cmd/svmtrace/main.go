@@ -82,9 +82,15 @@ func main() {
 	cfg.Nodes = *nodes
 	cfg.ThreadsPerNode = *threads
 
-	m := svm.ModeFT
-	if *mode == "base" {
+	var m svm.Mode
+	switch *mode {
+	case "base":
 		m = svm.ModeBase
+	case "extended":
+		m = svm.ModeFT
+	default:
+		fmt.Fprintf(os.Stderr, "svmtrace: unknown -mode %q (want base, extended)\n", *mode)
+		os.Exit(2)
 	}
 	s := apps.Shape{Nodes: cfg.Nodes, ThreadsPerNode: cfg.ThreadsPerNode, PageSize: cfg.PageSize}
 	w, err := harness.Build(*app, harness.Size(*size), s)
