@@ -45,14 +45,6 @@ func xlargeConfig() model.Config {
 	return cfg
 }
 
-// presentPages counts the pages node n has materialised.
-func presentPages(n *node) (c int) {
-	for range n.pt.present() {
-		c++
-	}
-	return c
-}
-
 // TestNewClusterAllocBudget is the construction gate for the 512-node
 // tier: New allocates O(nodes + pages) objects and bytes — a node's page
 // table starts with the runs that hold its home pages, and no
@@ -133,7 +125,10 @@ func TestPageTableStaysSparse(t *testing.T) {
 		checkCounter(t, cl, 512*6)
 		most, total := 0, 0
 		for _, n := range cl.nodes {
-			c := presentPages(n)
+			c := 0
+			for range n.pt.present() {
+				c++
+			}
 			most, total = max(most, c), total+c
 		}
 		t.Logf("kill=%v: %d of %d (node, page) pairs materialised, at most %d on one node", kill, total, 512*512, most)
