@@ -18,8 +18,6 @@ package explore
 
 import (
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
@@ -123,13 +121,11 @@ func Record(sp Spec) (*Trace, error) {
 	cl.EnableAuditor()
 
 	tr := &Trace{}
-	occ := map[occKey]int64{}
-	h := fnv.New64a()
+	occ := newOccCounter(cl.Nodes())
+	h := fnvOffset64
 	rec.SetSink(func(e obs.Event) {
-		k := occKey{e.Kind, e.Node}
-		occ[k]++
-		tr.Boundaries = append(tr.Boundaries, Boundary{Kind: e.Kind, Node: e.Node, Occ: occ[k]})
-		hashEvent(h, e)
+		tr.Boundaries = append(tr.Boundaries, Boundary{Kind: e.Kind, Node: e.Node, Occ: occ.next(e.Kind, e.Node)})
+		h = hashEvent(h, e)
 	})
 	if err := cl.Run(); err != nil {
 		return nil, fmt.Errorf("explore: %s baseline run: %w", sp.Name, err)
@@ -142,14 +138,34 @@ func Record(sp Spec) (*Trace, error) {
 	}
 	tr.Events = cl.Engine().Events()
 	tr.TimeNs = cl.ExecTime()
-	hashMemory(h, cl)
-	tr.Fingerprint = fmt.Sprintf("%016x", h.Sum64())
+	tr.Fingerprint = fmt.Sprintf("%016x", hashMemory(h, cl))
 	return tr, nil
 }
 
-type occKey struct {
-	kind obs.Kind
-	node int32
+// occCounter numbers the occurrences of each (kind, node) in an event
+// stream: a dense table, because the sink runs once per recorded event
+// and a map lookup there was a visible share of a re-execution.
+type occCounter struct {
+	nodes int
+	n     []int64 // indexed kind*nodes + node
+}
+
+func newOccCounter(nodes int) occCounter {
+	// Kinds lists every kind but KNone (0), in declaration order, so the
+	// largest kind value is its length.
+	return occCounter{nodes: nodes, n: make([]int64, (len(obs.Kinds())+1)*nodes)}
+}
+
+// next counts one more occurrence of kind on node and returns its 1-based
+// ordinal. An event outside the table cannot be given a coordinate, so it
+// panics instead of miscounting.
+func (c *occCounter) next(kind obs.Kind, node int32) int64 {
+	i := int(kind)*c.nodes + int(node)
+	if node < 0 || int(node) >= c.nodes || i >= len(c.n) {
+		panic(fmt.Sprintf("explore: event %s on node %d is outside the %d-node occurrence table", kind, node, c.nodes))
+	}
+	c.n[i]++
+	return c.n[i]
 }
 
 // Verdict is the outcome of one injection run.
@@ -214,13 +230,12 @@ func ExploreSchedule(sp Spec, schedule []Boundary, budget int64) (v Verdict) {
 	cl.SetCommitSink(log.Commit)
 
 	pending := append([]Boundary(nil), schedule...)
-	occ := map[occKey]int64{}
-	h := fnv.New64a()
+	occ := newOccCounter(cl.Nodes())
+	h := fnvOffset64
 	injecting := false
 	rec.SetSink(func(e obs.Event) {
-		k := occKey{e.Kind, e.Node}
-		occ[k]++
-		hashEvent(h, e)
+		n := occ.next(e.Kind, e.Node)
+		h = hashEvent(h, e)
 		if injecting {
 			// Nested record from KillNode's own KKill trace: count and
 			// hash it, but don't rescan the schedule mid-injection.
@@ -228,7 +243,7 @@ func ExploreSchedule(sp Spec, schedule []Boundary, budget int64) (v Verdict) {
 		}
 		for i := 0; i < len(pending); i++ {
 			b := pending[i]
-			if b.Kind != e.Kind || b.Node != e.Node || b.Occ != occ[k] {
+			if b.Kind != e.Kind || b.Node != e.Node || b.Occ != n {
 				continue
 			}
 			pending = append(pending[:i], pending[i+1:]...)
@@ -261,8 +276,7 @@ func ExploreSchedule(sp Spec, schedule []Boundary, budget int64) (v Verdict) {
 	v.Events = cl.Engine().Events()
 	v.TimeNs = cl.ExecTime()
 	v.Recoveries = cl.ProtoStats().Recoveries
-	hashMemory(h, cl)
-	v.Fingerprint = fmt.Sprintf("%016x", h.Sum64())
+	v.Fingerprint = fmt.Sprintf("%016x", hashMemory(h, cl))
 
 	switch {
 	case runErr != nil:
@@ -314,39 +328,51 @@ func checkOracle(cl *svm.Cluster, log *oracle.Log) error {
 	return store.Check(func(p int) []byte { return cl.PeekLiveBytes(p*psz, psz) })
 }
 
-// hashEvent folds one recorded event into the determinism fingerprint.
+// The fingerprint is 64-bit FNV-1a (the hash/fnv New64a function) kept as
+// a plain uint64: going through hash.Hash64 made each event's 21-byte
+// buffer escape, one heap object per recorded event.
+const (
+	fnvOffset64 uint64 = 14695981039346656037
+	fnvPrime64  uint64 = 1099511628211
+)
+
+// hashEvent folds one recorded event into the determinism fingerprint, as
+// 21 bytes: TimeNs and Seq (8 each, little-endian), Node (4) and Kind (1).
 // TimeNs is included: equal fingerprints mean equal virtual schedules,
-// not just equal event orders.
-func hashEvent(h hash.Hash64, e obs.Event) {
-	var buf [21]byte
-	putI64(buf[0:], e.TimeNs)
-	putI64(buf[8:], e.Seq)
-	putI32(buf[16:], e.Node)
-	buf[20] = byte(e.Kind)
-	// Thread is excluded: node-level events carry -1 and per-thread
-	// attribution is already implied by the deterministic stream order.
-	h.Write(buf[:])
+// not just equal event orders. Thread is excluded: node-level events
+// carry -1 and per-thread attribution is already implied by the
+// deterministic stream order. Stored verdicts depend on this layout.
+func hashEvent(h uint64, e obs.Event) uint64 {
+	h = hashLE(h, uint64(e.TimeNs), 8)
+	h = hashLE(h, uint64(e.Seq), 8)
+	h = hashLE(h, uint64(uint32(e.Node)), 4)
+	return (h ^ uint64(e.Kind)) * fnvPrime64
+}
+
+// hashLE folds the low n bytes of v, least significant first.
+func hashLE(h, v uint64, n int) uint64 {
+	for i := 0; i < n; i++ {
+		h = (h ^ (v & 0xff)) * fnvPrime64
+		v >>= 8
+	}
+	return h
 }
 
 // hashMemory folds the final authoritative memory image into the
 // fingerprint.
-func hashMemory(h hash.Hash64, cl *svm.Cluster) {
+func hashMemory(h uint64, cl *svm.Cluster) uint64 {
 	psz := cl.PageSize()
 	for p := 0; p < cl.NumPages(); p++ {
-		h.Write(cl.PeekBytes(p*psz, psz))
+		h = hashBytes(h, cl.PeekBytes(p*psz, psz))
 	}
+	return h
 }
 
-func putI64(b []byte, v int64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
+func hashBytes(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime64
 	}
-}
-
-func putI32(b []byte, v int32) {
-	for i := 0; i < 4; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
+	return h
 }
 
 // Sample selects up to n boundaries from bs with an even stride, always

@@ -41,16 +41,15 @@ func DiscoverSeconds(sp Spec, first Boundary, budget int64) ([]Boundary, error) 
 	if budget > 0 {
 		cl.Engine().SetEventBudget(budget)
 	}
-	occ := map[occKey]int64{}
+	occ := newOccCounter(cl.Nodes())
 	injected, injecting := false, false
 	var seconds []Boundary
 	rec.SetSink(func(e obs.Event) {
-		k := occKey{e.Kind, e.Node}
-		occ[k]++
+		n := occ.next(e.Kind, e.Node)
 		if injecting {
 			return
 		}
-		if !injected && e.Kind == first.Kind && e.Node == first.Node && occ[k] == first.Occ {
+		if !injected && e.Kind == first.Kind && e.Node == first.Node && n == first.Occ {
 			injected = true
 			injecting = true
 			cl.KillNode(int(e.Node))
@@ -58,7 +57,7 @@ func DiscoverSeconds(sp Spec, first Boundary, budget int64) ([]Boundary, error) 
 			return
 		}
 		if injected && !cl.NodeDead(int(e.Node)) {
-			seconds = append(seconds, Boundary{Kind: e.Kind, Node: e.Node, Occ: occ[k]})
+			seconds = append(seconds, Boundary{Kind: e.Kind, Node: e.Node, Occ: n})
 		}
 	})
 	runErr := func() (err error) {
