@@ -39,16 +39,8 @@ func (n *node) handle(d *vmmc.Delivery) {
 		rep := n.nicTestAndSet(m)
 		d.Reply(rep, n.msgWire(d.Src, rep))
 	case *lockRead:
-		lh := n.lockHomesState[m.Lock]
-		if lh == nil {
-			// Not (yet) the home — can happen transiently around
-			// rehoming; answer with an empty vector so the acquirer
-			// retries.
-			n.initLockHome(m.Lock)
-			lh = n.lockHomesState[m.Lock]
-		}
-		rep := lh.readReply()
-		d.Reply(rep, n.msgWire(d.Src, rep))
+		rep, size := n.serveLockRead(d.Src, m.Lock)
+		d.Reply(rep, size)
 	case *barArrive:
 		n.masterArrive(m)
 	case *barRelease:
@@ -61,6 +53,24 @@ func (n *node) handle(d *vmmc.Delivery) {
 	default:
 		panic(fmt.Sprintf("svm: node %d: unknown message %T", n.id, d.Payload))
 	}
+}
+
+// serveLockRead builds the primary home's reply to reader's read of lock
+// l and its wire size. The reply object carries the stored timestamp only
+// when it grants, so the delta codec costs the home's live lh.vt here, not
+// through msgWire, and under msgWire's contract: exactly once per reply
+// handed to the NIC. recost copies the vector into the (home, reader) link
+// context, so charging for it needs no clone.
+func (n *node) serveLockRead(reader, l int) (*lockReadReply, int) {
+	lh := n.lockHomesState[l]
+	if lh == nil {
+		// Not (yet) the home — can happen transiently around rehoming;
+		// answer with an empty vector so the acquirer retries.
+		n.initLockHome(l)
+		lh = n.lockHomesState[l]
+	}
+	rep := lh.readReply(reader)
+	return rep, rep.wireBytes() + n.recost(reader, lh.vt)
 }
 
 // applyDiffMsg lands a diff at a home copy.

@@ -129,7 +129,12 @@ func (t *Thread) handOver(l int, ol *ownedLock) {
 func (n *node) lockState(l int) *ownedLock {
 	ol := n.owned[l]
 	if ol == nil {
-		ol = &ownedLock{pendingGrant: -1}
+		ol = &ownedLock{
+			pendingGrant: -1,
+			set:          lockSet{Lock: l, Node: n.id},
+			clr:          lockClear{Lock: l, Node: n.id},
+			read:         lockRead{Lock: l},
+		}
 		n.owned[l] = ol
 	}
 	return ol
@@ -174,6 +179,10 @@ func (t *Thread) pollingAcquire(l int) proto.VectorTime {
 	n := t.node
 	cfg := t.cl.cfg
 	ft := t.cl.opt.Mode == ModeFT
+	// The round's messages are constants of (node, lock): the same
+	// pointers are posted every round and to every replica.
+	ol := n.lockState(l)
+	set, clr := &ol.set, &ol.clr
 	spinStart := t.proc.Now()
 	for {
 		t.safePoint()
@@ -185,7 +194,6 @@ func (t *Thread) pollingAcquire(l int) proto.VectorTime {
 			spinStart = t.proc.Now()
 		}
 		prim := t.cl.lockHomes.Primary(l)
-		set := &lockSet{Lock: l, Node: n.id}
 		t.postLockMsg(prim, set, set.wireBytes())
 		if ft {
 			// FT ordering invariant: every secondary's element is posted
@@ -197,17 +205,15 @@ func (t *Thread) pollingAcquire(l int) proto.VectorTime {
 			}
 		}
 
-		rep, err := t.lockReadVector(l, prim)
+		rep, err := t.lockReadVector(l, prim, &ol.read)
 		if err != nil {
 			t.joinRecoveryErr(err)
 			continue
 		}
-		sole := len(rep.Holders) == 1 && rep.Holders[0] == n.id
-		if sole {
+		if rep.Sole {
 			return rep.VT
 		}
 		// Contended: clear our element and back off.
-		clr := &lockClear{Lock: l, Node: n.id}
 		t.postLockMsg(prim, clr, clr.wireBytes())
 		if ft {
 			for s := 1; s < t.cl.lockHomes.Degree(); s++ {
@@ -224,16 +230,15 @@ func (t *Thread) pollingAcquire(l int) proto.VectorTime {
 	}
 }
 
-// lockReadVector fetches the lock vector and stored timestamp from the
-// primary home.
-func (t *Thread) lockReadVector(l, prim int) (*lockReadReply, error) {
+// lockReadVector reads the lock vector and stored timestamp at the
+// primary home; req is the node's lockRead for l.
+func (t *Thread) lockReadVector(l, prim int, req *lockRead) (*lockReadReply, error) {
 	n := t.node
 	if prim == n.id {
 		lh := n.lockHomesState[l]
 		t.charge(CompLock, t.cl.cfg.ProtoOpNs)
-		return lh.readReply(), nil
+		return lh.readReply(n.id), nil
 	}
-	req := &lockRead{Lock: l}
 	t0 := t.beginWait()
 	v, err := n.ep.RequestAbort(t.proc, prim, req.wireBytes(), req,
 		func() bool { return t.cl.rec.pending })
@@ -247,14 +252,22 @@ func (t *Thread) lockReadVector(l, prim int) (*lockReadReply, error) {
 	return v.(*lockReadReply), nil
 }
 
-func (lh *lockHome) readReply() *lockReadReply {
-	var holders []int
-	for i, set := range lh.vec {
+// readReply answers reader's read of the lock vector. The modelled reply
+// carries the whole vector and the stored timestamp; the acquirer reads
+// only whether it is the sole holder and, if so, the timestamp, so that is
+// all the reply object holds.
+func (lh *lockHome) readReply(reader int) *lockReadReply {
+	rep := &lockReadReply{vtLen: len(lh.vt)}
+	for _, set := range lh.vec {
 		if set {
-			holders = append(holders, i)
+			rep.Count++
 		}
 	}
-	return &lockReadReply{Holders: holders, VT: lh.vt.Clone()}
+	if rep.Count == 1 && lh.vec[reader] {
+		rep.Sole = true
+		rep.VT = lh.vt.Clone()
+	}
+	return rep
 }
 
 // nicAcquire runs the NIC-assisted lock: one test-and-set round trip to

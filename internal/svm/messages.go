@@ -161,12 +161,18 @@ type lockRead struct {
 
 func (m *lockRead) wireBytes() int { return 8 }
 
+// lockReadReply is modelled as the set elements of the lock vector plus
+// the stored release timestamp, and sized as such. The object holds what
+// the acquirer reads of them: how many elements are set, whether the
+// reader's is the only one, and the timestamp in that case alone.
 type lockReadReply struct {
-	Holders []int // node ids with a non-zero element
-	VT      proto.VectorTime
+	Count int              // elements set in the lock vector
+	Sole  bool             // the reader's element is the only one set
+	VT    proto.VectorTime // stored release timestamp; nil unless Sole
+	vtLen int              // length of the stored timestamp on the wire
 }
 
-func (m *lockReadReply) wireBytes() int { return 8 + 4*len(m.Holders) + vecWire(len(m.VT)) }
+func (m *lockReadReply) wireBytes() int { return 8 + 4*m.Count + vecWire(m.vtLen) }
 
 // lockRelease clears the releaser's element and stores its vector time, as
 // one atomic deposit.

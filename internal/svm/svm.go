@@ -330,6 +330,12 @@ type ownedLock struct {
 	// releaseVT is the node's vector time at its last release of this
 	// lock (queue lock: travels with a grant served from the cache).
 	releaseVT proto.VectorTime
+	// The polling round's messages for this (node, lock). They are never
+	// written after lockState fills them in, so one instance serves every
+	// round, every replica and whatever is still on the wire.
+	set  lockSet
+	clr  lockClear
+	read lockRead
 }
 
 // New validates opt and builds a cluster ready to Run.

@@ -27,21 +27,21 @@ type wireMsg interface{ wireBytes() int }
 type vtCarrier interface {
 	wireMsg
 	// vectorTimes returns the vectors the flat encoding charges vecWire
-	// for, in a fixed order (both link ends advance identically).
-	vectorTimes() []proto.VectorTime
+	// for, in a fixed order (both link ends advance identically); a
+	// message with one vector returns nil second.
+	vectorTimes() (first, second proto.VectorTime)
 }
 
-func (m *fetchReq) vectorTimes() []proto.VectorTime        { return []proto.VectorTime{m.Need} }
-func (m *fetchReply) vectorTimes() []proto.VectorTime      { return []proto.VectorTime{m.Ver} }
-func (m *saveTSMsg) vectorTimes() []proto.VectorTime       { return []proto.VectorTime{m.TS, m.Snap.VT} }
-func (m *ckptMsg) vectorTimes() []proto.VectorTime         { return []proto.VectorTime{m.Snap.VT} }
-func (m *lockReadReply) vectorTimes() []proto.VectorTime   { return []proto.VectorTime{m.VT} }
-func (m *lockRelease) vectorTimes() []proto.VectorTime     { return []proto.VectorTime{m.VT} }
-func (m *nicTestSetReply) vectorTimes() []proto.VectorTime { return []proto.VectorTime{m.VT} }
-func (m *qlGrant) vectorTimes() []proto.VectorTime         { return []proto.VectorTime{m.VT} }
-func (m *barArrive) vectorTimes() []proto.VectorTime       { return []proto.VectorTime{m.VT} }
-func (m *barRelease) vectorTimes() []proto.VectorTime      { return []proto.VectorTime{m.VT} }
-func (m *savedReply) vectorTimes() []proto.VectorTime      { return []proto.VectorTime{m.TS} }
+func (m *fetchReq) vectorTimes() (_, _ proto.VectorTime)        { return m.Need, nil }
+func (m *fetchReply) vectorTimes() (_, _ proto.VectorTime)      { return m.Ver, nil }
+func (m *saveTSMsg) vectorTimes() (_, _ proto.VectorTime)       { return m.TS, m.Snap.VT }
+func (m *ckptMsg) vectorTimes() (_, _ proto.VectorTime)         { return m.Snap.VT, nil }
+func (m *lockRelease) vectorTimes() (_, _ proto.VectorTime)     { return m.VT, nil }
+func (m *nicTestSetReply) vectorTimes() (_, _ proto.VectorTime) { return m.VT, nil }
+func (m *qlGrant) vectorTimes() (_, _ proto.VectorTime)         { return m.VT, nil }
+func (m *barArrive) vectorTimes() (_, _ proto.VectorTime)       { return m.VT, nil }
+func (m *barRelease) vectorTimes() (_, _ proto.VectorTime)      { return m.VT, nil }
+func (m *savedReply) vectorTimes() (_, _ proto.VectorTime)      { return m.TS, nil }
 
 // msgWire returns the modeled wire size of m as sent from this node to
 // dst. Under the full codec (the default) it is exactly m.wireBytes().
@@ -51,20 +51,22 @@ func (m *savedReply) vectorTimes() []proto.VectorTime      { return []proto.Vect
 // actually handed to the NIC.
 func (n *node) msgWire(dst int, m wireMsg) int {
 	sz := m.wireBytes()
-	if n.cl.cfg.VTCodec != model.VTDelta || dst == n.id {
-		return sz
-	}
-	vc, ok := m.(vtCarrier)
-	if !ok {
-		return sz
-	}
-	for _, vt := range vc.vectorTimes() {
-		if vt == nil {
-			continue
-		}
-		sz += n.deltaWire(dst, vt) - vecWire(len(vt))
+	if vc, ok := m.(vtCarrier); ok {
+		first, second := vc.vectorTimes()
+		sz += n.recost(dst, first)
+		sz += n.recost(dst, second)
 	}
 	return sz
+}
+
+// recost returns what the delta codec adds to (usually: takes off) a flat
+// size for one vector sent to dst, advancing the link context; zero under
+// the full codec, for a self-send and for an absent vector.
+func (n *node) recost(dst int, vt proto.VectorTime) int {
+	if vt == nil || n.cl.cfg.VTCodec != model.VTDelta || dst == n.id {
+		return 0
+	}
+	return n.deltaWire(dst, vt) - vecWire(len(vt))
 }
 
 // deltaWire costs one vector against the link context to dst and advances
