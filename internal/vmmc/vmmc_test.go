@@ -452,3 +452,99 @@ func TestDropEveryPacketOnce(t *testing.T) {
 		t.Fatalf("Retransmits = %d, want exactly 10 (each packet dropped once)", net.Retransmits)
 	}
 }
+
+// TestRoundTripLeavesPoolsLevel: a request/reply round trip crosses the
+// wire three times (request delivery, acknowledgement, reply delivery), so
+// without the spare event a request carries, every round moves one pooled
+// event from the home to the requester: the home allocates two objects per
+// reply and the requester's pool grows for the life of the cluster. After
+// 10 000 round trips both pools are still a handful of events and a round
+// trip (request, inline reply, ack, outcome) allocates nothing.
+func TestRoundTripLeavesPoolsLevel(t *testing.T) {
+	eng, net, _ := testNet(2)
+	client, home := net.Endpoint(0), net.Endpoint(1)
+	allocs := -1.0
+	eng.Spawn("client", func(p *sim.Proc) {
+		roundTrip := func() {
+			if v, err := client.Request(p, 1, 64, "ping"); err != nil || v != "ack" {
+				t.Errorf("round trip: %v, %v", v, err)
+			}
+		}
+		for i := 0; i < 10_000; i++ {
+			roundTrip()
+		}
+		allocs = testing.AllocsPerRun(1000, roundTrip)
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	const level = 8
+	if c, h := len(client.evtFree), len(home.evtFree); c > level || h > level {
+		t.Errorf("after 11 000 round trips the pools hold %d (requester) and %d (home) events, want at most %d each", c, h, level)
+	}
+	if allocs != 0 {
+		t.Errorf("a steady-state round trip allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestAbandonedCallNeverReused covers the three ways a request ends without
+// its reply — a timeout into a dead-node verdict, the abort predicate, a
+// destination dead before delivery. Each leaves its pendingCall out of the
+// free list, so the next request gets a fresh one, and a reply that turns
+// up late resolves only the call nobody waits on.
+func TestAbandonedCallNeverReused(t *testing.T) {
+	eng, net, cfg := testNet(4)
+	ep := net.Endpoint(0)
+	// Node 1 holds every request; node 2 answers; node 3 is dead already.
+	var held []*Delivery
+	net.Endpoint(1).SetHandler(func(d *Delivery) { held = append(held, d) })
+	net.Kill(3)
+	eng.Spawn("caller", func(p *sim.Proc) {
+		fresh := func(after string) {
+			t.Helper()
+			if len(ep.callFree) != 0 {
+				t.Fatalf("%s: the abandoned call went back on the free list", after)
+			}
+			v, err := ep.Request(p, 2, 16, "q")
+			if err != nil || v != "ack" {
+				t.Fatalf("%s: next request: %v, %v", after, v, err)
+			}
+			for _, d := range held {
+				if d.call == ep.callFree[0] {
+					t.Fatalf("%s: next request reused a call the home still holds", after)
+				}
+			}
+			ep.callFree = nil
+		}
+
+		stop := false
+		eng.At(3*cfg.HeartbeatTimeoutNs, func() { stop = true })
+		if _, err := ep.RequestAbort(p, 1, 16, "q", func() bool { return stop }); !errors.Is(err, ErrAborted) {
+			t.Fatalf("abort: err = %v", err)
+		}
+		fresh("abort")
+
+		// The aborted request's reply turns up while another request to the
+		// same home is outstanding: it must not complete that one.
+		eng.At(cfg.HeartbeatTimeoutNs/2, func() { held[0].Reply("late", 8) })
+		eng.At(cfg.HeartbeatTimeoutNs, func() { held[1].Reply("mine", 8) })
+		if v, err := ep.Request(p, 1, 16, "q"); err != nil || v != "mine" {
+			t.Fatalf("request behind a late reply: %v, %v", v, err)
+		}
+		ep.callFree = nil
+
+		if _, err := ep.Request(p, 3, 16, "q"); !errors.Is(err, ErrNodeDead) {
+			t.Fatalf("dead before delivery: err = %v", err)
+		}
+		fresh("dead before delivery")
+
+		eng.At(cfg.HeartbeatTimeoutNs/2, func() { net.Kill(1) })
+		if _, err := ep.Request(p, 1, 16, "q"); !errors.Is(err, ErrNodeDead) {
+			t.Fatalf("timeout into a dead-node verdict: err = %v", err)
+		}
+		fresh("timeout")
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
