@@ -140,9 +140,10 @@ func TestTrackedMatchesFullTwinsFailure(t *testing.T) {
 // additional lock-release iteration (long run minus short run, so cluster
 // construction and first-touch costs cancel) and fails if the figure
 // regresses past its ceiling. The budget has ~2x headroom over the
-// current cost (~140), so it sees a doubling; reintroducing a per-event
-// closure or per-message allocation multiplies the figure by orders of
-// magnitude.
+// current cost (~38; ~138 while every poll round of the contended acquire
+// in front of each release built its messages and its reply anew), so it
+// sees a doubling; reintroducing a per-event closure or per-message
+// allocation multiplies the figure by orders of magnitude.
 func TestReleasePathAllocBudget(t *testing.T) {
 	allocs := func(iters int) uint64 {
 		cfg := model.Default()
@@ -162,9 +163,65 @@ func TestReleasePathAllocBudget(t *testing.T) {
 	short, long := allocs(4), allocs(24)
 	perRelease := (int64(long) - int64(short)) / (20 * 4) // 20 extra iters x 4 threads
 	t.Logf("marginal allocations per release: %d", perRelease)
-	const budget = 300
+	const budget = 80
 	if perRelease > budget {
 		t.Fatalf("steady-state release path allocates %d objects per release, budget %d", perRelease, budget)
+	}
+}
+
+// clearCounter counts lock.clear events at one node: at a lock's primary
+// home that is one per contended poll round plus one per release.
+type clearCounter struct {
+	node, n int
+}
+
+func (c *clearCounter) Event(e TraceEvent) {
+	if e.Kind == "lock.clear" && e.Node == c.node {
+		c.n++
+	}
+}
+
+// TestPollingRoundAllocBudget gates the contended round of the polling
+// lock (§4.3: set, read, clear, back off). Four nodes take one lock once
+// each and hold it for a while; holding it longer adds poll rounds by the
+// waiters and nothing else, so long run minus short run is the cost of a
+// round. What is left is the reply object of a remote read.
+func TestPollingRoundAllocBudget(t *testing.T) {
+	run := func(holdNs int64) (mallocs uint64, rounds int) {
+		cfg := model.Default()
+		cfg.Nodes = 4
+		tr := &clearCounter{}
+		cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Tracer: tr, Body: func(th *Thread) {
+			th.Acquire(0)
+			th.Compute(holdNs)
+			th.Release(0)
+			th.Barrier()
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.node = cl.lockHomes.Primary(0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := cl.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, tr.n
+	}
+	// The last waiter spins for three holds: short of the 8 ms after which
+	// it would start probing the cluster.
+	shortM, shortR := run(500_000)
+	longM, longR := run(2_500_000)
+	rounds := longR - shortR
+	if rounds < 100 {
+		t.Fatalf("holding the lock 2 ms longer added %d poll rounds, want a contended run", rounds)
+	}
+	perRound := float64(int64(longM)-int64(shortM)) / float64(rounds)
+	t.Logf("marginal allocations per contended poll round: %.2f (%d rounds)", perRound, rounds)
+	const budget = 2
+	if perRound > budget {
+		t.Fatalf("contended poll round allocates %.2f objects, budget %d", perRound, budget)
 	}
 }
 
