@@ -205,7 +205,7 @@ func (t *Thread) pollingAcquire(l int) proto.VectorTime {
 			}
 		}
 
-		rep, err := t.lockReadVector(l, prim, &ol.read)
+		rep, err := t.lockReadVector(l, prim)
 		if err != nil {
 			t.joinRecoveryErr(err)
 			continue
@@ -230,15 +230,16 @@ func (t *Thread) pollingAcquire(l int) proto.VectorTime {
 	}
 }
 
-// lockReadVector reads the lock vector and stored timestamp at the
-// primary home; req is the node's lockRead for l.
-func (t *Thread) lockReadVector(l, prim int, req *lockRead) (*lockReadReply, error) {
+// lockReadVector fetches the lock vector and stored timestamp from the
+// primary home.
+func (t *Thread) lockReadVector(l, prim int) (*lockReadReply, error) {
 	n := t.node
 	if prim == n.id {
 		lh := n.lockHomesState[l]
 		t.charge(CompLock, t.cl.cfg.ProtoOpNs)
 		return lh.readReply(n.id), nil
 	}
+	req := &n.lockState(l).read
 	t0 := t.beginWait()
 	v, err := n.ep.RequestAbort(t.proc, prim, req.wireBytes(), req,
 		func() bool { return t.cl.rec.pending })
