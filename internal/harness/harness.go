@@ -14,6 +14,7 @@ import (
 
 	"ftsvm/internal/apps"
 	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 	"ftsvm/internal/serve"
 	"ftsvm/internal/svm"
 )
@@ -79,7 +80,7 @@ func Build(app string, size Size, s apps.Shape) (*apps.Workload, error) {
 		n := map[Size]int{SizeSmall: 64, SizeMedium: 258, SizePaper: 514}[size]
 		return apps.Ocean(s, n, 6), nil
 	case "counter":
-		// Micro workload for exhaustive failure-point sweeps (svmfi): a
+		// Micro workload for exhaustive failure-point sweeps (svm fi): a
 		// lock-protected shared counter.
 		n := map[Size]int{SizeSmall: 6, SizeMedium: 24, SizePaper: 96}[size]
 		return apps.Counter(s, n), nil
@@ -95,14 +96,14 @@ func Build(app string, size Size, s apps.Shape) (*apps.Workload, error) {
 		return apps.KVStore(s, b, 32, ops), nil
 	case "kvmicro":
 		// Micro-scale KV store for exhaustive failure-point sweeps
-		// (svmfi/explore): few buckets, few ops, every interleaving cheap.
+		// (svm fi/explore): few buckets, few ops, every interleaving cheap.
 		ops := map[Size]int{SizeSmall: 4, SizeMedium: 8, SizePaper: 16}[size]
 		return apps.KVStore(s, 4, 8, ops), nil
 	case "kvserve":
 		// Open-loop serving workload (internal/serve): Zipfian GET/PUT
 		// requests on a fixed arrival schedule, latency recorded per
 		// request. Here it rides the generic harness for chaos/ablation
-		// sweeps; cmd/svmserve owns the latency/timeline reporting.
+		// sweeps; `svm serve` owns the latency/timeline reporting.
 		sp := serve.DefaultSpec()
 		sp.Nodes = s.Nodes
 		sp.ThreadsPerNode = s.ThreadsPerNode
@@ -243,7 +244,8 @@ type Config struct {
 	// KillKind, when non-empty, injects a node failure: KillVictim is
 	// fail-stopped the KillSeq'th time it emits this trace-event kind
 	// (e.g. "release.done"; 0 matches the first occurrence). Requires
-	// Mode == svm.ModeFT; tracer-driven cells always run serially.
+	// Mode == svm.ModeFT, a known kind and a victim inside the cluster,
+	// or Run returns an error; tracer-driven cells always run serially.
 	KillKind   string
 	KillVictim int
 	KillSeq    int64
@@ -343,6 +345,9 @@ func Run(c Config) Result {
 	if err != nil {
 		return Result{Config: c, Err: err}
 	}
+	if err := c.checkKill(cfg.Nodes); err != nil {
+		return Result{Config: c, Err: err}
+	}
 	s := apps.Shape{Nodes: cfg.Nodes, ThreadsPerNode: cfg.ThreadsPerNode, PageSize: cfg.PageSize}
 	w, err := Build(c.App, c.Size, s)
 	if err != nil {
@@ -405,9 +410,27 @@ func Run(c Config) Result {
 	return r
 }
 
+// checkKill rejects a failure injection the cell cannot perform: one into
+// the base protocol, which does not survive it, or one that names a node
+// or an event kind that does not exist and so would silently run healthy.
+func (c Config) checkKill(nodes int) error {
+	switch {
+	case c.KillKind == "":
+		return nil
+	case c.Mode != svm.ModeFT:
+		return fmt.Errorf("harness: KillKind %q needs the extended protocol, not %s", c.KillKind, c.Mode)
+	case c.KillVictim < 0 || c.KillVictim >= nodes:
+		return fmt.Errorf("harness: KillVictim %d is not a node of a %d-node cluster", c.KillVictim, nodes)
+	}
+	if _, ok := obs.KindByName(c.KillKind); !ok {
+		return fmt.Errorf("harness: unknown KillKind %q", c.KillKind)
+	}
+	return nil
+}
+
 // killTracer fail-stops a node the seq'th time it emits the configured
 // trace-event kind (seq 0: the first occurrence) — the harness-level
-// form of the failure injection the svm tests and svmfi drive directly.
+// form of the failure injection the svm tests and `svm fi` drive directly.
 type killTracer struct {
 	cl   *svm.Cluster
 	kind string

@@ -76,4 +76,27 @@ func TestOverheadPositiveAcrossApps(t *testing.T) {
 	}
 }
 
-var _ = svm.ModeBase
+// TestRunRejectsImpossibleKills holds Run to its KillKind contract: a
+// kill it cannot perform is an error before anything is built, never a
+// panic inside the base protocol or a cell that silently runs healthy.
+func TestRunRejectsImpossibleKills(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    Config
+		want string
+	}{
+		{"base protocol", Config{Mode: svm.ModeBase, KillKind: "release.done", KillVictim: 1}, "extended protocol"},
+		{"victim out of range", Config{Mode: svm.ModeFT, KillKind: "release.done", KillVictim: 9}, "not a node"},
+		{"negative victim", Config{Mode: svm.ModeFT, KillKind: "release.done", KillVictim: -1}, "not a node"},
+		{"unknown kind", Config{Mode: svm.ModeFT, KillKind: "release.bogus", KillVictim: 1}, "unknown KillKind"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.c
+			c.App, c.Size, c.Nodes, c.ThreadsPerNode = "counter", SizeSmall, 4, 1
+			r := Run(c)
+			if r.Err == nil || !strings.Contains(r.Err.Error(), tc.want) {
+				t.Fatalf("Err = %v (KillNs %d), want an error containing %q", r.Err, r.Phase.KillNs, tc.want)
+			}
+		})
+	}
+}
