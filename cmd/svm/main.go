@@ -1,0 +1,294 @@
+// Command svm drives the simulated fault-tolerant SVM cluster through the
+// subcommands listed in usage. Every run is a deterministic simulation in
+// virtual time: the same flags print the same output. Exit status is 0 on
+// success, 1 when a cell, schedule or verification failed, and 2 on bad
+// usage.
+package main
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"maps"
+	"os"
+	"runtime"
+	"runtime/pprof"
+	"slices"
+	"strconv"
+	"strings"
+
+	"ftsvm/internal/apps"
+	"ftsvm/internal/harness"
+	"ftsvm/internal/obs"
+	"ftsvm/internal/svm"
+)
+
+const usage = `usage: svm <command> [flags]
+
+commands:
+  run    execute one application, optionally failing a node or tracing events
+  bench  regenerate the paper's figures (-figure) and ablations (-ablation)
+  fi     sweep every failure point of a workload under the auditor and oracle
+  check  fail-stop each node inside each protocol milestone and verify
+  chaos  sweep the applications across the network-chaos scenarios
+  serve  open-loop serving benchmark under chaos with a mid-run kill
+
+Run 'svm <command> -h' for a command's flags.
+`
+
+var commands = map[string]func(args []string, out, errw io.Writer) int{
+	"run":   runCmd,
+	"bench": benchCmd,
+	"fi":    fiCmd,
+	"check": checkCmd,
+	"chaos": chaosCmd,
+	"serve": serveCmd,
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main behind its arguments, writers and exit code, so tests can
+// drive every subcommand in-process.
+func run(args []string, out, errw io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprint(errw, usage)
+		return 2
+	}
+	cmd, ok := commands[args[0]]
+	if !ok {
+		fmt.Fprintf(errw, "svm: unknown command %q\n%s", args[0], usage)
+		return 2
+	}
+	return cmd(args[1:], out, errw)
+}
+
+// parse parses a subcommand's flags. When it reports !ok the subcommand
+// returns code: 0 after -h, 2 after a malformed flag, a bad value or a
+// stray argument, each reported as one line.
+func parse(fs *flag.FlagSet, args []string, errw io.Writer) (code int, ok bool) {
+	fs.SetOutput(io.Discard)
+	err := fs.Parse(args)
+	if err == nil && fs.NArg() > 0 {
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	switch {
+	case err == flag.ErrHelp:
+		fs.SetOutput(errw)
+		fs.Usage()
+		return 0, false
+	case err != nil:
+		return usageError(errw, fs.Name(), err), false
+	}
+	return 0, true
+}
+
+// usageError reports bad usage of a subcommand as one line and returns
+// its exit code.
+func usageError(errw io.Writer, cmd string, err error) int {
+	fmt.Fprintf(errw, "svm %s: %v\n", cmd, err)
+	return 2
+}
+
+// value is a flag whose text parse converts and checks while the flags
+// are parsed, so an unknown or out-of-range value fails exactly like a
+// malformed one. String keeps the text as given.
+type value[T any] struct {
+	p     *T
+	text  string
+	parse func(string) (T, error)
+}
+
+func (v *value[T]) String() string { return v.text }
+
+func (v *value[T]) Set(s string) error {
+	t, err := v.parse(s)
+	if err == nil {
+		*v.p, v.text = t, s
+	}
+	return err
+}
+
+// enum registers a value flag with default text def.
+func enum[T any](fs *flag.FlagSet, name, def, usage string, parse func(string) (T, error)) *T {
+	v := &value[T]{p: new(T), parse: parse}
+	if err := v.Set(def); err != nil {
+		panic(err) // a default that does not parse is a bug
+	}
+	fs.Var(v, name, usage)
+	return v.p
+}
+
+// oneOf parses a value that must be one of names' keys.
+func oneOf[T any](names map[string]T) func(string) (T, error) {
+	return func(s string) (T, error) {
+		v, ok := names[s]
+		if !ok {
+			return v, fmt.Errorf("want %s", strings.Join(slices.Sorted(maps.Keys(names)), ", "))
+		}
+		return v, nil
+	}
+}
+
+// list lifts an element parser to a comma-separated list.
+func list[T any](parse func(string) (T, error)) func(string) ([]T, error) {
+	return func(s string) ([]T, error) {
+		var out []T
+		for _, f := range strings.Split(s, ",") {
+			v, err := parse(strings.TrimSpace(f))
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, v)
+		}
+		return out, nil
+	}
+}
+
+// atLeast parses an integer that must not be below min.
+func atLeast(min int) func(string) (int, error) {
+	return func(s string) (int, error) {
+		n, err := strconv.Atoi(s)
+		if err == nil && n < min {
+			err = fmt.Errorf("need >= %d", min)
+		}
+		return n, err
+	}
+}
+
+// parseScenarios parses a -scenarios list of chaos scenario names; empty
+// is every scenario.
+func parseScenarios(s string) ([]harness.ChaosScenario, error) {
+	if s == "" {
+		return harness.ChaosScenarios(), nil
+	}
+	return list(harness.ChaosByName)(s)
+}
+
+// kindName checks one flight-recorder event-kind name.
+func kindName(s string) (string, error) {
+	if _, ok := obs.KindByName(s); !ok {
+		return "", fmt.Errorf("unknown event kind %q", s)
+	}
+	return s, nil
+}
+
+// survivable rejects a failure injected into a cluster too small to
+// survive it: after the kill, two live nodes must hold each page.
+func survivable(nodes int) error {
+	if nodes < 3 {
+		return fmt.Errorf("a %d-node cluster cannot survive a failure (need -nodes >= 3)", nodes)
+	}
+	return nil
+}
+
+// profiles holds a subcommand's -cpuprofile and -memprofile flags.
+type profiles struct {
+	cmd      string
+	cpu, mem *string
+}
+
+func profileFlags(fs *flag.FlagSet) profiles {
+	return profiles{
+		fs.Name(),
+		fs.String("cpuprofile", "", "write a CPU profile of the workload to this file"),
+		fs.String("memprofile", "", "write a heap profile to this file on exit"),
+	}
+}
+
+// start begins the CPU profile. The caller defers the returned stop,
+// which ends it and writes the heap profile, reporting failures to errw.
+func (p profiles) start(errw io.Writer) (stop func(), err error) {
+	var cpu *os.File
+	if *p.cpu != "" {
+		if cpu, err = os.Create(*p.cpu); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			return nil, errors.Join(err, cpu.Close())
+		}
+	}
+	return func() {
+		var err error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			err = cpu.Close()
+		}
+		if err == nil && *p.mem != "" {
+			var f *os.File
+			if f, err = os.Create(*p.mem); err == nil {
+				runtime.GC()
+				err = errors.Join(pprof.WriteHeapProfile(f), f.Close())
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(errw, "svm %s: %v\n", p.cmd, err)
+		}
+	}, nil
+}
+
+// newCluster builds the cluster harness.Run would build for c, for the
+// runs harness.Run cannot express: time-triggered kills, flight
+// recorders, milestone tracers and serialized base-protocol releases,
+// which opt carries.
+func newCluster(c harness.Config, opt svm.Options) (*svm.Cluster, *apps.Workload, error) {
+	cfg, err := c.ModelConfig()
+	if err != nil {
+		return nil, nil, err
+	}
+	w, err := harness.Build(c.App, c.Size, apps.Shape{Nodes: cfg.Nodes, ThreadsPerNode: cfg.ThreadsPerNode, PageSize: cfg.PageSize})
+	if err != nil {
+		return nil, nil, err
+	}
+	opt.Config, opt.Mode, opt.LockAlgo = cfg, c.Mode, c.LockAlgo
+	opt.Pages, opt.Locks, opt.HomeAssign, opt.Body = w.Pages, w.Locks, w.HomeAssign, w.Body
+	cl, err := svm.New(opt)
+	return cl, w, err
+}
+
+// finish runs cl to completion and checks that every thread finished and
+// the workload's own result verification passed.
+func finish(cl *svm.Cluster, w *apps.Workload) error {
+	if err := cl.Run(); err != nil {
+		return fmt.Errorf("simulation error: %w", err)
+	}
+	if !cl.Finished() {
+		return errors.New("threads did not finish")
+	}
+	if err := w.Err(); err != nil {
+		return fmt.Errorf("result verification: %w", err)
+	}
+	return nil
+}
+
+// errUnreached reports a run whose injected failure never happened, so
+// it verified nothing.
+var errUnreached = errors.New("milestone never reached")
+
+// verify runs one audited cell: the online invariant auditor and a
+// flight recorder of ring events per node watch the run, then finish's
+// checks and, under the extended protocol, the replica audit must pass.
+// reached (nil: always) reports whether the cell's failure happened;
+// when it did not, verify returns finish's error or errUnreached. Any
+// other failure dumps each node's last events under header.
+func verify(out io.Writer, cl *svm.Cluster, w *apps.Workload, ring int, header string, reached func() bool) error {
+	rec := cl.EnableFlightRecorder(ring)
+	cl.EnableAuditor()
+	err := finish(cl, w)
+	if reached != nil && !reached() {
+		if err == nil {
+			err = errUnreached
+		}
+		return err
+	}
+	if err == nil && cl.Mode() == svm.ModeFT {
+		if err = cl.VerifyReplicas(); err != nil {
+			err = fmt.Errorf("replica audit: %w", err)
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(out, header)
+		rec.Dump(out, 8)
+	}
+	return err
+}

@@ -1,0 +1,138 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// runCapture drives one command line in-process, turning a panic into a
+// test failure so a hostile case cannot take the whole table down.
+func runCapture(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	var out, errw bytes.Buffer
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("svm %s panicked: %v", strings.Join(args, " "), r)
+		}
+	}()
+	code = run(args, &out, &errw)
+	return code, out.String(), errw.String()
+}
+
+// TestSubcommandSmoke runs every subcommand once at a small size and
+// looks for its summary line. The numbers are TestGolden's business.
+func TestSubcommandSmoke(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"run", "-app", "radix", "-size", "small", "-nodes", "4"}, "verification: OK"},
+		{[]string{"run", "-app", "counter", "-size", "small", "-nodes", "4", "-kill", "2", "-killat", "1ms"}, "recoveries"},
+		{[]string{"run", "-app", "counter", "-size", "small", "-nodes", "4", "-events", "recovery,kill", "-kill", "1", "-killat", "1ms", "-dump", "-audit"},
+			"verified OK; 9 events printed"},
+		{[]string{"bench", "-figure", "7", "-size", "small", "-nodes", "4"}, "Figure 7: execution time breakdown (ms/thread), 4 nodes x 1 thread(s)/node, size=small"},
+		{[]string{"bench", "-ablation", "detection", "-size", "small", "-nodes", "4"}, "probe            32.0"},
+		{[]string{"fi", "-app", "counter", "-budget", "6", "-workers", "2"}, "counter/small/n4/t1: 6/6 boundaries pass"},
+		{[]string{"fi", "-app", "counter", "-nodes", "6", "-degree", "3", "-pairs", "-budget", "1", "-seconds", "2", "-workers", "2"}, "2/2 pairs pass"},
+		{[]string{"check", "-app", "counter", "-milestones", "release.done", "-seqs", "1"}, "svmcheck: 4 schedules verified, 0 unreachable, 0 FAILED"},
+		{[]string{"chaos", "-apps", "counter", "-scenarios", "burst"}, "svmchaos: 2 cells, 0 FAILED"},
+		{[]string{"serve", "-scenarios", "storm", "-detect", "probe", "-requests", "60"}, "svmserve: 1 cells in"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			code, out, errw := runCapture(t, tc.args...)
+			if code != 0 || !strings.Contains(out, tc.want) {
+				t.Fatalf("exit %d, want 0 and %q in stdout\nstdout:\n%s\nstderr:\n%s", code, tc.want, out, errw)
+			}
+		})
+	}
+}
+
+// TestHostileInput holds every subcommand to one rule for bad input: exit
+// 2 and exactly one line on stderr, before anything is built — never a
+// panic, a vacuous pass or a silent default.
+func TestHostileInput(t *testing.T) {
+	cases := [][]string{
+		{"run", "-size", "bogus"},
+		{"run", "-mode", "bogus"},
+		{"run", "-lock", "bogus"},
+		{"run", "-events", "bogus"},
+		{"run", "-app", "bogus", "-size", "small"},
+		{"run", "-nodes", "0"},
+		{"run", "-threads", "0"},
+		{"run", "-ring", "0"},
+		{"run", "-nodes", "four"},
+		{"run", "-bogus"},
+		{"run", "radix"},
+		{"run", "-app", "fft", "-size", "small", "-nodes", "4", "-kill", "9", "-killat", "1ms"},
+		{"run", "-size", "small", "-nodes", "4", "-kill", "-2"},
+		{"run", "-size", "small", "-mode", "base", "-kill", "1"},
+		{"run", "-size", "small", "-nodes", "2", "-kill", "1"},
+		{"run", "-size", "small", "-kill", "1", "-killat", "-1ms"},
+		{"bench", "-figure", "bogus"},
+		{"bench", "-ablation", "bogus"},
+		{"bench", "-size", "bogus"},
+		{"bench", "-figure", "7", "-nodes", "0"},
+		{"bench", "-ablation", "recovery", "-size", "small", "-nodes", "2"},
+		{"fi", "-size", "bogus"},
+		{"fi", "-tier", "bogus"},
+		{"fi", "-lock", "queue"},
+		{"fi", "-detect", "bogus"},
+		{"fi", "-budget", "-3"},
+		{"fi", "-threads", "0"},
+		{"fi", "-nodes", "0"},
+		{"fi", "-workers", "-1"},
+		{"fi", "-seconds", "-1"},
+		{"fi", "-degree", "1"},
+		{"fi", "-shard", "4/4"},
+		{"fi", "-shard", "half"},
+		{"fi", "-kinds", "release.bogus"},
+		{"fi", "-boundary", "release.done@n9"},
+		{"check", "-milestones", "bogus.kind"},
+		{"check", "-size", "bogus"},
+		{"check", "-tier", "bogus"},
+		{"check", "-lock", "queue"},
+		{"check", "-detect", "bogus"},
+		{"check", "-seqs", "one"},
+		{"check", "-seqs", "-1"},
+		{"check", "-threads", "0"},
+		{"check", "-ring", "0"},
+		{"check", "-nodes", "2"},
+		{"chaos", "-scenarios", "bogus"},
+		{"chaos", "-size", "bogus"},
+		{"chaos", "-detect", "bogus"},
+		{"chaos", "-nodes", "0"},
+		{"chaos", "-threads", "0"},
+		{"serve", "-scenarios", "bogus"},
+		{"serve", "-detect", "oracle,bogus"},
+		{"serve", "-nodes", "0"},
+		{"serve", "-requests", "0"},
+		{"serve", "-nodes", "2"},
+	}
+	for _, args := range cases {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			code, out, errw := runCapture(t, args...)
+			if code != 2 || strings.Count(errw, "\n") != 1 || out != "" {
+				t.Fatalf("exit %d, stdout %q, stderr %q: want exit 2, one stderr line and no output", code, out, errw)
+			}
+		})
+	}
+}
+
+// TestUsage covers the dispatcher: no subcommand and an unknown one exit
+// 2 with the usage text; -h prints a subcommand's flags and exits 0.
+func TestUsage(t *testing.T) {
+	for _, args := range [][]string{nil, {"bogus"}, {"-h"}} {
+		code, out, errw := runCapture(t, args...)
+		if code != 2 || out != "" || !strings.Contains(errw, "usage: svm <command>") {
+			t.Errorf("svm %v: exit %d, stdout %q, stderr %q: want exit 2 and the usage text", args, code, out, errw)
+		}
+	}
+	for name := range commands {
+		code, _, errw := runCapture(t, name, "-h")
+		if code != 0 || !strings.Contains(errw, fmt.Sprintf("Usage of %s:", name)) {
+			t.Errorf("svm %s -h: exit %d, stderr %q: want exit 0 and the flag list", name, code, errw)
+		}
+	}
+}

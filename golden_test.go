@@ -246,7 +246,7 @@ func dirFamily() []namedCell {
 	return cells
 }
 
-// serveFamily is svmserve's default matrix: six chaos scenarios x
+// serveFamily is `svm serve`'s default matrix: six chaos scenarios x
 // oracle/probe, 4 x 1, 400 requests at a 400 µs gap, node 1 killed 40%
 // into the stream.
 func serveFamily() (names []string, specs []serve.Spec) {

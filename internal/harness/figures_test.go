@@ -115,7 +115,7 @@ func TestFigureBreakdownErrorRow(t *testing.T) {
 	AppNames = []string{"nosuchapp"}
 	defer func() { AppNames = saved }()
 	// Each renderer prints the ERROR rows and returns how many there
-	// were, which is what svmbench turns into its exit status.
+	// were, which is what `svm bench` turns into its exit status.
 	var buf bytes.Buffer
 	for _, tc := range []struct {
 		name   string

@@ -80,7 +80,7 @@ func runAppWithKillTPN(t *testing.T, app, kind string, node, victim int, seq int
 // already landed on node 0, recovery rebuilt the new secondary from the
 // primary's committed copy *before* the releaser's local phase 2 ran, and
 // without the post-recovery re-propagation the interval existed only in
-// the committed replica. Found by cmd/svmcheck; verified byte-for-byte by
+// the committed replica. Found by `svm check`; verified byte-for-byte by
 // VerifyReplicas.
 func TestBystanderHomeFailure(t *testing.T) {
 	runAppWithKill(t, "waternsq", "release.commit", 0, 0, 1)

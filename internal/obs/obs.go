@@ -188,7 +188,7 @@ func (r *Ring) Last(k int) []Event {
 }
 
 // Recorder is the per-node flight recorder: one ring per node plus an
-// optional streaming sink (svmtrace). The clock stamps events with the
+// optional streaming sink (`svm run -events`). The clock stamps events with the
 // engine's virtual time at record.
 type Recorder struct {
 	rings []*Ring
@@ -232,7 +232,7 @@ func (r *Recorder) Node(i int) *Ring { return r.rings[i] }
 func (r *Recorder) Nodes() int { return len(r.rings) }
 
 // Dump writes each node's last lastN retained events to w — the
-// post-mortem view svmcheck prints when a schedule fails.
+// post-mortem view `svm check` prints when a schedule fails.
 func (r *Recorder) Dump(w io.Writer, lastN int) {
 	for i, ring := range r.rings {
 		evs := ring.Last(lastN)

@@ -226,9 +226,9 @@ func TestPollingRoundAllocBudget(t *testing.T) {
 }
 
 // Release-path benchmarks: sparse (lock-grained, Water-Nsq-like) vs dense
-// (whole-page, FFT/LU-like) writers. Run with -fulltwins ablation via
-// cmd/svmbench or directly against FullTwins here to see the tracked
-// speedup; allocs/op is reported for the allocation gate's context.
+// (whole-page, FFT/LU-like) writers. Run against FullTwins here to see
+// the tracked speedup; allocs/op is reported for the allocation gate's
+// context.
 func benchRelease(b *testing.B, dense, fullTwins bool) {
 	body := func(th *Thread) {
 		st := &counterState{}
