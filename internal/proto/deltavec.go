@@ -37,15 +37,35 @@ const (
 	deltaTagSparse = 0x01
 )
 
-// deltaChanged counts the entries where cur differs from prev.
+// deltaChanged counts the entries where cur differs from prev. Link
+// contexts change in a few entries per message, so it ORs the XORs of
+// eight entries at a time and counts inside a block only when that is
+// non-zero.
 func deltaChanged(prev, cur VectorTime) int {
-	c := 0
-	for i, x := range cur {
-		if prev[i] != x {
+	prev = prev[:len(cur)]
+	c, i := 0, 0
+	for ; i+8 <= len(cur); i += 8 {
+		p, q := prev[i:i+8:i+8], cur[i:i+8:i+8]
+		d0, d1, d2, d3 := p[0]^q[0], p[1]^q[1], p[2]^q[2], p[3]^q[3]
+		d4, d5, d6, d7 := p[4]^q[4], p[5]^q[5], p[6]^q[6], p[7]^q[7]
+		if d0|d1|d2|d3|d4|d5|d6|d7 != 0 {
+			c += nz(d0) + nz(d1) + nz(d2) + nz(d3) + nz(d4) + nz(d5) + nz(d6) + nz(d7)
+		}
+	}
+	for ; i < len(cur); i++ {
+		if prev[i] != cur[i] {
 			c++
 		}
 	}
 	return c
+}
+
+// nz is 1 for a non-zero d and 0 otherwise (a flag set, not a branch).
+func nz(d int32) int {
+	if d != 0 {
+		return 1
+	}
+	return 0
 }
 
 // DeltaWireBytes returns the encoded size of cur relative to prev: the

@@ -1,8 +1,67 @@
 package proto
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 )
+
+// deltaChangedRef is the element loop deltaChanged must agree with.
+func deltaChangedRef(prev, cur VectorTime) int {
+	c := 0
+	for i, x := range cur {
+		if prev[i] != x {
+			c++
+		}
+	}
+	return c
+}
+
+// TestDeltaChangedMatchesElementLoop checks the block count against the
+// element loop at every length from 0 to 1030 (so every remainder modulo
+// 8, and blocks with a change in any lane) and at change densities from
+// none to every entry.
+func TestDeltaChangedMatchesElementLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 1030; n++ {
+		for _, pct := range []int{0, 1, 8, 50, 100} {
+			prev := make(VectorTime, n)
+			for i := range prev {
+				prev[i] = rng.Int31()
+			}
+			cur := prev.Clone()
+			for i := range cur {
+				if rng.Intn(100) < pct {
+					// Flip a bit in either half: a change confined to the
+					// sign bit or to the low bits must both count.
+					cur[i] ^= 1 << rng.Intn(32)
+				}
+			}
+			if got, want := deltaChanged(prev, cur), deltaChangedRef(prev, cur); got != want {
+				t.Fatalf("n=%d density %d%%: deltaChanged = %d, element loop %d", n, pct, got, want)
+			}
+		}
+	}
+}
+
+func BenchmarkDeltaChanged(b *testing.B) {
+	for _, changed := range []int{8, 512} {
+		b.Run(fmt.Sprintf("512/changed=%d", changed), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			prev := make(VectorTime, 512)
+			for i := range prev {
+				prev[i] = int32(rng.Intn(1000))
+			}
+			cur := prev.Clone()
+			for _, i := range rng.Perm(len(cur))[:changed] {
+				cur[i]++
+			}
+			for b.Loop() {
+				deltaChanged(prev, cur)
+			}
+		})
+	}
+}
 
 func TestDeltaRoundTrip(t *testing.T) {
 	cases := []struct {

@@ -143,11 +143,13 @@ func (n *node) liveThreads() int {
 }
 
 // sendArrival ships the node's barrier arrival — its vector time and the
-// update lists it has not yet shipped at a barrier — to the master.
+// update lists it has not yet shipped at a barrier — to the master. The
+// lists are a capped window into the interval log, as in intervalRange.
 func (t *Thread) sendArrival(epoch int64) {
 	n := t.node
-	lists := append([]proto.UpdateList(nil), n.intervals[n.barSentIntervals:]...)
-	n.barSentIntervals = len(n.intervals)
+	end := len(n.intervals)
+	lists := n.intervals[n.barSentIntervals:end:end]
+	n.barSentIntervals = end
 	n.barSentEpoch = epoch
 	t.cl.trace(obs.KBarrierArrive, n.id, t.id, epoch)
 	a := &barArrive{Epoch: int(epoch), Node: n.id, VT: n.vt.Clone(), Lists: lists}

@@ -83,8 +83,7 @@ func (t *Thread) readFault(pg *page) {
 // the thread must join recovery before retrying.
 func (t *Thread) localFetch(pg *page) (needRecovery bool) {
 	cfg := t.cl.cfg
-	need := pg.fetchNeed(t.node.id)
-	for !pg.commitVer.Covers(need) {
+	for !pg.coversNeed(pg.commitVer, t.node.id) {
 		t0 := t.beginWait()
 		pg.verGate.WaitTimeout(t.proc, 4*cfg.HeartbeatTimeoutNs)
 		t.endWait(CompDataWait, t0)
@@ -96,7 +95,7 @@ func (t *Thread) localFetch(pg *page) (needRecovery bool) {
 	copy(buf, pg.committed)
 	t.node.stats.LocalFetches++
 	t.charge(CompDataWait, cfg.CopyNs(cfg.PageSize))
-	t.finishFetch(pg, pg.commitVer.Clone())
+	t.finishFetch(pg)
 	return false
 }
 
@@ -105,32 +104,43 @@ func (t *Thread) localFetch(pg *page) (needRecovery bool) {
 // and the thread must join recovery before retrying against the new home.
 func (t *Thread) remoteFetch(pg *page, home int) (needRecovery bool) {
 	cfg := t.cl.cfg
-	req := &fetchReq{Page: pg.id, Need: pg.fetchNeed(t.node.id)}
+	req := t.fetch
+	if req == nil {
+		req = &fetchReq{Need: proto.NewVector(cfg.Nodes), Reply: &fetchReply{Ver: proto.NewVector(cfg.Nodes)}}
+		t.fetch = req
+	}
+	rep := req.Reply
+	if rep.Data == nil {
+		rep.Data = t.node.getPageBuf()
+	}
+	req.Page = pg.id
+	pg.fillNeed(req.Need, t.node.id)
 	t0 := t.beginWait()
 	v, err := t.node.ep.RequestAbort(t.proc, home, t.node.msgWire(home, req), req,
 		func() bool { return t.cl.rec.pending })
 	t.endWait(CompDataWait, t0)
 	if err != nil {
+		// The home may still hold the request and fill its envelope later.
+		t.fetch = nil
 		if errors.Is(err, vmmc.ErrNodeDead) || errors.Is(err, vmmc.ErrAborted) {
 			return true
 		}
 		panic(fmt.Sprintf("svm: fetch page %d: %v", pg.id, err))
 	}
-	rep := v.(*fetchReply)
-	if len(rep.Data) != cfg.PageSize {
-		panic("svm: fetch reply size mismatch")
+	if v != rep {
+		panic("svm: fetch reply is not the request's envelope")
 	}
-	if !rep.Ver.Covers(pg.fetchNeed(t.node.id)) {
+	if !pg.coversNeed(rep.Ver, t.node.id) {
 		// The page was invalidated again while the fetch was in flight;
-		// retry with the stronger requirement.
-		t.node.putPageBuf(rep.Data)
+		// retry with the stronger requirement (and the same envelope).
 		return false
 	}
 	// A stale read-only copy may still be installed; the reply replaces it.
 	t.node.putPageBuf(pg.working)
 	pg.setWorking(rep.Data)
+	rep.Data = nil
 	t.node.stats.RemoteFetches++
-	t.finishFetch(pg, rep.Ver)
+	t.finishFetch(pg)
 	return false
 }
 
@@ -138,7 +148,7 @@ func (t *Thread) remoteFetch(pg *page, home int) (needRecovery bool) {
 // writes when it was invalidated, replay the local diff over the fetched
 // copy and keep the page dirty (the multiple-writer merge); otherwise the
 // page becomes read-only.
-func (t *Thread) finishFetch(pg *page, ver proto.VectorTime) {
+func (t *Thread) finishFetch(pg *page) {
 	cfg := t.cl.cfg
 	if pg.dirtyWorking != nil {
 		// The merge diff lives only for this replay: compute it in pooled

@@ -145,15 +145,18 @@ func (n *node) handleFetch(d *vmmc.Delivery, m *fetchReq) {
 		}
 	}
 	if ver.Covers(m.Need) {
-		rep := &fetchReply{Page: m.Page, Data: n.clonePageBuf(buf), Ver: ver.Clone()}
+		rep := m.fill(buf, ver)
 		d.Reply(rep, n.msgWire(d.Src, rep))
 		return
 	}
-	pg.waiters = append(pg.waiters, fetchWaiter{d: d, need: m.Need})
+	pg.waiters = append(pg.waiters, fetchWaiter{d: d, req: m})
 }
 
-// intervalRange returns clones of this node's update lists for intervals
-// [from, to], clamped to what exists.
+// intervalRange returns this node's update lists for intervals [from, to],
+// clamped to what exists, as a window into the interval log rather than a
+// copy. The log is append-only and every receiver only reads the lists;
+// the window's capacity ends at to, so an append to it cannot write into
+// the log.
 func (n *node) intervalRange(from, to int32) []proto.UpdateList {
 	if from < 1 {
 		from = 1
@@ -164,18 +167,20 @@ func (n *node) intervalRange(from, to int32) []proto.UpdateList {
 	if to < from {
 		return nil
 	}
-	out := make([]proto.UpdateList, 0, to-from+1)
-	for i := from; i <= to; i++ {
-		out = append(out, n.intervals[i-1])
-	}
-	return out
+	return n.intervals[from-1 : to : to]
 }
 
 // storeSavedTS replicates a peer's end-of-phase-1 state: the timestamp,
 // the interval's update list, the self-secondary diff stash, and the
-// releasing thread's point-B checkpoint — one atomic deposit.
+// releasing thread's point-B checkpoint — one atomic deposit. The
+// timestamp is the sender's shared snapshot, so it is copied, into the
+// vector already held for that node once there is one.
 func (n *node) storeSavedTS(m *saveTSMsg) {
-	n.savedTS[m.Node] = m.TS.Clone()
+	if ts := n.savedTS[m.Node]; ts != nil {
+		copy(ts, m.TS)
+	} else {
+		n.savedTS[m.Node] = m.TS.Clone()
+	}
 	lists := n.savedLists[m.Node]
 	if len(lists) == 0 || lists[len(lists)-1].Interval < m.List.Interval {
 		n.savedLists[m.Node] = append(lists, m.List)

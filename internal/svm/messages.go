@@ -57,19 +57,37 @@ func (m *diffBatch) wireBytes() int {
 	return n
 }
 
-// fetchReq asks a home for a page copy at or beyond version Need.
+// fetchReq asks a home for a page copy at or beyond version Need. Reply is
+// the requester's envelope for the answer; it travels with the request but
+// is not on the modeled wire (on VMMC it is the receive buffer the
+// requester exported).
 type fetchReq struct {
-	Page int
-	Need proto.VectorTime
+	Page  int
+	Need  proto.VectorTime
+	Reply *fetchReply
 }
 
 func (m *fetchReq) wireBytes() int { return 8 + vecWire(len(m.Need)) }
 
-// fetchReply returns the page contents and the version they carry.
+// fetchReply returns the page contents and the version they carry. The
+// requester owns it, as it owns its pendingCall: Data is a page buffer from
+// the requester's pool and Ver is N wide, the home copies into both in
+// place (fill) and replies with the envelope itself. The requester reuses
+// a request and its envelope only after RequestAbort returned the reply;
+// one abandoned by an error may still sit in a home's waiter list, and
+// recovery re-serves those, so it is left to the collector.
 type fetchReply struct {
-	Page int
 	Data []byte
 	Ver  proto.VectorTime
+}
+
+// fill copies a home copy and its version into the request's envelope and
+// returns the envelope.
+func (m *fetchReq) fill(buf []byte, ver proto.VectorTime) *fetchReply {
+	rep := m.Reply
+	copy(rep.Data, buf)
+	copy(rep.Ver, ver)
+	return rep
 }
 
 func (m *fetchReply) wireBytes() int { return 8 + len(m.Data) + vecWire(len(m.Ver)) }
@@ -97,7 +115,10 @@ func updatesWire(lists []proto.UpdateList) int {
 // saveTSMsg is the extended protocol's end-of-phase-1 save: the releaser's
 // new vector time and the update list of the interval just propagated,
 // replicated at the backup node so recovery can arbitrate roll-forward vs
-// roll-back and re-serve the dead node's write notices.
+// roll-back and re-serve the dead node's write notices. TS is the sending
+// thread's snapshot of its node's vector time, shared by the deposit's k-1
+// copies: a backup copies it into storage of its own (storeSavedTS), and
+// the thread rewrites it only after a fence that returned nil.
 type saveTSMsg struct {
 	Node int
 	TS   proto.VectorTime

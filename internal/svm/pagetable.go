@@ -32,11 +32,12 @@ type undoRec struct {
 }
 
 // fetchWaiter is a deferred reply to a remote fetch: the home's copy has
-// not yet reached the version the fault needs (its diffs are still in
-// flight), so the reply is held until the missing diffs are applied.
+// not yet reached the version req.Need (its diffs are still in flight), so
+// the request, with the envelope its reply is filled into, is held until
+// the missing diffs are applied.
 type fetchWaiter struct {
-	d    *vmmc.Delivery
-	need proto.VectorTime
+	d   *vmmc.Delivery
+	req *fetchReq
 }
 
 // page is one shared page as seen by one node: the working copy all local
@@ -296,7 +297,10 @@ func (pg *page) stashDirty() {
 //
 // Twins, working copies, and fetch-reply payloads are all PageSize bytes
 // and churn at every write fault, fetch, and interval commit; recycling
-// them keeps the steady-state fault and commit paths allocation-free.
+// them keeps the steady-state fault and commit paths allocation-free. A
+// fetch-reply payload is taken from the requester's pool (see fetchReply),
+// so a fetch that installs it and recycles the working copy it replaces
+// leaves both the requester's and the home's pool as it found them.
 // Each node owns its own stacks, so every pool access is lane-local under
 // the parallel engine (buffers may migrate between node pools over their
 // lifetime — invisible to the protocol, since contents are always
@@ -358,16 +362,22 @@ func (n *node) putMaskBuf(m []uint64) {
 	n.maskFree = append(n.maskFree, m)
 }
 
-// fetchNeed returns the version a fetch by node me must observe: the
-// accumulated write notices plus this node's own last committed interval
-// for the page.
-func (pg *page) fetchNeed(me int) proto.VectorTime {
-	need := proto.NewVector(pg.pt.node.cl.cfg.Nodes)
-	copy(need, pg.reqVer)
-	if need[me] < pg.lastLocalItv {
-		need[me] = pg.lastLocalItv
+// fillNeed writes into dst (N wide) the version a fetch by node me must
+// observe: the accumulated write notices plus this node's own last
+// committed interval for the page.
+func (pg *page) fillNeed(dst proto.VectorTime, me int) {
+	if pg.reqVer == nil {
+		clear(dst)
+	} else {
+		copy(dst, pg.reqVer)
 	}
-	return need
+	dst[me] = max(dst[me], pg.lastLocalItv)
+}
+
+// coversNeed reports whether ver covers what fillNeed would write, without
+// building it.
+func (pg *page) coversNeed(ver proto.VectorTime, me int) bool {
+	return (pg.reqVer == nil || ver.Covers(pg.reqVer)) && ver[me] >= pg.lastLocalItv
 }
 
 // ensureWorking lazily allocates the working copy from the cluster pool.
@@ -416,15 +426,14 @@ func (pg *page) applyDiff(copyBuf []byte, ver proto.VectorTime, src int, interva
 	}
 }
 
-// serveWaiters replies to deferred fetches now satisfied by ver over buf.
-// Reply payloads come from the page pool; the requester installs them as
-// its working copy (or recycles them on a stale reply).
+// serveWaiters replies to deferred fetches now satisfied by ver over buf,
+// filling each request's own envelope.
 func (pg *page) serveWaiters(ver proto.VectorTime, buf []byte, replySize int) {
 	kept := pg.waiters[:0]
 	n := pg.pt.node
 	for _, w := range pg.waiters {
-		if ver.Covers(w.need) {
-			rep := &fetchReply{Page: pg.id, Data: n.clonePageBuf(buf), Ver: ver.Clone()}
+		if ver.Covers(w.req.Need) {
+			rep := w.req.fill(buf, ver)
 			sz := replySize
 			if n.cl.cfg.VTCodec == model.VTDelta {
 				// The legacy replySize is a flat approximation; the delta

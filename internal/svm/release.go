@@ -635,9 +635,15 @@ func (t *Thread) saveTimestamp(itv int32, caps []capturedDiff) {
 		backups := t.cl.backupsOf(n.id, deg-1, scratch[:0])
 		t.charge(CompCheckpoint, int64(len(backups))*t.cl.cfg.NICPostOverheadNs)
 		t0 := t.beginWait()
+		// Every copy carries the same snapshot of n.vt (see saveTSMsg).
+		ts := t.tsSnap
+		if ts == nil {
+			ts = proto.NewVector(len(n.vt))
+		}
+		copy(ts, n.vt)
 		for _, backup := range backups {
 			m := &saveTSMsg{
-				Node: n.id, TS: n.vt.Clone(), List: n.intervals[itv-1], Stash: stash,
+				Node: n.id, TS: ts, List: n.intervals[itv-1], Stash: stash,
 				CkptThread: t.id, CkptHome: n.id, Snap: snap,
 			}
 			n.ep.Post(t.proc, backup, n.msgWire(backup, m), m)
@@ -647,8 +653,12 @@ func (t *Thread) saveTimestamp(itv int32, caps []capturedDiff) {
 		// remote state saving under checkpointing.
 		t.endWait(CompCheckpoint, t0)
 		if err == nil {
+			// Every copy was delivered and copied out: the snapshot is free.
+			t.tsSnap = ts
 			return
 		}
+		// A copy may have gone undelivered: leave the snapshot to it.
+		t.tsSnap = nil
 		if errors.Is(err, vmmc.ErrNodeDead) {
 			t.joinRecoveryErr(err)
 			continue // backup set reassigned; save again

@@ -7,6 +7,7 @@ import (
 
 	"ftsvm/internal/checkpoint"
 	"ftsvm/internal/mem"
+	"ftsvm/internal/proto"
 	"ftsvm/internal/sim"
 )
 
@@ -37,6 +38,15 @@ type Thread struct {
 	inRecovery bool
 	blocked    bool // inside a blocking protocol wait (suspendable in place)
 	endTime    int64
+
+	// fetch is the thread's remote-fetch request with its reply envelope
+	// (see fetchReply), nil until the first remote fetch and after one
+	// abandoned by an error. tsSnap is the vector-time snapshot its
+	// timestamp deposits share (see saveTimestamp). Both are per thread:
+	// SMP siblings fetch concurrently, and the snapshot then does not
+	// depend on releases being serialized per node.
+	fetch  *fetchReq
+	tsSnap proto.VectorTime
 }
 
 // ID returns the thread's global id.
