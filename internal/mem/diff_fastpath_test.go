@@ -141,6 +141,8 @@ func TestComputeIntoAllocFree(t *testing.T) {
 
 // TestGetDiffBufReuseAllocFree pins the full pooled cycle (Get, compute,
 // Release) at zero steady-state allocations, the shape the fault path uses.
+// Under -race the cycle still runs, for the detector, but its count is not
+// checked: the race detector makes sync.Pool drop items on purpose.
 func TestGetDiffBufReuseAllocFree(t *testing.T) {
 	twin, cur := benchPage(4096, 200)
 	// Warm the pool with one sized buffer.
@@ -152,7 +154,7 @@ func TestGetDiffBufReuseAllocFree(t *testing.T) {
 		ComputeInto(buf, twin, cur, 4)
 		buf.Release()
 	})
-	if allocs != 0 {
+	if allocs != 0 && !raceEnabled {
 		t.Errorf("Get/ComputeInto/Release cycle: %v allocs/op, want 0", allocs)
 	}
 }

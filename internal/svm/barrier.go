@@ -144,7 +144,9 @@ func (n *node) liveThreads() int {
 
 // sendArrival ships the node's barrier arrival — its vector time and the
 // update lists it has not yet shipped at a barrier — to the master. The
-// lists are a capped window into the interval log, as in intervalRange.
+// vector time is the node's shared snapshot and the lists are a capped
+// window into the interval log, as in intervalRange: the master only reads
+// either.
 func (t *Thread) sendArrival(epoch int64) {
 	n := t.node
 	end := len(n.intervals)
@@ -152,7 +154,7 @@ func (t *Thread) sendArrival(epoch int64) {
 	n.barSentIntervals = end
 	n.barSentEpoch = epoch
 	t.cl.trace(obs.KBarrierArrive, n.id, t.id, epoch)
-	a := &barArrive{Epoch: int(epoch), Node: n.id, VT: n.vt.Clone(), Lists: lists}
+	a := &barArrive{Epoch: int(epoch), Node: n.id, VT: n.vtSnapshot(), Lists: lists}
 	master := t.cl.masterNode()
 	if master == n.id {
 		n.masterArrive(a)

@@ -67,7 +67,8 @@ func (t *Thread) checkpointSelf() {
 }
 
 // encodeSnapshot serializes the thread's registered resumable state. The
-// snapshot is empty (nil Blob) if the thread never called Setup.
+// snapshot is empty (nil Blob) if the thread never called Setup. Its VT is
+// the node's shared vector-time snapshot (see vtSnapshot).
 func (s *Thread) encodeSnapshot() (checkpoint.Snapshot, int) {
 	if s.state == nil {
 		return checkpoint.Snapshot{}, 0
@@ -89,7 +90,7 @@ func (s *Thread) encodeSnapshot() (checkpoint.Snapshot, int) {
 	// the call is NOT replayed, skewing every later arrival of a
 	// replayed thread one episode ahead of its work and shipping its
 	// intervals one sync point late.
-	return checkpoint.Snapshot{Seq: s.ckptSeq, VT: s.node.vt.Clone(), BarSeq: s.barSeq, Blob: blob}, len(blob)
+	return checkpoint.Snapshot{Seq: s.ckptSeq, VT: s.node.vtSnapshot(), BarSeq: s.barSeq, Blob: blob}, len(blob)
 }
 
 // saveThreadState serializes a thread's registered state and deposits it

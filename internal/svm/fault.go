@@ -277,25 +277,33 @@ func (t *Thread) applyNotices(lists []proto.UpdateList, vt proto.VectorTime) {
 		}
 	}
 	if vt != nil {
-		n.vt.Merge(vt)
+		n.mergeVT(vt)
 	}
 }
 
 // fetchUpdates pulls the update lists this node is missing relative to
 // target from their origin nodes (the acquire-side write-notice fetch of
 // §3.2) and applies them. Dead origins are recovered from the failure
-// machinery, which re-broadcasts the replicated lists.
+// machinery, which re-broadcasts the replicated lists. target may be the
+// acquired lock's read envelope (see lockReadReply), so it is only read.
 func (t *Thread) fetchUpdates(target proto.VectorTime) {
 	n := t.node
 	for src := range target {
 		if src == n.id || target[src] <= n.vt[src] {
 			continue
 		}
-		req := &updatesReq{From: n.vt[src] + 1, To: target[src]}
+		req := t.upd
+		if req == nil {
+			req = &updatesReq{}
+			t.upd = req
+		}
+		req.From, req.To = n.vt[src]+1, target[src]
 		t0 := t.beginWait()
 		v, err := n.ep.RequestAbort(t.proc, src, req.wireBytes(), req, func() bool { return t.cl.rec.pending })
 		t.endWait(CompProtocol, t0)
 		if err != nil {
+			// The origin may still answer the request and fill its envelope.
+			t.upd = nil
 			if errors.Is(err, vmmc.ErrNodeDead) || errors.Is(err, vmmc.ErrAborted) {
 				t.joinRecoveryErr(err)
 				// Recovery merged the replicated lists; re-check remaining.
@@ -303,10 +311,10 @@ func (t *Thread) fetchUpdates(target proto.VectorTime) {
 			}
 			panic(fmt.Sprintf("svm: fetch updates from %d: %v", src, err))
 		}
-		rep := v.(*updatesReply)
-		t.applyNotices(rep.Lists, nil)
-		if n.vt[src] < target[src] {
-			n.vt[src] = target[src]
+		if v != &req.Reply {
+			panic("svm: update-list reply is not the request's envelope")
 		}
+		t.applyNotices(req.Reply.Lists, nil)
+		n.advanceVT(src, target[src])
 	}
 }

@@ -25,9 +25,8 @@ func (n *node) handle(d *vmmc.Delivery) {
 	case *fetchReq:
 		n.handleFetch(d, m)
 	case *updatesReq:
-		lists := n.intervalRange(m.From, m.To)
-		rep := &updatesReply{Lists: lists}
-		d.Reply(rep, updatesWire(lists))
+		m.Reply.Lists = n.intervalRange(m.From, m.To)
+		d.Reply(&m.Reply, updatesWire(m.Reply.Lists))
 	case *saveTSMsg:
 		n.storeSavedTS(m)
 	case *ckptMsg:
@@ -39,7 +38,7 @@ func (n *node) handle(d *vmmc.Delivery) {
 		rep := n.nicTestAndSet(m)
 		d.Reply(rep, n.msgWire(d.Src, rep))
 	case *lockRead:
-		rep, size := n.serveLockRead(d.Src, m.Lock)
+		rep, size := n.serveLockRead(d.Src, m)
 		d.Reply(rep, size)
 	case *barArrive:
 		n.masterArrive(m)
@@ -55,21 +54,22 @@ func (n *node) handle(d *vmmc.Delivery) {
 	}
 }
 
-// serveLockRead builds the primary home's reply to reader's read of lock
-// l and its wire size. The reply object carries the stored timestamp only
-// when it grants, so the delta codec costs the home's live lh.vt here, not
-// through msgWire, and under msgWire's contract: exactly once per reply
-// handed to the NIC. recost copies the vector into the (home, reader) link
-// context, so charging for it needs no clone.
-func (n *node) serveLockRead(reader, l int) (*lockReadReply, int) {
-	lh := n.lockHomesState[l]
+// serveLockRead fills reader's envelope with the primary home's answer to
+// its read of lock m.Lock and returns it with its wire size. The envelope
+// carries the stored timestamp only when it grants, so the delta codec
+// costs the home's live lh.vt here, not through msgWire, and under
+// msgWire's contract: exactly once per reply handed to the NIC. recost
+// copies the vector into the (home, reader) link context, so charging for
+// it needs no clone.
+func (n *node) serveLockRead(reader int, m *lockRead) (*lockReadReply, int) {
+	lh := n.lockHomesState[m.Lock]
 	if lh == nil {
 		// Not (yet) the home — can happen transiently around rehoming;
 		// answer with an empty vector so the acquirer retries.
-		n.initLockHome(l)
-		lh = n.lockHomesState[l]
+		n.initLockHome(m.Lock)
+		lh = n.lockHomesState[m.Lock]
 	}
-	rep := lh.readReply(reader)
+	rep := lh.readReply(reader, m.Reply)
 	return rep, rep.wireBytes() + n.recost(reader, lh.vt)
 }
 
@@ -173,14 +173,11 @@ func (n *node) intervalRange(from, to int32) []proto.UpdateList {
 // storeSavedTS replicates a peer's end-of-phase-1 state: the timestamp,
 // the interval's update list, the self-secondary diff stash, and the
 // releasing thread's point-B checkpoint — one atomic deposit. The
-// timestamp is the sender's shared snapshot, so it is copied, into the
-// vector already held for that node once there is one.
+// timestamp is the sender's immutable vector-time snapshot (vtSnapshot),
+// so it is kept as it is: savedTS is replaced per deposit, never written
+// in place, and its readers (savedReplyFor, fetchSavedState) only read it.
 func (n *node) storeSavedTS(m *saveTSMsg) {
-	if ts := n.savedTS[m.Node]; ts != nil {
-		copy(ts, m.TS)
-	} else {
-		n.savedTS[m.Node] = m.TS.Clone()
-	}
+	n.savedTS[m.Node] = m.TS
 	lists := n.savedLists[m.Node]
 	if len(lists) == 0 || lists[len(lists)-1].Interval < m.List.Interval {
 		n.savedLists[m.Node] = append(lists, m.List)
@@ -194,13 +191,14 @@ func (n *node) storeSavedTS(m *saveTSMsg) {
 	}
 }
 
-// savedReplyFor packages the backup state held for a dead node.
+// savedReplyFor packages the backup state held for a dead node. The
+// timestamp is the stored snapshot itself (see storeSavedTS).
 func (n *node) savedReplyFor(dead int) *savedReply {
 	ts, ok := n.savedTS[dead]
 	if !ok {
 		return &savedReply{Have: false, TS: proto.NewVector(n.cl.cfg.Nodes)}
 	}
-	return &savedReply{Have: true, TS: ts.Clone(), Lists: n.savedLists[dead]}
+	return &savedReply{Have: true, TS: ts, Lists: n.savedLists[dead]}
 }
 
 // installLock lands a recovery-time lock rebuild.

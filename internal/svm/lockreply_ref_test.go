@@ -53,6 +53,9 @@ func TestLockReadReplyMatchesReference(t *testing.T) {
 		}
 		n, lh := build()
 		refN, refLH := build()
+		// One envelope serves every read, as a node's does for one lock, so
+		// each fill must overwrite everything the previous one set.
+		req := newLockRead(lock, nodes)
 		for set := 0; set < 1<<nodes; set++ {
 			for reader := 0; reader < nodes; reader++ {
 				// The stored timestamp moves between reads, as releases
@@ -64,7 +67,10 @@ func TestLockReadReplyMatchesReference(t *testing.T) {
 					refLH.vec[i] = lh.vec[i]
 				}
 
-				rep, size := n.serveLockRead(reader, lock)
+				rep, size := n.serveLockRead(reader, req)
+				if rep != req.Reply {
+					t.Fatal("the home answered outside the reader's envelope")
+				}
 				ref := refReadReply(refLH)
 				refSize := refN.msgWire(reader, ref)
 

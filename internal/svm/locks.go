@@ -88,7 +88,7 @@ func (t *Thread) handOver(l int, ol *ownedLock) {
 	n := t.node
 	ol.holder = nil
 	if t.cl.opt.LockAlgo == LockQueue {
-		ol.releaseVT = n.vt.Clone()
+		ol.releaseVT = n.vtSnapshot()
 	}
 	switch {
 	case t.cl.opt.LockAlgo == LockQueue && ol.pendingGrant >= 0:
@@ -97,7 +97,7 @@ func (t *Thread) handOver(l int, ol *ownedLock) {
 		ol.pendingGrant = -1
 		n.setHeld(l, false)
 		t.cl.trace(obs.KLockRelease, n.id, t.id, int64(l))
-		g := &qlGrant{Lock: l, VT: n.vt.Clone()}
+		g := &qlGrant{Lock: l, VT: n.vtSnapshot()}
 		t.charge(CompLock, t.cl.cfg.NICPostOverheadNs)
 		n.ep.PostSystem(dst, n.msgWire(dst, g), g)
 		ol.gate.Broadcast() // local waiters must re-contend remotely
@@ -109,7 +109,7 @@ func (t *Thread) handOver(l int, ol *ownedLock) {
 		// the home(s), atomically per home.
 		n.setHeld(l, false)
 		t.cl.trace(obs.KLockRelease, n.id, t.id, int64(l))
-		rel := &lockRelease{Lock: l, Node: n.id, VT: n.vt.Clone()}
+		rel := &lockRelease{Lock: l, Node: n.id, VT: n.vtSnapshot()}
 		prim := t.cl.lockHomes.Primary(l)
 		t.postLockMsg(prim, rel, n.msgWire(prim, rel))
 		if t.cl.opt.Mode == ModeFT {
@@ -133,7 +133,6 @@ func (n *node) lockState(l int) *ownedLock {
 			pendingGrant: -1,
 			set:          lockSet{Lock: l, Node: n.id},
 			clr:          lockClear{Lock: l, Node: n.id},
-			read:         lockRead{Lock: l},
 		}
 		n.owned[l] = ol
 	}
@@ -231,34 +230,48 @@ func (t *Thread) pollingAcquire(l int) proto.VectorTime {
 }
 
 // lockReadVector fetches the lock vector and stored timestamp from the
-// primary home.
+// primary home into the (node, lock) read envelope and returns it.
 func (t *Thread) lockReadVector(l, prim int) (*lockReadReply, error) {
 	n := t.node
-	if prim == n.id {
-		lh := n.lockHomesState[l]
-		t.charge(CompLock, t.cl.cfg.ProtoOpNs)
-		return lh.readReply(n.id), nil
+	ol := n.lockState(l)
+	if ol.read == nil {
+		ol.read = newLockRead(l, t.cl.cfg.Nodes)
 	}
-	req := &n.lockState(l).read
+	req := ol.read
+	if prim == n.id {
+		t.charge(CompLock, t.cl.cfg.ProtoOpNs)
+		return n.lockHomesState[l].readReply(n.id, req.Reply), nil
+	}
 	t0 := t.beginWait()
 	v, err := n.ep.RequestAbort(t.proc, prim, req.wireBytes(), req,
 		func() bool { return t.cl.rec.pending })
 	t.endWait(CompLock, t0)
 	if err != nil {
+		// The home may still answer the request and fill its envelope later.
+		ol.read = nil
 		if errors.Is(err, vmmc.ErrNodeDead) || errors.Is(err, vmmc.ErrAborted) {
 			return nil, err
 		}
 		panic(fmt.Sprintf("svm: lock %d read: %v", l, err))
 	}
-	return v.(*lockReadReply), nil
+	if v != req.Reply {
+		panic("svm: lock read reply is not the request's envelope")
+	}
+	return req.Reply, nil
 }
 
-// readReply answers reader's read of the lock vector. The modelled reply
-// carries the whole vector and the stored timestamp; the acquirer reads
-// only whether it is the sole holder and, if so, the timestamp, so that is
-// all the reply object holds.
-func (lh *lockHome) readReply(reader int) *lockReadReply {
-	rep := &lockReadReply{vtLen: len(lh.vt)}
+// newLockRead makes a read request for lock l with an empty envelope whose
+// timestamp buffer is nodes wide.
+func newLockRead(l, nodes int) *lockRead {
+	return &lockRead{Lock: l, Reply: &lockReadReply{VT: proto.NewVector(nodes)}}
+}
+
+// readReply answers reader's read of the lock vector in rep, the reader's
+// envelope, and returns it. The modelled reply carries the whole vector
+// and the stored timestamp; the acquirer reads only whether it is the sole
+// holder and, if so, the timestamp, so that is all the envelope is given.
+func (lh *lockHome) readReply(reader int, rep *lockReadReply) *lockReadReply {
+	rep.Count, rep.Sole, rep.vtLen = 0, false, len(lh.vt)
 	for _, set := range lh.vec {
 		if set {
 			rep.Count++
@@ -266,7 +279,7 @@ func (lh *lockHome) readReply(reader int) *lockReadReply {
 	}
 	if rep.Count == 1 && lh.vec[reader] {
 		rep.Sole = true
-		rep.VT = lh.vt.Clone()
+		copy(rep.VT, lh.vt)
 	}
 	return rep
 }
@@ -426,7 +439,7 @@ func (n *node) applyLockMsg(src int, payload any) {
 		if ol.held && ol.holder == nil && ol.localWaiters == 0 && !ol.busy {
 			// Cached and idle: grant immediately.
 			n.setHeld(m.Lock, false)
-			g := &qlGrant{Lock: m.Lock, VT: ol.releaseVT.Clone()}
+			g := &qlGrant{Lock: m.Lock, VT: ol.releaseVT}
 			n.sendOrDeliver(m.Requester, g, n.msgWire(m.Requester, g))
 		} else {
 			ol.pendingGrant = m.Requester

@@ -93,13 +93,20 @@ func (m *fetchReq) fill(buf []byte, ver proto.VectorTime) *fetchReply {
 func (m *fetchReply) wireBytes() int { return 8 + len(m.Data) + vecWire(len(m.Ver)) }
 
 // updatesReq asks a node for its update lists for intervals [From, To].
+// Reply is the requester's envelope for the answer, embedded so the round
+// trip builds nothing; like fetchReq.Reply it is not on the modeled wire.
 type updatesReq struct {
 	From, To int32
+	Reply    updatesReply
 }
 
 func (m *updatesReq) wireBytes() int { return 16 }
 
-// updatesReply returns the requested update lists.
+// updatesReply returns the requested update lists. The home sets Lists to
+// a capped window into its interval log (intervalRange) and replies with
+// the request's own envelope. The requesting thread reuses the request
+// only after RequestAbort returned the envelope; one abandoned by an error
+// may still be answered late, so it is dropped, as a fetch request is.
 type updatesReply struct {
 	Lists []proto.UpdateList
 }
@@ -115,10 +122,9 @@ func updatesWire(lists []proto.UpdateList) int {
 // saveTSMsg is the extended protocol's end-of-phase-1 save: the releaser's
 // new vector time and the update list of the interval just propagated,
 // replicated at the backup node so recovery can arbitrate roll-forward vs
-// roll-back and re-serve the dead node's write notices. TS is the sending
-// thread's snapshot of its node's vector time, shared by the deposit's k-1
-// copies: a backup copies it into storage of its own (storeSavedTS), and
-// the thread rewrites it only after a fence that returned nil.
+// roll-back and re-serve the dead node's write notices. TS is the node's
+// immutable vector-time snapshot (vtSnapshot), shared by the deposit's k-1
+// copies and kept as it is by each backup (storeSavedTS).
 type saveTSMsg struct {
 	Node int
 	TS   proto.VectorTime
@@ -175,9 +181,11 @@ type lockClear struct {
 func (m *lockClear) wireBytes() int { return 12 }
 
 // lockRead fetches the whole lock vector plus the stored release timestamp
-// from the lock's primary home.
+// from the lock's primary home. Reply is the (node, lock) envelope for the
+// answer (see lockReadReply); it is not on the modeled wire.
 type lockRead struct {
-	Lock int
+	Lock  int
+	Reply *lockReadReply
 }
 
 func (m *lockRead) wireBytes() int { return 8 }
@@ -186,10 +194,21 @@ func (m *lockRead) wireBytes() int { return 8 }
 // the stored release timestamp, and sized as such. The object holds what
 // the acquirer reads of them: how many elements are set, whether the
 // reader's is the only one, and the timestamp in that case alone.
+//
+// It is the acquiring node's envelope for lock l, owned by ownedLock.read:
+// VT is N wide, and the home (lockHome.readReply) fills the envelope in
+// place, as the local path does when the node is the primary home itself.
+// An acquire that errors replaces the whole request, since the home may
+// still answer the old one, so a fill can only reach the envelope of a
+// read still in progress or of the one that returned. The acquirer keeps
+// the granted VT through fetchUpdates without copying it: only a thread
+// acquiring l on this node sends the next read, and l is held by then
+// (ownedLock.busy, then held, keep every local thread out of the remote
+// acquire until the holder's release).
 type lockReadReply struct {
 	Count int              // elements set in the lock vector
 	Sole  bool             // the reader's element is the only one set
-	VT    proto.VectorTime // stored release timestamp; nil unless Sole
+	VT    proto.VectorTime // stored release timestamp; meaningful only if Sole
 	vtLen int              // length of the stored timestamp on the wire
 }
 

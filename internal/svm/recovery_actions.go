@@ -373,7 +373,7 @@ func (t *Thread) globalSync(dead int, saved *savedState) {
 				n.invalidateRaw(pid, ul.Node, ul.Interval)
 			}
 		}
-		n.vt.Merge(globalVT)
+		n.mergeVT(globalVT)
 		// Clamp requirements on the dead node's cancelled intervals.
 		for pg := range n.pt.present() {
 			if pg.reqAt(dead) > saved.ts[dead] {

@@ -153,10 +153,10 @@ func (t *Thread) commitInterval() (int32, []capturedDiff) {
 
 	itv := int32(len(n.intervals)) + 1
 	n.intervals = append(n.intervals, proto.UpdateList{Node: n.id, Interval: itv, Pages: pages})
-	n.vt[n.id] = itv
+	n.advanceVT(n.id, itv)
 	t.node.stats.Intervals++
 	if sink := t.cl.commitSink; sink != nil {
-		sink(n.id, itv, n.vt.Clone(), logged)
+		sink(n.id, itv, n.vtSnapshot(), logged)
 	}
 	for _, pid := range pages {
 		n.pt.page(pid).lastLocalItv = itv
@@ -635,12 +635,8 @@ func (t *Thread) saveTimestamp(itv int32, caps []capturedDiff) {
 		backups := t.cl.backupsOf(n.id, deg-1, scratch[:0])
 		t.charge(CompCheckpoint, int64(len(backups))*t.cl.cfg.NICPostOverheadNs)
 		t0 := t.beginWait()
-		// Every copy carries the same snapshot of n.vt (see saveTSMsg).
-		ts := t.tsSnap
-		if ts == nil {
-			ts = proto.NewVector(len(n.vt))
-		}
-		copy(ts, n.vt)
+		// Every copy carries the node's shared snapshot (see saveTSMsg).
+		ts := n.vtSnapshot()
 		for _, backup := range backups {
 			m := &saveTSMsg{
 				Node: n.id, TS: ts, List: n.intervals[itv-1], Stash: stash,
@@ -653,12 +649,8 @@ func (t *Thread) saveTimestamp(itv int32, caps []capturedDiff) {
 		// remote state saving under checkpointing.
 		t.endWait(CompCheckpoint, t0)
 		if err == nil {
-			// Every copy was delivered and copied out: the snapshot is free.
-			t.tsSnap = ts
 			return
 		}
-		// A copy may have gone undelivered: leave the snapshot to it.
-		t.tsSnap = nil
 		if errors.Is(err, vmmc.ErrNodeDead) {
 			t.joinRecoveryErr(err)
 			continue // backup set reassigned; save again

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"ftsvm/internal/checkpoint"
 	"ftsvm/internal/mem"
@@ -212,6 +213,10 @@ type Cluster struct {
 	// SetCommitSink). Nil by default: the commit path pays one branch.
 	commitSink CommitSink
 
+	// vtSnapHook, when set (tests only), sees every vector-time snapshot
+	// vtSnapshot makes, once, when it is made.
+	vtSnapHook func(proto.VectorTime)
+
 	// parReason, set by Run, is why Workers > 1 fell back to the serial
 	// engine ("" when parallel execution was enabled or never requested).
 	parReason string
@@ -231,7 +236,10 @@ type node struct {
 	ep *vmmc.Endpoint
 	pt *pageTable
 
-	vt proto.VectorTime
+	// vt is written only through advanceVT and mergeVT, which drop vtSnap,
+	// the immutable copy vtSnapshot hands out, whenever vt changes.
+	vt     proto.VectorTime
+	vtSnap proto.VectorTime
 	// vtLink is the per-destination delta-codec context: the last vector
 	// shipped on each outgoing link (see wire.go). Lazily allocated, nil
 	// until the first delta-costed send; always nil under VTFull.
@@ -327,15 +335,17 @@ type ownedLock struct {
 	// pendingGrant holds a queue-lock handoff obligation: when the local
 	// release happens, grant to this node instead of keeping the cache.
 	pendingGrant int // -1 none
-	// releaseVT is the node's vector time at its last release of this
-	// lock (queue lock: travels with a grant served from the cache).
+	// releaseVT is the node's vector-time snapshot at its last release of
+	// this lock (queue lock: travels with a grant served from the cache).
 	releaseVT proto.VectorTime
-	// The polling round's messages for this (node, lock). They are never
-	// written after lockState fills them in, so one instance serves every
-	// round, every replica and whatever is still on the wire.
+	// The polling round's messages for this (node, lock). set and clr are
+	// never written after lockState fills them in, so one instance serves
+	// every round, every replica and whatever is still on the wire. read
+	// carries the reply envelope (see lockReadReply): made at the first
+	// read, refilled by every read after it, replaced after an error.
 	set  lockSet
 	clr  lockClear
-	read lockRead
+	read *lockRead
 }
 
 // New validates opt and builds a cluster ready to Run.
@@ -454,6 +464,38 @@ func (n *node) initLockHome(l int) {
 			init: true,
 		}
 		n.touchLock(l)
+	}
+}
+
+// vtSnapshot returns the node's vector time as a vector nobody writes: one
+// clone per version of n.vt, shared by every message, checkpoint and sink
+// that carries the node's time until vt next changes. Receivers that keep
+// it (a backup's savedTS, a checkpoint, a master's arrival) keep the
+// shared vector, so they must never write into it either.
+func (n *node) vtSnapshot() proto.VectorTime {
+	if n.vtSnap == nil {
+		n.vtSnap = slices.Clone(n.vt)
+		if h := n.cl.vtSnapHook; h != nil {
+			h(n.vtSnap)
+		}
+	}
+	return n.vtSnap
+}
+
+// advanceVT raises the node's entry for src to itv if it is behind. With
+// mergeVT it is the only writer of n.vt, so no change can leave a stale
+// snapshot cached.
+func (n *node) advanceVT(src int, itv int32) {
+	if n.vt[src] < itv {
+		n.vt[src] = itv
+		n.vtSnap = nil
+	}
+}
+
+// mergeVT sets n.vt to the element-wise maximum of n.vt and o.
+func (n *node) mergeVT(o proto.VectorTime) {
+	for i, x := range o {
+		n.advanceVT(i, x)
 	}
 }
 
@@ -606,8 +648,10 @@ func (cl *Cluster) EnableWireTrace() {
 // interval index it just opened (node's own vector entry after the
 // commit), a snapshot of the node's vector time, and the captured diffs
 // — everything a replay oracle needs to rebuild the interval's effect on
-// a reference store. The diffs are the live protocol objects: the sink
-// must not mutate them and must clone what it retains.
+// a reference store. The vector and the diffs are live protocol objects:
+// the vector is the snapshot the release then ships to lock homes,
+// backups and checkpoints. The sink must not modify either and must clone
+// what it retains.
 type CommitSink func(node int, interval int32, vt proto.VectorTime, diffs []*mem.Diff)
 
 // SetCommitSink installs fn to run at every interval commit, before the

@@ -7,7 +7,6 @@ import (
 
 	"ftsvm/internal/checkpoint"
 	"ftsvm/internal/mem"
-	"ftsvm/internal/proto"
 	"ftsvm/internal/sim"
 )
 
@@ -39,14 +38,12 @@ type Thread struct {
 	blocked    bool // inside a blocking protocol wait (suspendable in place)
 	endTime    int64
 
-	// fetch is the thread's remote-fetch request with its reply envelope
-	// (see fetchReply), nil until the first remote fetch and after one
-	// abandoned by an error. tsSnap is the vector-time snapshot its
-	// timestamp deposits share (see saveTimestamp). Both are per thread:
-	// SMP siblings fetch concurrently, and the snapshot then does not
-	// depend on releases being serialized per node.
-	fetch  *fetchReq
-	tsSnap proto.VectorTime
+	// fetch and upd are the thread's remote-fetch and update-list requests
+	// with their reply envelopes (see fetchReply and updatesReply), each nil
+	// until its first use and after one abandoned by an error. They are per
+	// thread because SMP siblings fetch concurrently.
+	fetch *fetchReq
+	upd   *updatesReq
 }
 
 // ID returns the thread's global id.
