@@ -207,7 +207,7 @@ func ablationSerial(out io.Writer, sz harness.Size, nodes int) int {
 		par := harness.Run(c)
 		// SerialReleases is an svm option, not a harness one; build directly.
 		var serNs int64
-		ser, w, err := newCluster(c, svm.Options{SerialReleases: true})
+		ser, w, err := harness.NewCluster(c, svm.Options{SerialReleases: true})
 		if err == nil {
 			err = finish(ser, w)
 			serNs = ser.ExecTime()
@@ -356,7 +356,7 @@ func (t *table) killed(label string, c harness.Config) (string, *svm.Cluster) {
 		return "", nil
 	}
 	label += fmt.Sprintf(" %14.1f", float64(clean.ExecNs)/1e6)
-	cl, w, err := newCluster(c, svm.Options{})
+	cl, w, err := harness.NewCluster(c, svm.Options{})
 	if err == nil {
 		killAt := clean.ExecNs / 3
 		cl.Engine().At(killAt, func() { cl.KillNode(1 + int(killAt)%(c.Nodes-1)) })

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 
@@ -26,6 +27,7 @@ import (
 //	svm fi -app counter -shard 1/4 -json     # machine 2 of 4
 //	svm fi -app counter -kinds release.phase1,ckpt.A
 //	svm fi -app counter -boundary 'release.phase1@n2#3'
+//	svm fi -app waternsq -lock nic -detect probe -kinds lock.grant
 //	svm fi -app counter -nodes 6 -degree 3 -pairs -budget 16 -seconds 9
 //
 // The workload is recorded once per app; the sweep then re-executes it
@@ -44,15 +46,16 @@ import (
 // refused by the failure model.
 //
 // Every failing verdict is reproducible from (app config, schedule,
-// seed): rerun it with -boundary 'id' or -boundary 'id1,id2'.
+// seed): rerun it with -boundary 'id' or -boundary 'id1,id2', which
+// follows a failing verdict with each node's last flight-recorder events.
 func fiCmd(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("fi", flag.ContinueOnError)
-	appsFlag := fs.String("app", "counter,falseshare", "comma-separated applications to sweep")
+	appList := enum(fs, "app", "counter,falseshare", "comma-separated applications to sweep", list(appName))
 	size := enum(fs, "size", "small", "problem size: small, medium, paper", harness.ParseSize)
 	nodes := enum(fs, "nodes", "4", "cluster nodes", atLeast(1))
 	tier := enum(fs, "tier", "", "scale tier preset: paper, large (64 nodes), huge (256 nodes), xlarge (512 nodes, hashed directory); overrides -nodes", harness.ParseTier)
 	threads := enum(fs, "threads", "1", "compute threads per node", atLeast(1))
-	enum(fs, "lock", "polling", "lock algorithm: polling (the queue lock has no FT variant)", oneOf(map[string]svm.LockAlgo{"polling": svm.LockPolling}))
+	lock := enum(fs, "lock", "polling", "lock algorithm: polling, nic (the queue lock has no FT variant)", oneOf(map[string]svm.LockAlgo{"polling": svm.LockPolling, "nic": svm.LockNIC}))
 	detect := enum(fs, "detect", "oracle", "failure detection: oracle, probe", model.ParseDetection)
 	seed := fs.Int64("seed", 1, "simulation seed")
 	degree := enum(fs, "degree", "2", "home-replication degree k: k-1 overlapping failures tolerated (2 = the paper's primary/secondary)", atLeast(2))
@@ -70,30 +73,31 @@ func fiCmd(args []string, out, errw io.Writer) int {
 		return code
 	}
 	cellNodes := *nodes
-	if *tier != harness.TierPaper {
+	switch {
+	case *tier != harness.TierPaper:
 		// The tier fixes the cluster shape; -nodes keeps its default role
 		// only on the paper tier.
 		cellNodes = 0
+	case *nodes <= *degree:
+		// Every kill would leave fewer than -degree live nodes: the failure
+		// model refuses it, and the sweep would pass having tested nothing.
+		return usageError(errw, "fi", fmt.Errorf("a %d-node cluster cannot survive a failure at degree %d (need -nodes > -degree)", *nodes, *degree))
 	}
 
 	// Non-default spec-shaping flags, echoed into reproduce hints so a
 	// pasted command rebuilds the exact cluster the failure needs.
-	for _, name := range []string{"size", "tier", "nodes", "threads", "detect", "seed", "degree"} {
+	for _, name := range []string{"size", "tier", "nodes", "threads", "lock", "detect", "seed", "degree"} {
 		if f := fs.Lookup(name); f.Value.String() != f.DefValue {
 			s.repro += fmt.Sprintf(" -%s %s", name, f.Value)
 		}
 	}
 
 	failed := 0
-	for _, app := range strings.Split(*appsFlag, ",") {
-		app = strings.TrimSpace(app)
-		if app == "" {
-			continue
-		}
+	for _, app := range *appList {
 		sp := harness.ExploreSpec(harness.Config{
 			App: app, Size: *size, Tier: *tier,
 			Nodes: cellNodes, ThreadsPerNode: *threads,
-			LockAlgo: svm.LockPolling, Detection: *detect,
+			LockAlgo: *lock, Detection: *detect,
 			Overrides: func(cfg *model.Config) {
 				cfg.Seed = *seed
 				cfg.ReplicaDegree = *degree
@@ -129,8 +133,10 @@ func parseShard(s string) ([2]int, error) {
 	if s == "" {
 		return [2]int{0, 1}, nil
 	}
-	var i, n int
-	if _, err := fmt.Sscanf(s, "%d/%d", &i, &n); err != nil {
+	is, ns, ok := strings.Cut(s, "/")
+	i, err1 := strconv.Atoi(is)
+	n, err2 := strconv.Atoi(ns)
+	if !ok || err1 != nil || err2 != nil {
 		return [2]int{}, fmt.Errorf("want i/n, e.g. 0/4")
 	}
 	if n < 1 || i < 0 || i >= n {
@@ -201,18 +207,22 @@ func (s *sweep) verdicts(sp explore.Spec, vs []explore.Verdict) (failed int) {
 	return failed
 }
 
-// one explores the -boundary schedule and prints its verdict.
+// one explores the -boundary schedule and prints its verdict, followed on
+// a failure by each node's last flight-recorder events.
 func (s *sweep) one(sp explore.Spec) int {
 	tr, _, _ := s.record(sp)
 	if tr == nil {
 		return 1
 	}
-	v := explore.ExploreSchedule(sp, *s.schedule, tr.Budget())
+	v, rec := explore.Replay(sp, *s.schedule, tr.Budget())
 	enc := json.NewEncoder(s.out)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
 	if v.Pass {
 		return 0
+	}
+	if rec != nil {
+		rec.Dump(s.out, 8)
 	}
 	return 1
 }

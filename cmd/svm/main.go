@@ -30,7 +30,6 @@ commands:
   run    execute one application, optionally failing a node or tracing events
   bench  regenerate the paper's figures (-figure) and ablations (-ablation)
   fi     sweep every failure point of a workload under the auditor and oracle
-  check  fail-stop each node inside each protocol milestone and verify
   chaos  sweep the applications across the network-chaos scenarios
   serve  open-loop serving benchmark under chaos with a mid-run kill
 
@@ -41,7 +40,6 @@ var commands = map[string]func(args []string, out, errw io.Writer) int{
 	"run":   runCmd,
 	"bench": benchCmd,
 	"fi":    fiCmd,
-	"check": checkCmd,
 	"chaos": chaosCmd,
 	"serve": serveCmd,
 }
@@ -165,6 +163,18 @@ func parseScenarios(s string) ([]harness.ChaosScenario, error) {
 	return list(harness.ChaosByName)(s)
 }
 
+// appNames is every application harness.Build knows: the chaos suite and
+// the micro-workloads written for failure-point sweeps.
+var appNames = append(append([]string{}, chaosApps...), "counter", "falseshare", "kvmicro")
+
+// appName checks one application name.
+func appName(s string) (string, error) {
+	if !slices.Contains(appNames, s) {
+		return "", fmt.Errorf("unknown application %q (want %s)", s, strings.Join(appNames, ", "))
+	}
+	return s, nil
+}
+
 // kindName checks one flight-recorder event-kind name.
 func kindName(s string) (string, error) {
 	if _, ok := obs.KindByName(s); !ok {
@@ -227,25 +237,6 @@ func (p profiles) start(errw io.Writer) (stop func(), err error) {
 	}, nil
 }
 
-// newCluster builds the cluster harness.Run would build for c, for the
-// runs harness.Run cannot express: time-triggered kills, flight
-// recorders, milestone tracers and serialized base-protocol releases,
-// which opt carries.
-func newCluster(c harness.Config, opt svm.Options) (*svm.Cluster, *apps.Workload, error) {
-	cfg, err := c.ModelConfig()
-	if err != nil {
-		return nil, nil, err
-	}
-	w, err := harness.Build(c.App, c.Size, apps.Shape{Nodes: cfg.Nodes, ThreadsPerNode: cfg.ThreadsPerNode, PageSize: cfg.PageSize})
-	if err != nil {
-		return nil, nil, err
-	}
-	opt.Config, opt.Mode, opt.LockAlgo = cfg, c.Mode, c.LockAlgo
-	opt.Pages, opt.Locks, opt.HomeAssign, opt.Body = w.Pages, w.Locks, w.HomeAssign, w.Body
-	cl, err := svm.New(opt)
-	return cl, w, err
-}
-
 // finish runs cl to completion and checks that every thread finished and
 // the workload's own result verification passed.
 func finish(cl *svm.Cluster, w *apps.Workload) error {
@@ -261,26 +252,14 @@ func finish(cl *svm.Cluster, w *apps.Workload) error {
 	return nil
 }
 
-// errUnreached reports a run whose injected failure never happened, so
-// it verified nothing.
-var errUnreached = errors.New("milestone never reached")
-
 // verify runs one audited cell: the online invariant auditor and a
 // flight recorder of ring events per node watch the run, then finish's
 // checks and, under the extended protocol, the replica audit must pass.
-// reached (nil: always) reports whether the cell's failure happened;
-// when it did not, verify returns finish's error or errUnreached. Any
-// other failure dumps each node's last events under header.
-func verify(out io.Writer, cl *svm.Cluster, w *apps.Workload, ring int, header string, reached func() bool) error {
+// A failure dumps each node's last events under header.
+func verify(out io.Writer, cl *svm.Cluster, w *apps.Workload, ring int, header string) error {
 	rec := cl.EnableFlightRecorder(ring)
 	cl.EnableAuditor()
 	err := finish(cl, w)
-	if reached != nil && !reached() {
-		if err == nil {
-			err = errUnreached
-		}
-		return err
-	}
 	if err == nil && cl.Mode() == svm.ModeFT {
 		if err = cl.VerifyReplicas(); err != nil {
 			err = fmt.Errorf("replica audit: %w", err)

@@ -32,7 +32,7 @@ import (
 //	svm run -app waternsq -events lock -limit 50 -dump
 func runCmd(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	app := fs.String("app", "fft", "application: fft, lu, waternsq, watersp, radix, volrend, ocean, kvstore, kvserve, counter, falseshare")
+	app := enum(fs, "app", "fft", "application: "+strings.Join(appNames, ", "), appName)
 	mode := enum(fs, "mode", "extended", "protocol: base, extended", oneOf(map[string]svm.Mode{"base": svm.ModeBase, "extended": svm.ModeFT}))
 	lock := enum(fs, "lock", "polling", "lock algorithm: polling, queue, nic", oneOf(map[string]svm.LockAlgo{"polling": svm.LockPolling, "queue": svm.LockQueue, "nic": svm.LockNIC}))
 	size := enum(fs, "size", "medium", "problem size: small, medium, paper", harness.ParseSize)
@@ -76,7 +76,7 @@ func runCmd(args []string, out, errw io.Writer) int {
 		App: *app, Size: *size, Mode: *mode, LockAlgo: *lock, Nodes: *nodes, ThreadsPerNode: *threads,
 		Overrides: func(cfg *model.Config) { cfg.Seed = *seed },
 	}
-	cl, w, err := newCluster(c, svm.Options{})
+	cl, w, err := harness.NewCluster(c, svm.Options{})
 	if err != nil {
 		return usageError(errw, "run", err)
 	}

@@ -111,35 +111,95 @@ func (tr *Trace) Budget() int64 {
 // protocol-step boundary. The run must itself pass the auditor and the
 // workload self-check: boundaries of a broken baseline mean nothing.
 func Record(sp Spec) (*Trace, error) {
-	inst, err := sp.New()
+	x, err := instrument(sp, true, true, 0)
 	if err != nil {
-		return nil, fmt.Errorf("explore: build %s: %w", sp.Name, err)
+		return nil, fmt.Errorf("explore: %w", err)
 	}
-	cl := inst.Cluster
-	rec := cl.EnableFlightRecorder(sp.ringSize())
-	cl.EnableWireTrace()
-	cl.EnableAuditor()
-
 	tr := &Trace{}
-	occ := newOccCounter(cl.Nodes())
-	h := fnvOffset64
-	rec.SetSink(func(e obs.Event) {
-		tr.Boundaries = append(tr.Boundaries, Boundary{Kind: e.Kind, Node: e.Node, Occ: occ.next(e.Kind, e.Node)})
-		h = hashEvent(h, e)
-	})
-	if err := cl.Run(); err != nil {
+	if err := x.run(func(e obs.Event) {
+		occ, _ := x.next(e)
+		tr.Boundaries = append(tr.Boundaries, Boundary{Kind: e.Kind, Node: e.Node, Occ: occ})
+	}); err != nil {
 		return nil, fmt.Errorf("explore: %s baseline run: %w", sp.Name, err)
 	}
+	cl := x.Cluster
 	if !cl.Finished() {
 		return nil, fmt.Errorf("explore: %s baseline run did not finish", sp.Name)
 	}
-	if err := inst.Check(); err != nil {
+	if err := x.Check(); err != nil {
 		return nil, fmt.Errorf("explore: %s baseline self-check: %w", sp.Name, err)
 	}
 	tr.Events = cl.Engine().Events()
 	tr.TimeNs = cl.ExecTime()
-	tr.Fingerprint = fmt.Sprintf("%016x", hashMemory(h, cl))
+	tr.Fingerprint = fmt.Sprintf("%016x", hashMemory(x.h, cl))
 	return tr, nil
+}
+
+// execution is one instrumented run of a workload, the shape Record,
+// Replay and DiscoverSeconds share: a fresh instance under the flight
+// recorder and the wire trace whose sink passes each recorded event
+// through next — numbered by its (kind, node) occurrence, then folded
+// into the fingerprint — before it acts on it.
+type execution struct {
+	Instance
+	rec       *obs.Recorder
+	occ       occCounter
+	hash      bool
+	h         uint64
+	injecting bool
+}
+
+// instrument builds a fresh instance of sp for one execution: under the
+// invariant auditor when audit, hashing events into the fingerprint when
+// hash, and bounded to budget events when budget > 0.
+func instrument(sp Spec, audit, hash bool, budget int64) (*execution, error) {
+	inst, err := sp.New()
+	if err != nil {
+		return nil, fmt.Errorf("build %s: %w", sp.Name, err)
+	}
+	cl := inst.Cluster
+	x := &execution{Instance: inst, rec: cl.EnableFlightRecorder(sp.ringSize()),
+		occ: newOccCounter(cl.Nodes()), hash: hash, h: fnvOffset64}
+	cl.EnableWireTrace()
+	if audit {
+		cl.EnableAuditor()
+	}
+	if budget > 0 {
+		cl.Engine().SetEventBudget(budget)
+	}
+	return x, nil
+}
+
+// next numbers e and folds it into the fingerprint, the first thing a
+// sink does with every event. act is false for the events KillNode
+// records while kill injects a failure: a sink must not act on those.
+// (The sink calls next rather than next calling the sink: one indirect
+// call per recorded event instead of two.)
+func (x *execution) next(e obs.Event) (occ int64, act bool) {
+	occ = x.occ.next(e.Kind, e.Node)
+	if x.hash {
+		x.h = hashEvent(x.h, e)
+	}
+	return occ, !x.injecting
+}
+
+// kill fail-stops node from inside the sink.
+func (x *execution) kill(node int32) {
+	x.injecting = true
+	x.Cluster.KillNode(int(node))
+	x.injecting = false
+}
+
+// run executes the instance to its end with sink attached, turning a
+// panic into the run's error.
+func (x *execution) run(sink func(obs.Event)) (err error) {
+	x.rec.SetSink(sink)
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return x.Cluster.Run()
 }
 
 // occCounter numbers the occurrences of each (kind, node) in an event
@@ -209,36 +269,31 @@ func Explore(sp Spec, b Boundary, budget int64) Verdict {
 // silent, the surviving threads complete the workload, its self-check
 // passes, the replica invariant holds, and the final committed memory
 // equals the consistency oracle's causal replay of the commit log.
-func ExploreSchedule(sp Spec, schedule []Boundary, budget int64) (v Verdict) {
+func ExploreSchedule(sp Spec, schedule []Boundary, budget int64) Verdict {
+	v, _ := Replay(sp, schedule, budget)
+	return v
+}
+
+// Replay is ExploreSchedule that also hands back the run's flight
+// recorder (nil when the instance could not be built), whose rings hold
+// each node's last events for a post-mortem dump.
+func Replay(sp Spec, schedule []Boundary, budget int64) (v Verdict, rec *obs.Recorder) {
 	for _, b := range schedule {
 		v.Schedule = append(v.Schedule, b.ID())
 	}
-	inst, err := sp.New()
+	x, err := instrument(sp, true, true, budget)
 	if err != nil {
-		v.Err = fmt.Sprintf("build %s: %v", sp.Name, err)
-		return v
+		v.Err = err.Error()
+		return v, nil
 	}
-	cl := inst.Cluster
-	rec := cl.EnableFlightRecorder(sp.ringSize())
-	cl.EnableWireTrace()
-	cl.EnableAuditor()
-	if budget > 0 {
-		cl.Engine().SetEventBudget(budget)
-	}
-
+	cl := x.Cluster
 	var log oracle.Log
 	cl.SetCommitSink(log.Commit)
 
 	pending := append([]Boundary(nil), schedule...)
-	occ := newOccCounter(cl.Nodes())
-	h := fnvOffset64
-	injecting := false
-	rec.SetSink(func(e obs.Event) {
-		n := occ.next(e.Kind, e.Node)
-		h = hashEvent(h, e)
-		if injecting {
-			// Nested record from KillNode's own KKill trace: count and
-			// hash it, but don't rescan the schedule mid-injection.
+	runErr := x.run(func(e obs.Event) {
+		n, act := x.next(e)
+		if !act {
 			return
 		}
 		for i := 0; i < len(pending); i++ {
@@ -258,25 +313,14 @@ func ExploreSchedule(sp Spec, schedule []Boundary, budget int64) (v Verdict) {
 				v.Refused = append(v.Refused, b.ID())
 			default:
 				v.Injected = append(v.Injected, b.ID())
-				injecting = true
-				cl.KillNode(int(b.Node))
-				injecting = false
+				x.kill(b.Node)
 			}
 		}
 	})
-
-	runErr := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("panic: %v", r)
-			}
-		}()
-		return cl.Run()
-	}()
 	v.Events = cl.Engine().Events()
 	v.TimeNs = cl.ExecTime()
 	v.Recoveries = cl.ProtoStats().Recoveries
-	v.Fingerprint = fmt.Sprintf("%016x", hashMemory(h, cl))
+	v.Fingerprint = fmt.Sprintf("%016x", hashMemory(x.h, cl))
 
 	switch {
 	case runErr != nil:
@@ -292,7 +336,7 @@ func ExploreSchedule(sp Spec, schedule []Boundary, budget int64) (v Verdict) {
 	case !cl.Finished():
 		v.Err = "surviving threads did not finish"
 	default:
-		err := inst.Check()
+		err := x.Check()
 		if err == nil {
 			if len(v.Injected) > 0 && v.Recoveries < int64(len(v.Injected)) {
 				// Undetected failure: a victim died after its last
@@ -313,7 +357,7 @@ func ExploreSchedule(sp Spec, schedule []Boundary, budget int64) (v Verdict) {
 		}
 	}
 	v.Pass = v.Err == ""
-	return v
+	return v, x.rec
 }
 
 // checkOracle replays the run's commit log up to the cluster's final

@@ -31,43 +31,26 @@ func (p Pair) ID() string { return p.First.ID() + "+" + p.Second.ID() }
 // injection run, every returned coordinate names a real event of the
 // two-kill schedule's prefix.
 func DiscoverSeconds(sp Spec, first Boundary, budget int64) ([]Boundary, error) {
-	inst, err := sp.New()
+	x, err := instrument(sp, false, false, budget)
 	if err != nil {
-		return nil, fmt.Errorf("explore: build %s: %w", sp.Name, err)
+		return nil, fmt.Errorf("explore: %w", err)
 	}
-	cl := inst.Cluster
-	rec := cl.EnableFlightRecorder(sp.ringSize())
-	cl.EnableWireTrace()
-	if budget > 0 {
-		cl.Engine().SetEventBudget(budget)
-	}
-	occ := newOccCounter(cl.Nodes())
-	injected, injecting := false, false
+	injected := false
 	var seconds []Boundary
-	rec.SetSink(func(e obs.Event) {
-		n := occ.next(e.Kind, e.Node)
-		if injecting {
+	runErr := x.run(func(e obs.Event) {
+		n, act := x.next(e)
+		if !act {
 			return
 		}
 		if !injected && e.Kind == first.Kind && e.Node == first.Node && n == first.Occ {
 			injected = true
-			injecting = true
-			cl.KillNode(int(e.Node))
-			injecting = false
+			x.kill(e.Node)
 			return
 		}
-		if injected && !cl.NodeDead(int(e.Node)) {
+		if injected && !x.Cluster.NodeDead(int(e.Node)) {
 			seconds = append(seconds, Boundary{Kind: e.Kind, Node: e.Node, Occ: n})
 		}
 	})
-	runErr := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("panic: %v", r)
-			}
-		}()
-		return cl.Run()
-	}()
 	if runErr != nil {
 		return nil, fmt.Errorf("explore: %s discovery at %s: %w", sp.Name, first.ID(), runErr)
 	}

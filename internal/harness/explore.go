@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"ftsvm/internal/apps"
 	"ftsvm/internal/explore"
 	"ftsvm/internal/svm"
 )
@@ -24,27 +23,7 @@ func ExploreSpec(c Config) explore.Spec {
 	return explore.Spec{
 		Name: name,
 		New: func() (explore.Instance, error) {
-			cfg, err := c.ModelConfig()
-			if err != nil {
-				return explore.Instance{}, err
-			}
-			s := apps.Shape{Nodes: cfg.Nodes, ThreadsPerNode: cfg.ThreadsPerNode, PageSize: cfg.PageSize}
-			w, err := Build(c.App, c.Size, s)
-			if err != nil {
-				return explore.Instance{}, err
-			}
-			cl, err := svm.New(svm.Options{
-				Config:            cfg,
-				Mode:              c.Mode,
-				LockAlgo:          c.LockAlgo,
-				Pages:             w.Pages,
-				Locks:             w.Locks,
-				HomeAssign:        w.HomeAssign,
-				Body:              w.Body,
-				AggregateDiffs:    c.AggregateDiffs,
-				UnsafeSinglePhase: c.UnsafeSinglePhase,
-				FullTwins:         c.FullTwins,
-			})
+			cl, w, err := NewCluster(c, svm.Options{})
 			if err != nil {
 				return explore.Instance{}, err
 			}

@@ -339,39 +339,42 @@ func (c Config) ModelConfig() (model.Config, error) {
 	return cfg, nil
 }
 
-// Run executes one experiment cell.
-func Run(c Config) Result {
+// NewCluster builds c's workload and the cluster that runs it, without
+// running it: the one place a cell becomes svm.Options. opt carries what
+// a Config cannot express (a tracer, serialized base-protocol releases);
+// every other option comes from c. KillKind is Run's alone.
+func NewCluster(c Config, opt svm.Options) (*svm.Cluster, *apps.Workload, error) {
 	cfg, err := c.ModelConfig()
 	if err != nil {
-		return Result{Config: c, Err: err}
+		return nil, nil, err
 	}
-	if err := c.checkKill(cfg.Nodes); err != nil {
-		return Result{Config: c, Err: err}
-	}
-	s := apps.Shape{Nodes: cfg.Nodes, ThreadsPerNode: cfg.ThreadsPerNode, PageSize: cfg.PageSize}
-	w, err := Build(c.App, c.Size, s)
+	w, err := Build(c.App, c.Size, apps.Shape{Nodes: cfg.Nodes, ThreadsPerNode: cfg.ThreadsPerNode, PageSize: cfg.PageSize})
 	if err != nil {
-		return Result{Config: c, Err: err}
+		return nil, nil, err
 	}
-	opt := svm.Options{
-		Config:            cfg,
-		Mode:              c.Mode,
-		LockAlgo:          c.LockAlgo,
-		Pages:             w.Pages,
-		Locks:             w.Locks,
-		HomeAssign:        w.HomeAssign,
-		Body:              w.Body,
-		AggregateDiffs:    c.AggregateDiffs,
-		UnsafeSinglePhase: c.UnsafeSinglePhase,
-		FullTwins:         c.FullTwins,
-		Workers:           c.Workers,
-	}
+	opt.Config, opt.Mode, opt.LockAlgo = cfg, c.Mode, c.LockAlgo
+	opt.Pages, opt.Locks, opt.HomeAssign, opt.Body = w.Pages, w.Locks, w.HomeAssign, w.Body
+	opt.AggregateDiffs, opt.UnsafeSinglePhase, opt.FullTwins, opt.Workers = c.AggregateDiffs, c.UnsafeSinglePhase, c.FullTwins, c.Workers
+	cl, err := svm.New(opt)
+	return cl, w, err
+}
+
+// Run executes one experiment cell.
+func Run(c Config) Result {
+	var opt svm.Options
 	var kt *killTracer
 	if c.KillKind != "" {
+		cfg, err := c.ModelConfig()
+		if err == nil {
+			err = c.checkKill(cfg.Nodes)
+		}
+		if err != nil {
+			return Result{Config: c, Err: err}
+		}
 		kt = &killTracer{kind: c.KillKind, node: c.KillVictim, seq: c.KillSeq}
 		opt.Tracer = kt
 	}
-	cl, err := svm.New(opt)
+	cl, w, err := NewCluster(c, opt)
 	if err != nil {
 		return Result{Config: c, Err: err}
 	}
@@ -398,7 +401,7 @@ func Run(c Config) Result {
 		EngineWorkers:  cl.EngineWorkers(),
 		SerialFallback: cl.SerialFallbackReason(),
 	}
-	for i := 0; i < cfg.Nodes; i++ {
+	for i := 0; i < cl.Nodes(); i++ {
 		st := cl.Network().Endpoint(i).Stats()
 		r.MsgsSent += st.MsgsSent
 		r.BytesSent += st.BytesSent

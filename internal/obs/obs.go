@@ -232,7 +232,7 @@ func (r *Recorder) Node(i int) *Ring { return r.rings[i] }
 func (r *Recorder) Nodes() int { return len(r.rings) }
 
 // Dump writes each node's last lastN retained events to w — the
-// post-mortem view `svm check` prints when a schedule fails.
+// post-mortem view `svm fi -boundary` and `svm chaos` print on a failure.
 func (r *Recorder) Dump(w io.Writer, lastN int) {
 	for i, ring := range r.rings {
 		evs := ring.Last(lastN)
