@@ -135,6 +135,15 @@ func TestHostileInput(t *testing.T) {
 		{"serve", "-nodes", "0"},
 		{"serve", "-requests", "0"},
 		{"serve", "-nodes", "2"},
+		{"serve", "-zipf", "NaN"},
+		{"serve", "-zipf", "Inf"},
+		{"serve", "-zipf", "-1"},
+		{"serve", "-rewarm-factor", "NaN"},
+		{"serve", "-service", "-1"},
+		{"serve", "-kill-at", "-7"},
+		{"serve", "-gap", "1"},
+		{"serve", "-readpct", "150"},
+		{"serve", "-victim", "9"},
 	}
 	for _, args := range cases {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {

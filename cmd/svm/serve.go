@@ -51,13 +51,16 @@ func serveCmd(args []string, out, errw io.Writer) int {
 	switch {
 	case *noKill:
 		base.KillAtNs = 0
-	case base.KillAtNs <= 0:
+	case base.KillAtNs == 0:
 		base.KillAtNs = int64(base.Requests) * base.MeanGapNs * 2 / 5
 	}
 	if base.KillAtNs > 0 {
 		if err := survivable(base.Nodes); err != nil {
 			return usageError(errw, "serve", err)
 		}
+	}
+	if err := base.Validate(); err != nil {
+		return usageError(errw, "serve", err)
 	}
 
 	var specs []serve.Spec

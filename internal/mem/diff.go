@@ -134,13 +134,15 @@ func appendSpansRange(spans []span, twin, cur []byte, word, lo, hi int) []span {
 	return spans
 }
 
-// DiffBuf is reusable storage for diff computation: the span scratch, the
-// run headers, and one payload arena all runs point into. Obtain one with
-// GetDiffBuf, compute with ComputeInto, and Release it when the resulting
-// runs are no longer referenced. Runs produced through a DiffBuf are valid
-// only until the next ComputeInto on the same buffer or its Release —
-// diffs that escape (shipped in messages, stashed for recovery) must use
-// Compute, which hands out independent storage.
+// DiffBuf is reusable storage for diffs: the span scratch, a run slab, and
+// one payload arena all runs point into. The Compute...Into functions reset
+// it and fill it with one diff; the Append... functions and methods add a
+// diff after everything produced since the last Reset, so many diffs can
+// live in one buffer at once. Runs produced through a DiffBuf are valid
+// until the buffer's next Reset (which every Compute...Into starts with)
+// or its Release. A full slab or arena is replaced, never grown in place,
+// so nothing already handed out moves or is written again before then:
+// the old one stays with the runs that point into it.
 type DiffBuf struct {
 	spans []span
 	runs  []Run
@@ -155,19 +157,37 @@ func GetDiffBuf() *DiffBuf { return diffBufPool.Get().(*DiffBuf) }
 // Release returns the buffer (and every Run it produced) to the pool.
 func (b *DiffBuf) Release() { diffBufPool.Put(b) }
 
+// Reset makes the buffer's storage reusable: every Run it produced becomes
+// invalid.
+func (b *DiffBuf) Reset() {
+	b.runs = b.runs[:0]
+	b.data = b.data[:0]
+}
+
 // ComputeInto is Compute with caller-managed storage: run headers and
 // payload bytes live in buf and are reused across calls, so a steady-state
 // compute/apply/discard cycle allocates nothing. See DiffBuf for the
 // lifetime contract.
 func ComputeInto(buf *DiffBuf, twin, cur []byte, word int) []Run {
-	checkComputeArgs(twin, cur, word)
-	buf.spans = appendSpans(buf.spans[:0], twin, cur, word)
-	return buf.materialize(cur)
+	return ComputeTrackedInto(buf, twin, cur, word, nil)
 }
 
-// materialize copies the spanned regions of cur into the buffer's arena
-// and returns the run slice describing them.
-func (b *DiffBuf) materialize(cur []byte) []Run {
+// reserve makes room for n more runs and size more payload bytes. A slab
+// or arena without the room is replaced by a fresh one at least twice its
+// capacity, so the runs already handed out keep theirs untouched.
+func (b *DiffBuf) reserve(n, size int) {
+	if cap(b.runs)-len(b.runs) < n {
+		b.runs = make([]Run, 0, max(2*cap(b.runs), n))
+	}
+	if cap(b.data)-len(b.data) < size {
+		b.data = make([]byte, 0, max(2*cap(b.data), size))
+	}
+}
+
+// emit copies the spanned regions of cur into the arena after its current
+// contents and returns the runs describing them, capped so an append to
+// the result cannot reach the slab.
+func (b *DiffBuf) emit(cur []byte) []Run {
 	if len(b.spans) == 0 {
 		return nil
 	}
@@ -175,20 +195,48 @@ func (b *DiffBuf) materialize(cur []byte) []Run {
 	for _, s := range b.spans {
 		total += s.end - s.off
 	}
-	if cap(b.data) < total {
-		b.data = make([]byte, total)
+	b.reserve(len(b.spans), total)
+	start := len(b.runs)
+	for _, s := range b.spans {
+		b.put(s.off, cur[s.off:s.end])
 	}
-	arena := b.data[:0]
-	if cap(b.runs) < len(b.spans) {
-		b.runs = make([]Run, len(b.spans))
+	return b.runs[start:len(b.runs):len(b.runs)]
+}
+
+// put appends one run at off holding a copy of data; reserve made room.
+func (b *DiffBuf) put(off int, data []byte) {
+	p := len(b.data)
+	b.data = append(b.data, data...)
+	b.runs = append(b.runs, Run{Off: off, Data: b.data[p:len(b.data):len(b.data)]})
+}
+
+// AppendClone adds a deep copy of runs to the buffer and returns it (nil
+// for no runs).
+func (b *DiffBuf) AppendClone(runs []Run) []Run { return b.appendRuns(runs, nil) }
+
+// AppendRegions adds runs covering the same regions as runs, holding src's
+// bytes there instead of theirs, and returns them (nil for no runs). With a
+// diff's twin as src this is the diff's pre-image.
+func (b *DiffBuf) AppendRegions(runs []Run, src []byte) []Run { return b.appendRuns(runs, src) }
+
+func (b *DiffBuf) appendRuns(runs []Run, src []byte) []Run {
+	if len(runs) == 0 {
+		return nil
 	}
-	runs := b.runs[:len(b.spans)]
-	for i, s := range b.spans {
-		p := len(arena)
-		arena = append(arena, cur[s.off:s.end]...)
-		runs[i] = Run{Off: s.off, Data: arena[p:len(arena):len(arena)]}
+	total := 0
+	for _, r := range runs {
+		total += len(r.Data)
 	}
-	return runs
+	b.reserve(len(runs), total)
+	start := len(b.runs)
+	for _, r := range runs {
+		data := r.Data
+		if src != nil {
+			data = src[r.Off : r.Off+len(r.Data)]
+		}
+		b.put(r.Off, data)
+	}
+	return b.runs[start:len(b.runs):len(b.runs)]
 }
 
 func checkComputeArgs(twin, cur []byte, word int) {

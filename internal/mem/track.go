@@ -179,32 +179,28 @@ func appendTrackedSpans(spans []span, twin, cur []byte, word int, mask []uint64)
 	return spans
 }
 
-// ComputeTracked is Compute restricted to the dirty chunks recorded in
-// mask. A nil mask means "untracked" and falls back to the full scan.
-// For any mask that covers the true write set, the output is identical
-// to Compute's (verified by differential fuzz tests).
-func ComputeTracked(twin, cur []byte, word int, mask []uint64) []Run {
-	if mask == nil {
-		return Compute(twin, cur, word)
-	}
-	checkComputeArgs(twin, cur, word)
-	buf := GetDiffBuf()
-	buf.spans = appendTrackedSpans(buf.spans[:0], twin, cur, word, mask)
-	runs := cloneSpans(buf.spans, cur)
-	buf.Release()
-	return runs
-}
-
 // ComputeTrackedInto is ComputeInto restricted to the dirty chunks in
-// mask; nil mask falls back to the full scan. See DiffBuf for the
+// mask. A nil mask means "untracked" and falls back to the full scan. For
+// any mask that covers the true write set, the output is identical to
+// Compute's (verified by differential fuzz tests). See DiffBuf for the
 // storage-lifetime contract.
 func ComputeTrackedInto(buf *DiffBuf, twin, cur []byte, word int, mask []uint64) []Run {
-	if mask == nil {
-		return ComputeInto(buf, twin, cur, word)
-	}
+	buf.Reset()
+	return AppendTrackedInto(buf, twin, cur, word, mask)
+}
+
+// AppendTrackedInto is ComputeTrackedInto without the reset: the diff is
+// added after everything buf produced since its last Reset, which all
+// stays valid, so a caller can keep many diffs in one buffer and recycle
+// them together.
+func AppendTrackedInto(buf *DiffBuf, twin, cur []byte, word int, mask []uint64) []Run {
 	checkComputeArgs(twin, cur, word)
-	buf.spans = appendTrackedSpans(buf.spans[:0], twin, cur, word, mask)
-	return buf.materialize(cur)
+	if mask == nil {
+		buf.spans = appendSpans(buf.spans[:0], twin, cur, word)
+	} else {
+		buf.spans = appendTrackedSpans(buf.spans[:0], twin, cur, word, mask)
+	}
+	return buf.emit(cur)
 }
 
 // ApplyMasked writes only the portions of the runs that fall inside dirty

@@ -46,6 +46,11 @@ func (s *trackedState) writeSame(off, n int) {
 	MarkAndSnapshot(s.mask, s.partial, s.cur, off, n)
 }
 
+// computeTracked is the tracked diff in storage of its own.
+func computeTracked(twin, cur []byte, word int, mask []uint64) []Run {
+	return ComputeTrackedInto(new(DiffBuf), twin, cur, word, mask)
+}
+
 // TestComputeTrackedMatchesFull is the core differential property: for
 // random write sets, the tracked scan over the partial twin equals the
 // full scan over the full twin — including sizes that exercise the
@@ -75,7 +80,7 @@ func TestComputeTrackedMatchesFull(t *testing.T) {
 					}
 				}
 				want := Compute(s.full, s.cur, word)
-				got := ComputeTracked(s.partial, s.cur, word, s.mask)
+				got := computeTracked(s.partial, s.cur, word, s.mask)
 				if !runsEqual(got, want) {
 					t.Fatalf("size=%d word=%d iter=%d: tracked %d runs, full %d runs",
 						size, word, iter, len(got), len(want))
@@ -100,8 +105,8 @@ func TestComputeTrackedNilMask(t *testing.T) {
 	cur := append([]byte(nil), twin...)
 	mutate(rng, cur, 4, 50, 0, 4095)
 	want := Compute(twin, cur, 4)
-	if got := ComputeTracked(twin, cur, 4, nil); !runsEqual(got, want) {
-		t.Fatal("ComputeTracked(nil mask) != Compute")
+	if got := computeTracked(twin, cur, 4, nil); !runsEqual(got, want) {
+		t.Fatal("tracked scan with nil mask != Compute")
 	}
 	buf := GetDiffBuf()
 	if got := ComputeTrackedInto(buf, twin, cur, 4, nil); !runsEqual(got, want) {
@@ -119,14 +124,14 @@ func TestComputeTrackedGarbageInsensitive(t *testing.T) {
 	s.write(rng, 130, 7)
 	s.write(rng, 1024, 200)
 	s.write(rng, 4090, 6)
-	first := ComputeTracked(s.partial, s.cur, 4, s.mask)
+	first := computeTracked(s.partial, s.cur, 4, s.mask)
 	for trial := 0; trial < 5; trial++ {
 		for c := 0; c < len(s.partial)/ChunkBytes; c++ {
 			if s.mask[c>>6]&(1<<(uint(c)&63)) == 0 {
 				rng.Read(s.partial[c*ChunkBytes : (c+1)*ChunkBytes])
 			}
 		}
-		if got := ComputeTracked(s.partial, s.cur, 4, s.mask); !runsEqual(got, first) {
+		if got := computeTracked(s.partial, s.cur, 4, s.mask); !runsEqual(got, first) {
 			t.Fatalf("trial %d: output depends on clean-chunk twin bytes", trial)
 		}
 	}
@@ -238,6 +243,73 @@ func TestComputeTrackedIntoAllocFree(t *testing.T) {
 	}
 }
 
+// TestAppendTrackedIntoKeepsEarlierDiffs fills one buffer with many diffs,
+// pre-images and clones, starting from an empty buffer so its slab and
+// arena are replaced several times on the way, and checks every diff
+// handed out still holds what it held when it was made.
+func TestAppendTrackedIntoKeepsEarlierDiffs(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var buf DiffBuf
+	type made struct {
+		got, want []Run
+	}
+	var all []made
+	for round := 0; round < 2; round++ {
+		buf.Reset()
+		all = all[:0]
+		for i := 0; i < 40; i++ {
+			s := newTrackedState(rng, 4096)
+			for w := rng.Intn(10); w >= 0; w-- {
+				s.write(rng, rng.Intn(4000), 1+rng.Intn(96))
+			}
+			want := Compute(s.full, s.cur, 4)
+			runs := AppendTrackedInto(&buf, s.partial, s.cur, 4, s.mask)
+			pre := buf.AppendRegions(runs, s.full)
+			wantPre := make([]Run, len(want))
+			for j, r := range want {
+				wantPre[j] = Run{Off: r.Off, Data: append([]byte(nil), s.full[r.Off:r.Off+len(r.Data)]...)}
+			}
+			all = append(all, made{runs, want}, made{pre, wantPre}, made{buf.AppendClone(runs), want})
+		}
+		for i, m := range all {
+			if !runsEqual(m.got, m.want) {
+				t.Fatalf("round %d: diff %d changed after later appends", round, i)
+			}
+		}
+	}
+}
+
+// TestAppendTrackedIntoAllocFree pins the append-into API at zero
+// steady-state allocations: once a buffer has grown to a cycle's size,
+// resetting it and appending the same diffs, pre-images and clones again
+// touches no heap.
+func TestAppendTrackedIntoAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var states []*trackedState
+	for i := 0; i < 4; i++ {
+		s := newTrackedState(rng, 4096)
+		s.write(rng, 100*i, 8)
+		s.write(rng, 2000+i*64, 64)
+		states = append(states, s)
+	}
+	var buf DiffBuf
+	cycle := func() {
+		buf.Reset()
+		for _, s := range states {
+			runs := AppendTrackedInto(&buf, s.partial, s.cur, 4, s.mask)
+			if len(runs) == 0 {
+				t.Fatal("no runs")
+			}
+			buf.AppendRegions(runs, s.partial)
+			buf.AppendClone(runs)
+		}
+	}
+	cycle() // warm: grow the slab and arena to one cycle
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("AppendTrackedInto cycle: %v allocs/op, want 0", allocs)
+	}
+}
+
 // FuzzComputeTrackedMatchesFull drives arbitrary write sets (offset/length
 // pairs decoded from the fuzz input) through the tracked and full paths.
 func FuzzComputeTrackedMatchesFull(f *testing.F) {
@@ -275,7 +347,7 @@ func FuzzComputeTrackedMatchesFull(f *testing.F) {
 			}
 		}
 		want := Compute(s.full, s.cur, word)
-		got := ComputeTracked(s.partial, s.cur, word, s.mask)
+		got := computeTracked(s.partial, s.cur, word, s.mask)
 		if !runsEqual(got, want) {
 			t.Fatalf("tracked diverges: %d runs vs %d (size=%d word=%d)",
 				len(got), len(want), size, word)

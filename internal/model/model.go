@@ -9,6 +9,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 
 	"ftsvm/internal/mem"
 )
@@ -360,6 +361,9 @@ func (c *Config) BarrierWaitNs() int64 {
 
 // Validate reports the first structural problem with the configuration.
 func (c *Config) Validate() error {
+	if err := c.validateCosts(); err != nil {
+		return err
+	}
 	switch {
 	case c.Nodes < 1:
 		return fmt.Errorf("model: Nodes = %d, need >= 1", c.Nodes)
@@ -369,16 +373,12 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("model: WordSize = %d, need 4 or 8", c.WordSize)
 	case c.PostQueueDepth < 1:
 		return fmt.Errorf("model: PostQueueDepth = %d, need >= 1", c.PostQueueDepth)
-	case c.LinkLatencyNs < 0 || c.BandwidthNsPerByte < 0:
-		return fmt.Errorf("model: negative network cost")
 	case c.HeartbeatTimeoutNs <= 0:
 		return fmt.Errorf("model: HeartbeatTimeoutNs must be positive")
 	case c.LockBackoffMaxNs < c.LockBackoffMinNs:
 		return fmt.Errorf("model: lock backoff max < min")
 	case c.Detection != DetectOracle && c.Detection != DetectProbe:
 		return fmt.Errorf("model: unknown Detection mode %d", int(c.Detection))
-	case c.RetxTimeoutNs < 0:
-		return fmt.Errorf("model: RetxTimeoutNs = %d, need >= 0 (0: derived)", c.RetxTimeoutNs)
 	case c.FanoutArity < 0 || c.FanoutArity == 1:
 		return fmt.Errorf("model: FanoutArity = %d, need 0 (flat) or >= 2", c.FanoutArity)
 	case c.VTCodec != VTFull && c.VTCodec != VTDelta:
@@ -400,8 +400,6 @@ func (c *Config) Validate() error {
 	}
 	if ch := &c.Chaos; ch.Enabled {
 		switch {
-		case ch.JitterNs < 0:
-			return fmt.Errorf("model: Chaos.JitterNs = %d, need >= 0", ch.JitterNs)
 		case ch.DegradeLenNs > 0 && ch.DegradePeriodNs < ch.DegradeLenNs:
 			return fmt.Errorf("model: Chaos degrade window longer than its period")
 		case ch.DegradeLenNs > 0 && ch.DegradeFactor < 1:
@@ -423,6 +421,61 @@ func (c *Config) Validate() error {
 	// engine would silently mis-handle the tail of every page.
 	if err := mem.CheckGeometry(c.PageSize, c.WordSize); err != nil {
 		return fmt.Errorf("model: %w", err)
+	}
+	return nil
+}
+
+// validateCosts rejects a cost the simulation cannot charge: a float64
+// that is NaN, infinite or negative (a NaN or +Inf bandwidth converts to
+// a garbage int64 occupancy; a negative copy cost runs time backwards),
+// a negative duration, or a negative checkpoint floor. It checks the chaos
+// fields whether or not chaos is enabled.
+func (c *Config) validateCosts() error {
+	ch := &c.Chaos
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"BandwidthNsPerByte", c.BandwidthNsPerByte},
+		{"MemCopyNsPerByte", c.MemCopyNsPerByte},
+		{"DiffComputeNsPerByte", c.DiffComputeNsPerByte},
+		{"SMPContention", c.SMPContention},
+		{"CheckpointNsPerByte", c.CheckpointNsPerByte},
+		{"Chaos.DegradeFactor", ch.DegradeFactor},
+		{"Chaos.GrayFactor", ch.GrayFactor},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("model: %s = %g, need a finite value >= 0", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"LinkLatencyNs", c.LinkLatencyNs},
+		{"NICPostOverheadNs", c.NICPostOverheadNs},
+		{"NICDrainOverheadNs", c.NICDrainOverheadNs},
+		{"ReadAccessNs", c.ReadAccessNs},
+		{"WriteAccessNs", c.WriteAccessNs},
+		{"ProtoOpNs", c.ProtoOpNs},
+		{"PageFaultTrapNs", c.PageFaultTrapNs},
+		{"ThreadSuspendNs", c.ThreadSuspendNs},
+		{"LockBackoffMinNs", c.LockBackoffMinNs},
+		{"ProbeTimeoutNs", c.ProbeTimeoutNs},
+		{"RetxTimeoutNs", c.RetxTimeoutNs},
+		{"Chaos.JitterNs", ch.JitterNs},
+		{"Chaos.DegradePeriodNs", ch.DegradePeriodNs},
+		{"Chaos.DegradeLenNs", ch.DegradeLenNs},
+		{"Chaos.BurstStartNs", ch.BurstStartNs},
+		{"Chaos.BurstLenNs", ch.BurstLenNs},
+		{"Chaos.BurstPeriodNs", ch.BurstPeriodNs},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("model: %s = %d, need >= 0", f.name, f.v)
+		}
+	}
+	if c.MinCheckpointBytes < 0 {
+		return fmt.Errorf("model: MinCheckpointBytes = %d, need >= 0", c.MinCheckpointBytes)
 	}
 	return nil
 }

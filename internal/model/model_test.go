@@ -1,6 +1,9 @@
 package model
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestDefaultValidates(t *testing.T) {
 	cfg := Default()
@@ -22,6 +25,28 @@ func TestValidateRejections(t *testing.T) {
 		{"negative latency", func(c *Config) { c.LinkLatencyNs = -1 }},
 		{"zero heartbeat", func(c *Config) { c.HeartbeatTimeoutNs = 0 }},
 		{"backoff inverted", func(c *Config) { c.LockBackoffMaxNs = c.LockBackoffMinNs - 1 }},
+		// Each of these once validated and ran to a wrong virtual time.
+		{"NaN bandwidth", func(c *Config) { c.BandwidthNsPerByte = math.NaN() }},
+		{"infinite bandwidth", func(c *Config) { c.BandwidthNsPerByte = math.Inf(1) }},
+		{"negative drain overhead", func(c *Config) { c.NICDrainOverheadNs = -100_000 }},
+		{"negative copy cost", func(c *Config) { c.MemCopyNsPerByte = -5 }},
+		{"NaN diff cost", func(c *Config) { c.DiffComputeNsPerByte = math.NaN() }},
+		{"-Inf checkpoint cost", func(c *Config) { c.CheckpointNsPerByte = math.Inf(-1) }},
+		{"NaN contention", func(c *Config) { c.SMPContention = math.NaN() }},
+		{"NaN degrade factor", func(c *Config) { c.Chaos.DegradeFactor = math.NaN() }},
+		{"infinite gray factor", func(c *Config) { c.Chaos.GrayFactor = math.Inf(1) }},
+		{"negative gray factor", func(c *Config) { c.Chaos.GrayFactor = -2 }},
+		{"negative post overhead", func(c *Config) { c.NICPostOverheadNs = -1 }},
+		{"negative read cost", func(c *Config) { c.ReadAccessNs = -1 }},
+		{"negative write cost", func(c *Config) { c.WriteAccessNs = -1 }},
+		{"negative protocol op", func(c *Config) { c.ProtoOpNs = -1 }},
+		{"negative fault trap", func(c *Config) { c.PageFaultTrapNs = -1 }},
+		{"negative suspend", func(c *Config) { c.ThreadSuspendNs = -1 }},
+		{"negative backoff", func(c *Config) { c.LockBackoffMinNs, c.LockBackoffMaxNs = -10, -1 }},
+		{"negative retransmit timeout", func(c *Config) { c.RetxTimeoutNs = -1 }},
+		{"negative jitter, chaos off", func(c *Config) { c.Chaos.JitterNs = -1 }},
+		{"negative burst start", func(c *Config) { c.Chaos.BurstStartNs = -1 }},
+		{"negative checkpoint floor", func(c *Config) { c.MinCheckpointBytes = -1 }},
 	}
 	for _, c := range cases {
 		cfg := Default()
@@ -30,6 +55,30 @@ func TestValidateRejections(t *testing.T) {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
+}
+
+// FuzzValidate drives arbitrary values through every kind of field
+// Validate checks; it must answer, never panic.
+func FuzzValidate(f *testing.F) {
+	f.Add(8, 1, 4096, 4, int64(8000), 10.0, int64(500), 1.0, 3.0, 2048, 0, 0, true, 1.0, 1.0, 0, -1)
+	f.Add(0, 0, 0, 0, int64(-1), math.NaN(), int64(-1), math.Inf(1), -1.0, -1, 1, 1, true, math.NaN(), -1.0, 99, 99)
+	f.Fuzz(func(t *testing.T, nodes, tpn, page, word int, lat int64, bw float64, drain int64,
+		copyNs, diffNs float64, minCkpt, degree, fanout int, chaos bool, degrade, gray float64, grayNode, burstSrc int) {
+		c := Default()
+		c.Nodes, c.ThreadsPerNode, c.PageSize, c.WordSize = nodes, tpn, page, word
+		c.LinkLatencyNs, c.BandwidthNsPerByte, c.NICDrainOverheadNs = lat, bw, drain
+		c.MemCopyNsPerByte, c.DiffComputeNsPerByte, c.MinCheckpointBytes = copyNs, diffNs, minCkpt
+		c.ReplicaDegree, c.FanoutArity = degree, fanout
+		c.Chaos = Chaos{Enabled: chaos, DegradeFactor: degrade, DegradeLenNs: 1, DegradePeriodNs: 2,
+			GrayFactor: gray, GrayNodes: []int{grayNode}, BurstSrc: burstSrc, BurstDst: -1}
+		if err := c.Validate(); err == nil {
+			for _, v := range []float64{bw, copyNs, diffNs, degrade, gray} {
+				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+					t.Fatalf("cost %g accepted", v)
+				}
+			}
+		}
+	})
 }
 
 func TestTransferNs(t *testing.T) {

@@ -126,30 +126,44 @@ type Driver struct {
 	cdf []float64 // Zipf CDF over key ranks
 }
 
-// NewDriver validates sp and precomputes the arrival process and key
-// distribution.
-func NewDriver(sp Spec, pageSize int) (*Driver, error) {
+// Validate reports the first problem with the spec.
+func (sp *Spec) Validate() error {
 	switch {
 	case sp.Nodes < 2:
-		return nil, fmt.Errorf("serve: Nodes = %d, need >= 2", sp.Nodes)
+		return fmt.Errorf("serve: Nodes = %d, need >= 2", sp.Nodes)
 	case sp.ThreadsPerNode < 1:
-		return nil, fmt.Errorf("serve: ThreadsPerNode = %d, need >= 1", sp.ThreadsPerNode)
+		return fmt.Errorf("serve: ThreadsPerNode = %d, need >= 1", sp.ThreadsPerNode)
 	case sp.Buckets < 1 || sp.SlotsPerBucket < 1:
-		return nil, fmt.Errorf("serve: empty table geometry")
+		return fmt.Errorf("serve: empty table geometry")
 	case sp.Keys < 1:
-		return nil, fmt.Errorf("serve: Keys = %d, need >= 1", sp.Keys)
+		return fmt.Errorf("serve: Keys = %d, need >= 1", sp.Keys)
 	case sp.Requests < 1:
-		return nil, fmt.Errorf("serve: Requests = %d, need >= 1", sp.Requests)
+		return fmt.Errorf("serve: Requests = %d, need >= 1", sp.Requests)
 	case sp.MeanGapNs < 2:
-		return nil, fmt.Errorf("serve: MeanGapNs = %d, need >= 2", sp.MeanGapNs)
+		return fmt.Errorf("serve: MeanGapNs = %d, need >= 2", sp.MeanGapNs)
 	case sp.ReadPct < 0 || sp.ReadPct > 100:
-		return nil, fmt.Errorf("serve: ReadPct = %d, need 0-100", sp.ReadPct)
-	case sp.ZipfS < 0:
-		return nil, fmt.Errorf("serve: ZipfS = %g, need >= 0", sp.ZipfS)
+		return fmt.Errorf("serve: ReadPct = %d, need 0-100", sp.ReadPct)
+	case math.IsNaN(sp.ZipfS) || math.IsInf(sp.ZipfS, 0) || sp.ZipfS < 0:
+		return fmt.Errorf("serve: ZipfS = %g, need a finite value >= 0", sp.ZipfS)
+	case sp.ServiceNs < 0:
+		return fmt.Errorf("serve: ServiceNs = %d, need >= 0", sp.ServiceNs)
+	case math.IsNaN(sp.RewarmFactor) || math.IsInf(sp.RewarmFactor, 0) || sp.RewarmFactor <= 0:
+		return fmt.Errorf("serve: RewarmFactor = %g, need a finite value > 0", sp.RewarmFactor)
+	case sp.KillAtNs < 0:
+		return fmt.Errorf("serve: KillAtNs = %d, need >= 0 (0: no kill)", sp.KillAtNs)
 	case sp.KillAtNs > 0 && (sp.Victim < 1 || sp.Victim >= sp.Nodes):
 		// Node 0 hosts the verifying thread 0; the recovery protocol
 		// handles any victim, but the standard cells keep thread 0 home.
-		return nil, fmt.Errorf("serve: Victim = %d, need 1..Nodes-1", sp.Victim)
+		return fmt.Errorf("serve: Victim = %d, need 1..Nodes-1", sp.Victim)
+	}
+	return nil
+}
+
+// NewDriver validates sp and precomputes the arrival process and key
+// distribution.
+func NewDriver(sp Spec, pageSize int) (*Driver, error) {
+	if err := sp.Validate(); err != nil {
+		return nil, err
 	}
 	shape := apps.Shape{Nodes: sp.Nodes, ThreadsPerNode: sp.ThreadsPerNode, PageSize: pageSize}
 	d := &Driver{

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -160,7 +161,8 @@ func TestServeOverflowReport(t *testing.T) {
 	}
 }
 
-// TestNewDriverValidation: malformed specs are rejected up front.
+// TestNewDriverValidation: malformed specs are rejected up front (NewDriver
+// calls Spec.Validate).
 func TestNewDriverValidation(t *testing.T) {
 	bad := []func(*Spec){
 		func(s *Spec) { s.Nodes = 1 },
@@ -170,6 +172,13 @@ func TestNewDriverValidation(t *testing.T) {
 		func(s *Spec) { s.ZipfS = -1 },
 		func(s *Spec) { s.KillAtNs = 1; s.Victim = 0 },
 		func(s *Spec) { s.KillAtNs = 1; s.Victim = 4 },
+		func(s *Spec) { s.KillAtNs = -7 },
+		func(s *Spec) { s.ZipfS = math.NaN() },
+		func(s *Spec) { s.ZipfS = math.Inf(1) },
+		func(s *Spec) { s.ServiceNs = -1 },
+		func(s *Spec) { s.RewarmFactor = math.NaN() },
+		func(s *Spec) { s.RewarmFactor = 0 },
+		func(s *Spec) { s.RewarmFactor = math.Inf(1) },
 	}
 	for i, mut := range bad {
 		sp := testSpec()

@@ -3,6 +3,7 @@ package svm
 import (
 	"fmt"
 
+	"ftsvm/internal/mem"
 	"ftsvm/internal/proto"
 	"ftsvm/internal/vmmc"
 )
@@ -109,7 +110,14 @@ func (n *node) applyDiffMsg(m *diffMsg) {
 			if pg.undoFrom == nil {
 				pg.undoFrom = make(map[int]undoRec)
 			}
-			pg.undoFrom[m.Src] = undoRec{interval: m.Interval, undo: m.Undo}
+			// The pre-image lives in the sender's release scratch, recycled
+			// when its release ends: keep a copy, in the storage of the
+			// record it replaces.
+			rec := pg.undoFrom[m.Src]
+			rec.interval = m.Interval
+			rec.buf.Reset()
+			rec.undo = mem.Diff{Page: m.Undo.Page, Runs: rec.buf.AppendClone(m.Undo.Runs)}
+			pg.undoFrom[m.Src] = rec
 		}
 		pg.applyDiff(pg.tentative, pg.tentVer, m.Src, m.Interval, m.Diff)
 	case 2: // committed copy at the primary home
@@ -183,8 +191,16 @@ func (n *node) storeSavedTS(m *saveTSMsg) {
 		n.savedLists[m.Node] = append(lists, m.List)
 	}
 	// Only the latest interval's stash matters: older intervals' phase 2
-	// completed (their release finished before the next began).
-	n.savedStash[m.Node] = m.Stash
+	// completed (their release finished before the next began). The stash
+	// lives in the sender's release scratch: keep a copy, in the storage
+	// of the one it replaces.
+	if st := n.savedStash[m.Node]; st != nil {
+		st.set(m.Stash)
+	} else if len(m.Stash) > 0 {
+		st = &diffCopy{}
+		st.set(m.Stash)
+		n.savedStash[m.Node] = st
+	}
 	if m.Snap.Blob != nil {
 		n.ckpts.Put(m.CkptThread, m.Snap)
 		n.ckptHome[m.CkptThread] = m.CkptHome

@@ -25,10 +25,12 @@ const (
 )
 
 // undoRec is a stored pre-image for rolling back one interval's phase-1
-// update.
+// update. The record owns the pre-image's storage (buf): the copy that
+// arrived points into the sender's release scratch.
 type undoRec struct {
 	interval int32
-	undo     *mem.Diff
+	undo     mem.Diff
+	buf      mem.DiffBuf
 }
 
 // fetchWaiter is a deferred reply to a remote fetch: the home's copy has
@@ -138,9 +140,9 @@ type page struct {
 	waiters []fetchWaiter
 
 	// undoFrom holds, per source node, the pre-image of the latest
-	// phase-1 diff that arrived from a releaser that is also the page's
-	// primary home; recovery uses it to roll the tentative copy back when
-	// that releaser dies before saving its timestamp.
+	// phase-1 diff that arrived from it; recovery uses it to roll the
+	// tentative copy back when that releaser dies before saving its
+	// timestamp.
 	undoFrom map[int]undoRec
 
 	// fetching de-duplicates concurrent local faults on the same page.

@@ -318,6 +318,15 @@ func (t *Thread) runRecovery() {
 	for i, dead := range deads {
 		tsOf[i] = saveds[i].ts[dead]
 	}
+	if poisonScratch {
+		// The dead nodes' memory is gone, their release scratch with it:
+		// nothing recovery reads may still point there.
+		for _, dead := range deads {
+			for _, th := range cl.nodes[dead].threads {
+				th.rel.poison()
+			}
+		}
+	}
 	t.reconcilePages(deads, saveds)
 	for i, dead := range deads {
 		t.rehomeAndReplicate(dead, deads, tsOf)

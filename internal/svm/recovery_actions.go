@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"ftsvm/internal/checkpoint"
+	"ftsvm/internal/mem"
 	"ftsvm/internal/obs"
 	"ftsvm/internal/proto"
 )
@@ -100,8 +101,11 @@ func (t *Thread) reconcilePages(deads []int, saveds []*savedState) {
 		// only phase-1 replica died with the releaser but whose release is
 		// considered complete (<= saved timestamp) must reach the committed
 		// copies.
-		backup := cl.backupOf(dead)
-		for _, d := range cl.nodes[backup].savedStash[dead] {
+		var stash []mem.Diff
+		if st := cl.nodes[cl.backupOf(dead)].savedStash[dead]; st != nil {
+			stash = st.diffs
+		}
+		for _, d := range stash {
 			P := cl.pageHomes.Primary(d.Page)
 			if cl.nodes[P].dead {
 				continue // no committed copy survives; handled by replay

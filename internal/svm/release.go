@@ -16,8 +16,8 @@ import (
 type capturedDiff struct {
 	pid  int
 	diff *mem.Diff
-	// undo is the pre-image of the diffed words, captured for pages whose
-	// primary home is the releasing node (see diffMsg.Undo).
+	// undo is the pre-image of the diffed words, captured for every page
+	// in the extended protocol (see diffMsg.Undo).
 	undo *mem.Diff
 }
 
@@ -26,17 +26,19 @@ type capturedDiff struct {
 // pages back to read-only (so subsequent writes open the next interval),
 // locks the pages in the extended protocol, appends the update list, and
 // advances the node's own vector entry. Returns 0 and nil if no updates
-// were made.
+// were made. The diffs and the capture list live in the thread's release
+// scratch, valid until the release recycles it.
 func (t *Thread) commitInterval() (int32, []capturedDiff) {
 	n := t.node
 	cfg := t.cl.cfg
 	ft := t.cl.opt.Mode == ModeFT
+	rs := &t.rel
 
 	maskChunks := (cfg.PageSize + mem.ChunkBytes - 1) >> mem.ChunkShift
-	var caps []capturedDiff
-	var pages []int
-	var retained []int     // pages with deferred sibling words: stay dirty
-	var logged []*mem.Diff // every committed diff, for the commit sink
+	caps := rs.caps[:0]
+	pages := rs.pages[:0]
+	retained := rs.retained[:0] // pages with deferred sibling words: stay dirty
+	logged := rs.logged[:0]     // every committed diff, for the commit sink
 	diffBytes := 0
 	n.commitSeq++
 	for _, pid := range n.dirty {
@@ -61,12 +63,12 @@ func (t *Thread) commitInterval() (int32, []capturedDiff) {
 		default:
 			continue // already handled (racing commit)
 		}
-		// Escaping storage on purpose: the captured diff may be shipped,
-		// stashed at the backup, and retained across recovery epochs, so it
-		// cannot come from a pooled DiffBuf. The scan is restricted to the
-		// chunks the write path recorded as dirty (identical output; a nil
-		// mask — FullTwins — falls back to the full scan).
-		d := &mem.Diff{Page: pid, Runs: mem.ComputeTracked(twin, cur, cfg.WordSize, mask)}
+		// The diff lives in the release scratch: it is shipped and stashed
+		// at the backups, and every receiver that keeps it keeps a copy.
+		// The scan is restricted to the chunks the write path recorded as
+		// dirty (identical output; a nil mask — FullTwins — falls back to
+		// the full scan).
+		d := rs.diff(pid, mem.AppendTrackedInto(&rs.buf, twin, cur, cfg.WordSize, mask))
 		if mask != nil {
 			// Re-learn the page's write density for the next interval's
 			// twin strategy (see page.denseHint). The crossover sits low:
@@ -128,7 +130,7 @@ func (t *Thread) commitInterval() (int32, []capturedDiff) {
 				// collaterally wipe other releasers' in-flight phase-1
 				// data, and for pages primary-homed here the committed
 				// copy dies with this node anyway).
-				cd.undo = preImage(d, twin)
+				cd.undo = rs.preImage(d, twin)
 			}
 			caps = append(caps, cd)
 		}
@@ -146,13 +148,14 @@ func (t *Thread) commitInterval() (int32, []capturedDiff) {
 		t.node.putPageBuf(freeCur)
 		t.node.putPageBuf(freeTwin)
 	}
+	rs.caps, rs.pages, rs.retained, rs.logged = caps, pages, retained, logged
 	n.dirty = append(n.dirty[:0], retained...)
 	if len(pages) == 0 {
 		return 0, nil
 	}
 
 	itv := int32(len(n.intervals)) + 1
-	n.intervals = append(n.intervals, proto.UpdateList{Node: n.id, Interval: itv, Pages: pages})
+	n.intervals = append(n.intervals, proto.UpdateList{Node: n.id, Interval: itv, Pages: n.listPages(pages)})
 	n.advanceVT(n.id, itv)
 	t.node.stats.Intervals++
 	if sink := t.cl.commitSink; sink != nil {
@@ -187,7 +190,8 @@ func (t *Thread) commitInterval() (int32, []capturedDiff) {
 // visible to other nodes (base: right after commit, per GeNIMA's
 // release-then-propagate order; extended: after phase 1 + checkpoint B,
 // so a failure never exposes unsaved state); the caller hands the lock
-// over inside it.
+// over inside it. Both pipelines end with their last fence, after which
+// the thread's release scratch is recycled.
 func (t *Thread) performRelease(afterVisible func()) {
 	n := t.node
 	serialize := t.cl.opt.Mode == ModeFT || t.cl.opt.SerialReleases
@@ -208,9 +212,10 @@ func (t *Thread) performRelease(afterVisible func()) {
 	}
 	if t.cl.opt.Mode == ModeBase {
 		t.releaseBase(afterVisible)
-		return
+	} else {
+		t.releaseFT(afterVisible)
 	}
-	t.releaseFT(afterVisible)
+	t.rel.recycle()
 }
 
 // releaseBase is GeNIMA's release: commit, hand over the lock, then
@@ -235,13 +240,13 @@ func (t *Thread) releaseBase(afterVisible func()) {
 				b = &diffBatch{}
 				batches[home] = b
 			}
-			b.Items = append(b.Items, &diffMsg{Page: c.pid, Src: n.id, Interval: itv, Phase: 0, Diff: c.diff})
+			b.Items = append(b.Items, t.rel.diffMsg(c, n.id, itv, 0))
 		}
 		t.postBatches(batches)
 	} else {
 		for _, c := range caps {
 			home := t.cl.pageHomes.Primary(c.pid)
-			m := &diffMsg{Page: c.pid, Src: n.id, Interval: itv, Phase: 0, Diff: c.diff}
+			m := t.rel.diffMsg(c, n.id, itv, 0)
 			t.node.stats.DiffMsgs++
 			t.node.stats.DiffBytes += int64(m.wireBytes())
 			t.charge(CompDiff, cfg.NICPostOverheadNs)
@@ -387,26 +392,6 @@ func clearWriters(writers []int16, mask []uint64, wordSize, pageSize int) {
 	})
 }
 
-// preImage builds the undo diff: the same modified regions with the
-// twin's (pre-write) contents — one arena allocation for the whole
-// pre-image, mirroring mem.Compute. The regions are exactly d's runs,
-// which lie inside dirty chunks, so a partial twin is valid everywhere
-// this reads.
-func preImage(d *mem.Diff, twin []byte) *mem.Diff {
-	u := &mem.Diff{Page: d.Page, Runs: make([]mem.Run, len(d.Runs))}
-	total := 0
-	for _, r := range d.Runs {
-		total += len(r.Data)
-	}
-	arena := make([]byte, 0, total)
-	for i, r := range d.Runs {
-		p := len(arena)
-		arena = append(arena, twin[r.Off:r.Off+len(r.Data)]...)
-		u.Runs[i] = mem.Run{Off: r.Off, Data: arena[p:len(arena):len(arena)]}
-	}
-	return u
-}
-
 // splitDeferred removes from d every word whose last local writer is a
 // sibling thread currently holding an application lock: those words
 // belong to an open critical section and must commit with the sibling's
@@ -433,9 +418,10 @@ func (t *Thread) splitDeferred(pg *page, d *mem.Diff) bool {
 		return false
 	}
 	ws := t.cl.cfg.WordSize
-	// A run may split into several kept runs, so build into a fresh slice
-	// (appending into d.Runs[:0] could overwrite runs not yet visited).
-	var kept []mem.Run
+	// A run may split into several kept runs, so build into a separate
+	// slice (appending into d.Runs[:0] could overwrite runs not yet
+	// visited), then give d a copy of it in the release scratch.
+	kept := t.rel.kept[:0]
 	deferred := false
 	for _, r := range d.Runs {
 		start := -1
@@ -465,7 +451,8 @@ func (t *Thread) splitDeferred(pg *page, d *mem.Diff) bool {
 			}
 		}
 	}
-	d.Runs = kept
+	t.rel.kept = kept
+	d.Runs = t.rel.buf.AppendClone(kept)
 	return deferred
 }
 
@@ -491,10 +478,7 @@ func (t *Thread) propagateSinglePhase(caps []capturedDiff, itv int32) {
 					t.applyLocalDiff(c, itv, phase)
 					continue
 				}
-				m := &diffMsg{Page: c.pid, Src: n.id, Interval: itv, Phase: phase, Diff: c.diff}
-				if phase == 1 {
-					m.Undo = c.undo
-				}
+				m := t.rel.diffMsg(c, n.id, itv, phase)
 				t.node.stats.DiffMsgs++
 				t.node.stats.DiffBytes += int64(m.wireBytes())
 				t.charge(CompDiff, cfg.NICPostOverheadNs)
@@ -541,10 +525,7 @@ func (t *Thread) propagatePhase(caps []capturedDiff, itv int32, phase int) {
 					t.applyLocalDiff(c, itv, phase)
 					continue
 				}
-				m := &diffMsg{Page: c.pid, Src: n.id, Interval: itv, Phase: phase, Diff: c.diff}
-				if phase == 1 {
-					m.Undo = c.undo
-				}
+				m := t.rel.diffMsg(c, n.id, itv, phase)
 				if t.cl.opt.AggregateDiffs {
 					b := batches[dst]
 					if b == nil {
@@ -613,7 +594,7 @@ func (t *Thread) applyLocalDiff(c capturedDiff, itv int32, phase int) {
 func (t *Thread) saveTimestamp(itv int32, caps []capturedDiff) {
 	n := t.node
 	deg := t.cl.Degree()
-	var stash []*mem.Diff
+	stash := t.rel.stash[:0]
 	for _, c := range caps {
 		for s := 1; s < deg; s++ {
 			if t.cl.pageHomes.Replica(c.pid, s) == n.id {
@@ -622,6 +603,7 @@ func (t *Thread) saveTimestamp(itv int32, caps []capturedDiff) {
 			}
 		}
 	}
+	t.rel.stash = stash
 	snap, sz := t.encodeSnapshot()
 	t.node.ckptCount++
 	t.charge(CompCheckpoint, t.cl.cfg.CheckpointNs(sz))
@@ -635,13 +617,15 @@ func (t *Thread) saveTimestamp(itv int32, caps []capturedDiff) {
 		backups := t.cl.backupsOf(n.id, deg-1, scratch[:0])
 		t.charge(CompCheckpoint, int64(len(backups))*t.cl.cfg.NICPostOverheadNs)
 		t0 := t.beginWait()
-		// Every copy carries the node's shared snapshot (see saveTSMsg).
-		ts := n.vtSnapshot()
+		// Every copy is the one envelope, carrying the node's shared
+		// snapshot (see saveTSMsg): receivers only read it, and it is
+		// rewritten only after the fence below has seen every copy land.
+		m := &t.rel.save
+		*m = saveTSMsg{
+			Node: n.id, TS: n.vtSnapshot(), List: n.intervals[itv-1], Stash: stash,
+			CkptThread: t.id, CkptHome: n.id, Snap: snap,
+		}
 		for _, backup := range backups {
-			m := &saveTSMsg{
-				Node: n.id, TS: ts, List: n.intervals[itv-1], Stash: stash,
-				CkptThread: t.id, CkptHome: n.id, Snap: snap,
-			}
 			n.ep.Post(t.proc, backup, n.msgWire(backup, m), m)
 		}
 		err := n.ep.Fence(t.proc)

@@ -245,6 +245,7 @@ type node struct {
 	// until the first delta-costed send; always nil under VTFull.
 	vtLink    []proto.VectorTime
 	intervals []proto.UpdateList // own committed update lists, index = interval-1
+	pageSlab  []int              // storage of the lists' Pages (listPages)
 	dirty     []int              // pages written in the current interval
 	commitSeq int64              // commitInterval pass counter (dirty-list dedup)
 
@@ -293,8 +294,8 @@ type node struct {
 	ckpts      *checkpoint.Store
 	savedTS    map[int]proto.VectorTime
 	savedLists map[int][]proto.UpdateList
-	savedStash map[int][]*mem.Diff // replicated self-secondary diffs
-	ckptHome   map[int]int         // threadID -> original home node of backed-up threads
+	savedStash map[int]*diffCopy // replicated self-secondary diffs
+	ckptHome   map[int]int       // threadID -> original home node of backed-up threads
 
 	// Barrier state (participant side).
 	barEpoch         int           // last completed episode
@@ -421,7 +422,7 @@ func New(opt Options) (*Cluster, error) {
 			ckpts:          checkpoint.NewStore(),
 			savedTS:        make(map[int]proto.VectorTime),
 			savedLists:     make(map[int][]proto.UpdateList),
-			savedStash:     make(map[int][]*mem.Diff),
+			savedStash:     make(map[int]*diffCopy),
 			ckptHome:       make(map[int]int),
 			lockHomesState: make([]*lockHome, nlocks),
 			barCount:       make(map[int64]int),
@@ -650,8 +651,9 @@ func (cl *Cluster) EnableWireTrace() {
 // — everything a replay oracle needs to rebuild the interval's effect on
 // a reference store. The vector and the diffs are live protocol objects:
 // the vector is the snapshot the release then ships to lock homes,
-// backups and checkpoints. The sink must not modify either and must clone
-// what it retains.
+// backups and checkpoints, and the diffs live in the releasing thread's
+// release scratch, so they are valid only during the call. The sink must
+// not modify either and must clone what it retains.
 type CommitSink func(node int, interval int32, vt proto.VectorTime, diffs []*mem.Diff)
 
 // SetCommitSink installs fn to run at every interval commit, before the

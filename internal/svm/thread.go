@@ -44,6 +44,8 @@ type Thread struct {
 	// thread because SMP siblings fetch concurrently.
 	fetch *fetchReq
 	upd   *updatesReq
+
+	rel releaseScratch // this thread's release storage (see releaseScratch)
 }
 
 // ID returns the thread's global id.

@@ -136,40 +136,88 @@ func TestTrackedMatchesFullTwinsFailure(t *testing.T) {
 	assertSameOutcome(t, tracked, full, 8)
 }
 
+// smpCounterBody is counterBody for two threads per node with one lock
+// per sibling: thread i increments the counter on page i%2 under lock
+// i%2, so one sibling commits while the other is inside its critical
+// section, and the commit defers the sibling's words (splitDeferred).
+func smpCounterBody(iters int) func(*Thread) {
+	return func(t *Thread) {
+		st := &counterState{}
+		t.Setup(st)
+		l := t.ID() % 2
+		addr := l * t.cl.cfg.PageSize
+		for st.Iter < iters {
+			t.Acquire(l)
+			v := t.ReadU64(addr)
+			t.Compute(200)
+			t.WriteU64(addr, v+1)
+			st.Iter++
+			t.Release(l)
+		}
+		t.Barrier()
+	}
+}
+
 // TestReleasePathAllocBudget is the allocation-regression gate for the
 // steady-state release path. It measures the marginal host allocations per
 // additional lock-release iteration (long run minus short run, so cluster
 // construction and first-touch costs cancel) and fails if the figure
-// regresses past its ceiling. The current cost is 14 (13 to 15 across
-// runs; 31 while each release cloned the node's vector time for the lock
-// homes, the checkpoints and the deposit, and each acquire built its read
-// reply and its update-list request and reply; ~138 while every poll round
-// of the contended acquire in front of each release built its messages and
-// its reply anew). The budget is that count plus its run-to-run spread;
-// reintroducing a per-event closure or per-message allocation multiplies
-// the figure.
+// regresses past its ceiling. The extended protocol's cost is 4 (2 to 4
+// across runs: the lock handover's message, the vector-time snapshot, the
+// checkpoint blob and the read fault's future; 14 while every release
+// allocated its diffs, pre-images and diff messages — now in the thread's
+// release scratch — and each interval its page list; 31 while each release
+// also cloned the node's vector time for the lock homes, the checkpoints
+// and the deposit, and each acquire built its read reply and its
+// update-list request and reply; ~138 while every poll round of the
+// contended acquire in front of each release built its messages and its
+// reply anew). The base-mode leg holds the same path without the extended
+// protocol's phases (2: the handover message and the vector-time
+// snapshot); the two-thread SMP leg adds sibling words deferred at commit
+// and the siblings' point-A checkpoints (6, 5 to 6 across runs). Each
+// budget is its leg's count plus the run-to-run spread; reintroducing a
+// per-event closure or per-message allocation multiplies the figure.
 func TestReleasePathAllocBudget(t *testing.T) {
-	allocs := func(iters int) uint64 {
-		cfg := model.Default()
-		cfg.Nodes = 4
-		cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Body: counterBody(iters)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if err := cl.Run(); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
-	}
-	short, long := allocs(4), allocs(24)
-	perRelease := (int64(long) - int64(short)) / (20 * 4) // 20 extra iters x 4 threads
-	t.Logf("marginal allocations per release: %d", perRelease)
-	const budget = 16
-	if perRelease > budget {
-		t.Fatalf("steady-state release path allocates %d objects per release, budget %d", perRelease, budget)
+	for _, leg := range []struct {
+		name   string
+		mode   Mode
+		tpn    int
+		body   func(iters int) func(*Thread)
+		budget int64
+	}{
+		{"ft", ModeFT, 1, counterBody, 5},
+		{"base", ModeBase, 1, counterBody, 3},
+		{"smp", ModeFT, 2, smpCounterBody, 7},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			var deferred int64
+			allocs := func(iters int) uint64 {
+				cfg := model.Default()
+				cfg.Nodes = 4
+				cfg.ThreadsPerNode = leg.tpn
+				cl, err := New(Options{Config: cfg, Mode: leg.mode, Pages: 8, Locks: 2, Body: leg.body(iters)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if err := cl.Run(); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				deferred = cl.ProtoStats().DeferredWords
+				return after.Mallocs - before.Mallocs
+			}
+			short, long := allocs(4), allocs(24)
+			if leg.tpn > 1 && deferred == 0 {
+				t.Fatal("no sibling words were deferred: the SMP leg does not reach splitDeferred")
+			}
+			perRelease := (int64(long) - int64(short)) / int64(20*4*leg.tpn) // 20 extra iters x threads
+			t.Logf("marginal allocations per release: %d", perRelease)
+			if perRelease > leg.budget && !raceEnabled {
+				t.Fatalf("steady-state release path allocates %d objects per release, budget %d", perRelease, leg.budget)
+			}
+		})
 	}
 }
 
