@@ -102,6 +102,9 @@ func TestHostileInput(t *testing.T) {
 		{"run", "-size", "small", "-mode", "base", "-kill", "1"},
 		{"run", "-size", "small", "-nodes", "2", "-kill", "1"},
 		{"run", "-size", "small", "-kill", "1", "-killat", "-1ms"},
+		{"run", "-app", "fft", "-size", "small", "-nodes", "4", "-events", "all", "-node", "9"},
+		{"run", "-app", "fft", "-size", "small", "-nodes", "4", "-events", "all", "-node", "-5"},
+		{"run", "-app", "fft", "-size", "small", "-nodes", "4", "-events", "all", "-limit", "-3"},
 		{"bench", "-figure", "bogus"},
 		{"bench", "-ablation", "bogus"},
 		{"bench", "-size", "bogus"},

@@ -65,6 +65,12 @@ func runCmd(args []string, out, errw io.Writer) int {
 			return usageError(errw, "run", err)
 		}
 	}
+	switch {
+	case *node < -1 || *node >= *nodes:
+		return usageError(errw, "run", fmt.Errorf("-node %d is not a node of a %d-node cluster (-1: all)", *node, *nodes))
+	case *limit < 0:
+		return usageError(errw, "run", fmt.Errorf("-limit %d is negative (0: unlimited)", *limit))
+	}
 
 	stop, err := prof.start(errw)
 	if err != nil {

@@ -62,6 +62,25 @@ func TestStoreDoubleBufferKeepsPrevious(t *testing.T) {
 	}
 }
 
+// TestStorePutCopiesBlob: a stored snapshot does not share the sender's
+// buffer, which the sender reuses as soon as the deposit has landed, and
+// a slot reuses its own storage when it is written again.
+func TestStorePutCopiesBlob(t *testing.T) {
+	s := NewStore()
+	buf := []byte("one")
+	s.Put(1, Snapshot{Seq: 1, Blob: buf})
+	copy(buf, "xxx")
+	s.Put(1, Snapshot{Seq: 2, Blob: []byte("two")})
+	if snap, _ := s.LatestValid(1, func(s Snapshot) bool { return s.Seq == 1 }); string(snap.Blob) != "one" {
+		t.Fatalf("slot 0 holds %q after the sender rewrote its buffer, want \"one\"", snap.Blob)
+	}
+	first := s.slots[1].snaps[0].Blob
+	s.Put(1, Snapshot{Seq: 3, Blob: []byte("333")})
+	if snap, _ := s.Latest(1); string(snap.Blob) != "333" || &snap.Blob[0] != &first[0] {
+		t.Fatalf("the third Put stored %q in new storage, want \"333\" in slot 0's", snap.Blob)
+	}
+}
+
 func TestStoreIgnoresStale(t *testing.T) {
 	s := NewStore()
 	s.Put(1, Snapshot{Seq: 5, Blob: []byte("new")})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -20,12 +21,22 @@ func refEncode(v any) ([]byte, error) {
 }
 
 // The state shapes of the differential table. flatState is the shape of
-// every real state type in the repository.
+// every real state type in the repository, and vecState adds the arrays
+// and slices the compiled writer also takes; every other shape takes a new
+// encoder per call.
 type (
 	flatState struct {
 		Phase, I, J int
 		Arrived     bool
 		Sum         float64
+	}
+	vecState struct {
+		Phase   int8
+		Partial []float64
+		Grid    [4]int32
+		Flags   []bool
+		Hist    [3]uint16
+		Small   []float32
 	}
 	seqState struct {
 		Partial []float64
@@ -65,6 +76,7 @@ type (
 
 var shapes = []reflect.Type{
 	reflect.TypeFor[flatState](),
+	reflect.TypeFor[vecState](),
 	reflect.TypeFor[seqState](),
 	reflect.TypeFor[nestedState](),
 	reflect.TypeFor[ptrState](),
@@ -160,9 +172,8 @@ type (
 
 // TestEncodeInterfaceState changes the concrete type inside an interface
 // field from call to call. gob describes that type inside the value, the
-// first time an encoder meets it, so nothing an encoder writes after its
-// first blob is what a new encoder would write: such types must get a new
-// encoder per call.
+// first time an encoder meets it, so no writer that outlives one blob can
+// write what a new encoder writes: such types get a new encoder per call.
 func TestEncodeInterfaceState(t *testing.T) {
 	gob.Register(boxA{})
 	gob.Register(boxB{})
@@ -197,8 +208,8 @@ type flakyState struct {
 }
 
 // TestEncodeErrorsLeaveNothingBehind: a type gob rejects errors on every
-// call, an encoder that returned an error is not used again, and neither
-// disturbs the blobs that follow.
+// call, a type whose encoding can fail errors only when it fails (both take
+// a new encoder per call), and neither disturbs the blobs that follow.
 func TestEncodeErrorsLeaveNothingBehind(t *testing.T) {
 	if _, err := refEncode(&chanState{}); err == nil {
 		t.Fatal("gob encodes a struct whose only field is a chan; the test needs another bad type")
@@ -219,19 +230,82 @@ func TestEncodeErrorsLeaveNothingBehind(t *testing.T) {
 }
 
 // TestEncodeAllocBudget gates the steady-state cost of a checkpoint
-// capture: the result, and one object inside gob. A new encoder per call
-// costs 17 for this state.
+// capture: AppendEncode into a buffer with room allocates nothing, and
+// Encode only the blob it returns. (Encode made 2 while a long-lived gob
+// encoder per type wrote each value message, and a new encoder per call
+// makes 17 for this state.)
 func TestEncodeAllocBudget(t *testing.T) {
 	state := &flatState{Phase: 3, I: 17, J: 4, Arrived: true, Sum: 1.5}
-	if _, err := Encode(state); err != nil {
+	buf, err := AppendEncode(nil, state)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := testing.AllocsPerRun(200, func() {
-		if _, err := Encode(state); err != nil {
+	if got := testing.AllocsPerRun(200, func() { buf, _ = AppendEncode(buf[:0], state) }); got != 0 {
+		t.Errorf("AppendEncode of a flat state into a buffer with room allocates %v objects per call, budget 0", got)
+	}
+	if got := testing.AllocsPerRun(200, func() { _, _ = Encode(state) }); got > 1 {
+		t.Errorf("Encode of a flat state allocates %v objects per call, budget 1", got)
+	}
+}
+
+// kinds has a field of every kind the compiled writer takes, as a scalar,
+// an array and a slice, and unexported fields it must skip.
+type kinds struct {
+	B      bool
+	I      int
+	I8     int8
+	I16    int16
+	I32    int32
+	I64    int64
+	hidden string
+	U      uint
+	U8     uint8
+	U16    uint16
+	U32    uint32
+	U64    uint64
+	F32    float32
+	F64    float64
+	Bs     [3]bool
+	Is     []int64
+	Us     [2]uint32
+	Fs     []float64
+	F32s   []float32
+	inner  []any
+}
+
+// FuzzCompiledMatchesGob holds the compiled writer to gob bit for bit over
+// every scalar kind and its edge values: the extremes of each width, -0.0
+// (which gob leaves out like 0), NaN and the infinities.
+func FuzzCompiledMatchesGob(f *testing.F) {
+	f.Add(false, int64(0), uint64(0), 0.0, float32(0), uint8(0))
+	f.Add(true, int64(math.MinInt64), uint64(math.MaxUint64), math.Copysign(0, -1), float32(math.Copysign(0, -1)), uint8(1))
+	f.Add(true, int64(math.MaxInt64), uint64(0x80), math.NaN(), float32(math.Inf(1)), uint8(2))
+	f.Add(false, int64(-1), uint64(0x7F), math.Inf(-1), float32(math.NaN()), uint8(3))
+	f.Add(true, int64(-64), uint64(1<<63), math.MaxFloat64, float32(math.SmallestNonzeroFloat32), uint8(7))
+	if planFor(&kinds{}).fresh {
+		f.Fatal("kinds takes a new encoder per call, not the compiled writer")
+	}
+	f.Fuzz(func(t *testing.T, b bool, i int64, u uint64, x float64, y float32, n uint8) {
+		s := &kinds{
+			B: b, I: int(i), I8: int8(i), I16: int16(i), I32: int32(i), I64: i, hidden: "x",
+			U: uint(u), U8: uint8(u), U16: uint16(u), U32: uint32(u), U64: u, F32: y, F64: x,
+			Bs: [3]bool{b, !b, false}, Us: [2]uint32{uint32(u >> 32), 0}, inner: []any{1},
+		}
+		for k := range int(n % 4) {
+			s.Is = append(s.Is, i>>k)
+			s.Fs = append(s.Fs, x*float64(k))
+			s.F32s = append(s.F32s, y, 0)
+		}
+		want, err := refEncode(s)
+		if err != nil {
 			t.Fatal(err)
 		}
+		got, err := AppendEncode([]byte("head"), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got[:4]) != "head" || !bytes.Equal(got[4:], want) {
+			t.Fatalf("%+v: AppendEncode wrote\n%x, a new encoder\n%x", s, got[4:], want)
+		}
 	})
-	if got > 2 {
-		t.Fatalf("Encode of a flat state allocates %v objects per call, budget 2", got)
-	}
 }

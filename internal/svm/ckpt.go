@@ -66,14 +66,15 @@ func (t *Thread) checkpointSelf() {
 	t.saveThreadState(t)
 }
 
-// encodeSnapshot serializes the thread's registered resumable state. The
-// snapshot is empty (nil Blob) if the thread never called Setup. Its VT is
-// the node's shared vector-time snapshot (see vtSnapshot).
-func (s *Thread) encodeSnapshot() (checkpoint.Snapshot, int) {
+// encodeSnapshot serializes the thread's registered resumable state into
+// buf, reusing its storage. The snapshot is empty (nil Blob) if the thread
+// never called Setup. Its VT is the node's shared vector-time snapshot (see
+// vtSnapshot).
+func (s *Thread) encodeSnapshot(buf []byte) (checkpoint.Snapshot, int) {
 	if s.state == nil {
 		return checkpoint.Snapshot{}, 0
 	}
-	blob, err := checkpoint.Encode(s.state)
+	blob, err := checkpoint.AppendEncode(buf[:0], s.state)
 	if err != nil {
 		panic(fmt.Sprintf("svm: checkpoint thread %d: %v", s.id, err))
 	}
@@ -93,14 +94,42 @@ func (s *Thread) encodeSnapshot() (checkpoint.Snapshot, int) {
 	return checkpoint.Snapshot{Seq: s.ckptSeq, VT: s.node.vtSnapshot(), BarSeq: s.barSeq, Blob: blob}, len(blob)
 }
 
+// ckptScratch is a thread's storage for the checkpoints it deposits with
+// saveThreadState — its own at a release with no updates, its siblings' at
+// point A: the blob and the envelopes carrying it to the backups. It
+// belongs to the sending thread, not the one checkpointed, because a
+// sibling blocked in its own release can have its own deposit in flight.
+// A deposit ends with a fence that returned nil: every copy has landed and
+// each backup's store has copied the blob (checkpoint.Store.Put), so the
+// next deposit reuses both. A fence that returned an error leaves them to
+// whatever may still hold them, and the thread starts over with new ones,
+// as it does with an abandoned fetch envelope.
+type ckptScratch struct {
+	blob []byte
+	msgs []ckptMsg // one per backup
+}
+
+// poison overwrites the blob and the envelopes of a deposit that has
+// landed (see poisonScratch). An envelope's vector time is the node's
+// shared snapshot, so the envelope drops it rather than overwrite it.
+func (c *ckptScratch) poison() {
+	for i := range c.blob {
+		c.blob[i] = 0xDB
+	}
+	for i := range c.msgs {
+		c.msgs[i] = ckptMsg{ThreadID: -1, HomeNode: -1, Snap: checkpoint.Snapshot{Seq: -1, BarSeq: -1, Blob: c.blob}}
+	}
+}
+
 // saveThreadState serializes a thread's registered state and deposits it
 // in the backup node's double-buffered store.
 func (t *Thread) saveThreadState(s *Thread) {
 	cfg := t.cl.cfg
-	snap, sz := s.encodeSnapshot()
+	snap, sz := s.encodeSnapshot(t.ckpt.blob)
 	if snap.Blob == nil {
 		return // thread never registered resumable state
 	}
+	t.ckpt.blob = snap.Blob
 	t.node.ckptCount++
 	t.charge(CompCheckpoint, cfg.CheckpointNs(sz))
 	// One copy at each of the k-1 backups, so any k-1 overlapping
@@ -110,15 +139,23 @@ func (t *Thread) saveThreadState(s *Thread) {
 		backups := t.cl.backupsOf(t.node.id, t.cl.Degree()-1, scratch[:0])
 		t.charge(CompCheckpoint, int64(len(backups))*cfg.NICPostOverheadNs)
 		t0 := t.beginWait()
-		for _, backup := range backups {
-			m := &ckptMsg{ThreadID: s.id, HomeNode: t.node.id, Snap: snap}
+		if len(t.ckpt.msgs) < len(backups) {
+			t.ckpt.msgs = make([]ckptMsg, len(backups))
+		}
+		for i, backup := range backups {
+			m := &t.ckpt.msgs[i]
+			*m = ckptMsg{ThreadID: s.id, HomeNode: t.node.id, Snap: snap}
 			t.node.ep.Post(t.proc, backup, t.node.msgWire(backup, m), m)
 		}
 		err := t.node.ep.Fence(t.proc)
 		t.endWait(CompCheckpoint, t0)
 		if err == nil {
+			if poisonScratch {
+				t.ckpt.poison()
+			}
 			return
 		}
+		t.ckpt = ckptScratch{} // what was posted may still be held
 		if errors.Is(err, vmmc.ErrNodeDead) {
 			// A backup died; recover and resend to the new backup set.
 			t.joinRecoveryErr(err)

@@ -321,8 +321,12 @@ func (n *node) getPageBuf() []byte {
 }
 
 // getPageBufZero returns a zeroed page buffer: fresh working copies must
-// read as zero-initialized shared memory.
+// read as zero-initialized shared memory. Only a recycled buffer needs
+// clearing; a new one comes zeroed from make.
 func (n *node) getPageBufZero() []byte {
+	if len(n.pageFree) == 0 {
+		return make([]byte, n.cl.cfg.PageSize)
+	}
 	b := n.getPageBuf()
 	clear(b)
 	return b

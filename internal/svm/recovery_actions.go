@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"slices"
 	"time"
 
 	"ftsvm/internal/checkpoint"
@@ -436,7 +437,7 @@ func (t *Thread) migrateThreads(dead int, saved *savedState) int {
 		okHome := hasHome && (home == dead || (cl.Degree() > 2 && cl.nodes[home].dead))
 		snap, restored := bn.ckpts.LatestValid(old.id, usable)
 		if restored && okHome {
-			nt.restoredBlob = snap.Blob
+			nt.restoredBlob = slices.Clone(snap.Blob) // the slot's storage is reused two deposits on
 			nt.ckptSeq = snap.Seq
 			nt.barSeq = snap.BarSeq
 			t.charge(CompProtocol, cl.cfg.CheckpointNs(len(snap.Blob)))

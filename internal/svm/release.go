@@ -604,7 +604,8 @@ func (t *Thread) saveTimestamp(itv int32, caps []capturedDiff) {
 		}
 	}
 	t.rel.stash = stash
-	snap, sz := t.encodeSnapshot()
+	snap, sz := t.encodeSnapshot(t.rel.ckpt)
+	t.rel.ckpt = snap.Blob
 	t.node.ckptCount++
 	t.charge(CompCheckpoint, t.cl.cfg.CheckpointNs(sz))
 	// The deposit is replicated at the first k-1 live ring successors

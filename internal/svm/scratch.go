@@ -5,7 +5,8 @@ import "ftsvm/internal/mem"
 // releaseScratch is a thread's storage for the objects one release builds:
 // the captured diffs and their pre-images (headers in diffs, runs and
 // payload bytes in buf), the capture, page and commit-sink lists, the diff
-// stash for the backups, the diffMsg envelopes and the one saveTSMsg.
+// stash for the backups, the diffMsg envelopes, the one saveTSMsg and the
+// point-B checkpoint blob it carries.
 // Nothing in it is allocated again once it has grown to the thread's
 // largest release.
 //
@@ -15,9 +16,9 @@ import "ftsvm/internal/mem"
 // releaseBase, after the loop in propagateSinglePhase. By then every
 // message that points into the scratch has been delivered (or has failed
 // at a dead destination), so only what a receiver kept could still point
-// here — and receivers keep copies (applyDiffMsg, storeSavedTS). The
-// scratch belongs to a thread, not a node: base-mode SMP releases on one
-// node are not serialized.
+// here — and receivers keep copies (applyDiffMsg, storeSavedTS, and the
+// checkpoint store's Put). The scratch belongs to a thread, not a node:
+// base-mode SMP releases on one node are not serialized.
 type releaseScratch struct {
 	buf      mem.DiffBuf
 	diffs    slab[mem.Diff]
@@ -29,6 +30,7 @@ type releaseScratch struct {
 	kept     []mem.Run
 	msgs     slab[diffMsg]
 	save     saveTSMsg // the deposit, one envelope for every backup's copy
+	ckpt     []byte    // the deposit's checkpoint blob
 }
 
 // diff returns a fresh diff header holding runs.
@@ -82,7 +84,7 @@ func (s *releaseScratch) recycle() {
 var poisonScratch bool
 
 // poison overwrites every diff, run, payload byte and envelope handed out
-// since the last recycle.
+// since the last recycle, and the checkpoint blob.
 func (s *releaseScratch) poison() {
 	for _, d := range s.diffs.used() {
 		for i := range d.Runs {
@@ -98,6 +100,9 @@ func (s *releaseScratch) poison() {
 		*m = diffMsg{Page: -1, Src: -1, Interval: -1, Phase: -1}
 	}
 	s.save = saveTSMsg{Node: -1, CkptThread: -1, CkptHome: -1}
+	for i := range s.ckpt {
+		s.ckpt[i] = 0xDB
+	}
 }
 
 // slab hands out reusable objects: get returns one not handed out since

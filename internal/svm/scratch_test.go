@@ -136,3 +136,70 @@ func pendingRolls(cl *Cluster, dead int) (rollBacks, rollForwards int) {
 	}
 	return rollBacks, rollForwards
 }
+
+// TestRecycledCheckpointRestore restores a killed node's threads from
+// snapshots whose senders' buffers were reused afterwards. Two threads
+// share each node and every other release of theirs commits no update, so
+// the victim's threads are checkpointed by each other at point A, by
+// themselves at a release with no updates (both from the sender's
+// checkpoint buffer) and at point B (from the release scratch). With
+// poisoning on, every such buffer is overwritten once its deposit has
+// landed, so the restored threads resume correctly only if each backup's
+// store kept its own copy of the blob.
+func TestRecycledCheckpointRestore(t *testing.T) {
+	old := poisonScratch
+	poisonScratch = true
+	t.Cleanup(func() { poisonScratch = old })
+	const nodes, tpn, victim, iters = 4, 2, 2, 12
+	cfg := model.Default()
+	cfg.Nodes = nodes
+	cfg.ThreadsPerNode = tpn
+	psz := cfg.PageSize
+	body := func(t *Thread) {
+		st := &counterState{}
+		t.Setup(st)
+		l := t.ID() % 2
+		for st.Iter < iters {
+			t.Acquire(l)
+			if st.Iter%2 == 0 {
+				t.WriteU64(l*psz, t.ReadU64(l*psz)+1)
+			}
+			st.Iter++
+			t.Release(l)
+		}
+		t.Barrier()
+	}
+	cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 2, Body: body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := cl.EnableFlightRecorder(8)
+	restores := 0
+	rec.SetSink(func(e obs.Event) {
+		switch {
+		case e.Kind == obs.KRecoveryRestore:
+			restores++
+		case e.Kind == obs.KReleaseDone && e.Node == victim && e.Seq == 9 && !cl.nodes[victim].dead:
+			cl.KillNode(victim)
+		}
+	})
+	if err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	switch {
+	case !cl.Finished():
+		t.Fatal("threads did not finish")
+	case cl.ProtoStats().Recoveries != 1:
+		t.Fatalf("%d recoveries, want 1", cl.ProtoStats().Recoveries)
+	case restores != tpn:
+		t.Fatalf("%d threads restored from a checkpoint, want %d", restores, tpn)
+	}
+	for l := range 2 {
+		if got := binary.LittleEndian.Uint64(cl.PeekBytes(l*psz, 8)); got != nodes*iters/2 {
+			t.Errorf("lock %d's counter = %d, want %d", l, got, nodes*iters/2)
+		}
+	}
+	if err := cl.VerifyReplicas(); err != nil {
+		t.Fatal(err)
+	}
+}

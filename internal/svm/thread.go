@@ -45,7 +45,8 @@ type Thread struct {
 	fetch *fetchReq
 	upd   *updatesReq
 
-	rel releaseScratch // this thread's release storage (see releaseScratch)
+	rel  releaseScratch // this thread's release storage (see releaseScratch)
+	ckpt ckptScratch    // its point-A and no-update deposits (see ckptScratch)
 }
 
 // ID returns the thread's global id.
