@@ -60,7 +60,7 @@ var ablations = map[string]render{
 //
 // It exits 1 when any cell ends in an ERROR row. The recorded values of
 // the grid are gated by the root package's TestGolden, not here.
-func benchCmd(args []string, out, errw io.Writer) int {
+func benchCmd(args []string, out, errw io.Writer) (code int) {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	figure := fs.String("figure", "", "figure to regenerate: 7, 8, 9, 10, overhead, diffs, scaling, all")
 	ablation := fs.String("ablation", "", "ablation to run: locks, postqueue, checkpoint, serial, recovery, aggregate, twophase, pagesize, detection, slo")
@@ -95,12 +95,10 @@ func benchCmd(args []string, out, errw io.Writer) int {
 		todo = append(todo, a)
 	}
 
-	stop, err := prof.start(errw)
-	if err != nil {
-		fmt.Fprintf(errw, "svm bench: %v\n", err)
-		return 1
+	if err := prof.open(); err != nil {
+		return usageError(errw, "bench", err)
 	}
-	defer stop()
+	defer prof.close(errw, &code)
 	failed := 0
 	for _, t := range todo {
 		failed += t(out, *size, *nodes)

@@ -6,6 +6,8 @@
 package main
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -192,49 +194,66 @@ func survivable(nodes int) error {
 	return nil
 }
 
-// profiles holds a subcommand's -cpuprofile and -memprofile flags.
+// profiles holds a subcommand's -cpuprofile and -memprofile flags and,
+// once opened, their files. pprof drops its write errors, so both
+// profiles are written to memory first and copied to their files at close.
 type profiles struct {
-	cmd      string
-	cpu, mem *string
+	cmd        string
+	cpu, mem   *string
+	cpuF, memF *os.File
+	cpuBuf     bytes.Buffer
 }
 
 func profileFlags(fs *flag.FlagSet) profiles {
 	return profiles{
-		fs.Name(),
-		fs.String("cpuprofile", "", "write a CPU profile of the workload to this file"),
-		fs.String("memprofile", "", "write a heap profile to this file on exit"),
+		cmd: fs.Name(),
+		cpu: fs.String("cpuprofile", "", "write a CPU profile of the workload to this file"),
+		mem: fs.String("memprofile", "", "write a heap profile to this file on exit"),
 	}
 }
 
-// start begins the CPU profile. The caller defers the returned stop,
-// which ends it and writes the heap profile, reporting failures to errw.
-func (p profiles) start(errw io.Writer) (stop func(), err error) {
-	var cpu *os.File
+// open creates both profile files and starts the CPU profile. The caller
+// opens them before it builds anything, reports an error as bad usage,
+// and defers close.
+func (p *profiles) open() (err error) {
 	if *p.cpu != "" {
-		if cpu, err = os.Create(*p.cpu); err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpu); err != nil {
-			return nil, errors.Join(err, cpu.Close())
-		}
+		p.cpuF, err = os.Create(*p.cpu)
 	}
-	return func() {
-		var err error
-		if cpu != nil {
-			pprof.StopCPUProfile()
-			err = cpu.Close()
-		}
-		if err == nil && *p.mem != "" {
-			var f *os.File
-			if f, err = os.Create(*p.mem); err == nil {
-				runtime.GC()
-				err = errors.Join(pprof.WriteHeapProfile(f), f.Close())
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(errw, "svm %s: %v\n", p.cmd, err)
-		}
-	}, nil
+	if err == nil && *p.mem != "" {
+		p.memF, err = os.Create(*p.mem)
+	}
+	if err == nil && p.cpuF != nil {
+		err = pprof.StartCPUProfile(&p.cpuBuf)
+	}
+	if err != nil {
+		p.cpuF.Close() // a nil *os.File only returns an error
+		p.memF.Close()
+	}
+	return err
+}
+
+// close ends the CPU profile and writes both profiles. The first failure
+// is reported as one line and makes the exit status at least 1.
+func (p *profiles) close(errw io.Writer, code *int) {
+	var errs []error
+	write := func(f *os.File, b []byte) {
+		_, err := f.Write(b)
+		errs = append(errs, err, f.Close())
+	}
+	if p.cpuF != nil {
+		pprof.StopCPUProfile()
+		write(p.cpuF, p.cpuBuf.Bytes())
+	}
+	if p.memF != nil {
+		runtime.GC()
+		var heap bytes.Buffer
+		errs = append(errs, pprof.WriteHeapProfile(&heap))
+		write(p.memF, heap.Bytes())
+	}
+	if err := cmp.Or(errs...); err != nil {
+		fmt.Fprintf(errw, "svm %s: %v\n", p.cmd, err)
+		*code = max(*code, 1)
+	}
 }
 
 // finish runs cl to completion and checks that every thread finished and

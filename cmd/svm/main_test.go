@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -105,11 +106,15 @@ func TestHostileInput(t *testing.T) {
 		{"run", "-app", "fft", "-size", "small", "-nodes", "4", "-events", "all", "-node", "9"},
 		{"run", "-app", "fft", "-size", "small", "-nodes", "4", "-events", "all", "-node", "-5"},
 		{"run", "-app", "fft", "-size", "small", "-nodes", "4", "-events", "all", "-limit", "-3"},
+		{"run", "-app", "counter", "-size", "small", "-nodes", "4", "-memprofile", "/nonexistent/x"},
+		{"run", "-app", "counter", "-size", "small", "-nodes", "4", "-cpuprofile", "/nonexistent/x"},
 		{"bench", "-figure", "bogus"},
 		{"bench", "-ablation", "bogus"},
 		{"bench", "-size", "bogus"},
 		{"bench", "-figure", "7", "-nodes", "0"},
 		{"bench", "-ablation", "recovery", "-size", "small", "-nodes", "2"},
+		{"bench", "-figure", "7", "-size", "small", "-nodes", "4", "-memprofile", "/nonexistent/x"},
+		{"bench", "-figure", "7", "-size", "small", "-nodes", "4", "-cpuprofile", "/nonexistent/x"},
 		{"fi", "-size", "bogus"},
 		{"fi", "-tier", "bogus"},
 		{"fi", "-lock", "queue"},
@@ -173,6 +178,28 @@ func TestHostileInput(t *testing.T) {
 				t.Fatalf("exit %d, stdout %q, stderr %q: want exit 2, the unknown-command usage and no output", code, out, errw)
 			}
 		})
+	}
+}
+
+// TestProfileWriteFailure: a profile that opened but cannot be written at
+// exit fails the command with exit 1 and one stderr line, after the run's
+// own output. /dev/full accepts the open and fails every write.
+func TestProfileWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	for _, flag := range []string{"-memprofile", "-cpuprofile"} {
+		for _, args := range [][]string{
+			{"run", "-app", "counter", "-size", "small", "-nodes", "4", flag, "/dev/full"},
+			{"bench", "-figure", "7", "-size", "small", "-nodes", "4", flag, "/dev/full"},
+		} {
+			t.Run(strings.Join(args, " "), func(t *testing.T) {
+				code, out, errw := runCapture(t, args...)
+				if code != 1 || strings.Count(errw, "\n") != 1 || out == "" {
+					t.Fatalf("exit %d, stdout %q, stderr %q: want exit 1, one stderr line and the run's output", code, out, errw)
+				}
+			})
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ import (
 //	svm run -app radix -size small -nodes 4 -events all -kill 2 -killat 3ms
 //	svm run -app lu -events release.phase1,kill -node 1
 //	svm run -app waternsq -events lock -limit 50 -dump
-func runCmd(args []string, out, errw io.Writer) int {
+func runCmd(args []string, out, errw io.Writer) (code int) {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	app := enum(fs, "app", "fft", "application: "+strings.Join(appNames, ", "), appName)
 	mode := enum(fs, "mode", "extended", "protocol: base, extended", oneOf(map[string]svm.Mode{"base": svm.ModeBase, "extended": svm.ModeFT}))
@@ -72,12 +72,10 @@ func runCmd(args []string, out, errw io.Writer) int {
 		return usageError(errw, "run", fmt.Errorf("-limit %d is negative (0: unlimited)", *limit))
 	}
 
-	stop, err := prof.start(errw)
-	if err != nil {
-		fmt.Fprintf(errw, "svm run: %v\n", err)
-		return 1
+	if err := prof.open(); err != nil {
+		return usageError(errw, "run", err)
 	}
-	defer stop()
+	defer prof.close(errw, &code)
 	c := harness.Config{
 		App: *app, Size: *size, Mode: *mode, LockAlgo: *lock, Nodes: *nodes, ThreadsPerNode: *threads,
 		Overrides: func(cfg *model.Config) { cfg.Seed = *seed },

@@ -424,3 +424,79 @@ func TestVTSnapshotTracksVT(t *testing.T) {
 		}
 	})
 }
+
+// TestLockReleaseOnWireNeverRefilled: a node releases a lock again while
+// the copy of its previous release to the lock's secondary home is still
+// on the wire, and its vector time moved in between. Node 0 is the lock's
+// primary home and the barrier master, so it acquires, releases, completes
+// a barrier and acquires again without a round trip; a burst on its link
+// to the secondary home holds the first release's copy there, and the
+// barrier brings it the other nodes' intervals. The second release must
+// post a new envelope: refilling the first would have the secondary merge
+// the second release's vector time at the first delivery.
+func TestLockReleaseOnWireNeverRefilled(t *testing.T) {
+	const nodes, lock, start = 4, 0, 1_000_000
+	var first, second *lockRelease
+	var firstVT, secondVT proto.VectorTime
+	build := func(ch model.Chaos) *Cluster {
+		cfg := model.Default()
+		cfg.Nodes = nodes
+		cfg.Chaos = ch
+		psz := cfg.PageSize
+		cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: nodes, Locks: 1,
+			HomeAssign: func(p int) int { return p },
+			Body: func(th *Thread) {
+				n := th.node
+				if n.id != 0 {
+					// A page of its own, so no request waits on node 0.
+					th.WriteU64(n.id*psz, 1)
+					th.Barrier()
+					return
+				}
+				th.Compute(start) // the others commit and arrive first
+				th.Acquire(lock)
+				th.Release(lock)
+				first = n.owned[lock].rel
+				firstVT = slices.Clone(first.VT)
+				th.Barrier()
+				th.Acquire(lock)
+				th.Release(lock)
+				second = n.owned[lock].rel
+				secondVT = slices.Clone(second.VT)
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}
+	// The burst targets the link to the lock's secondary home.
+	sec := build(model.Chaos{}).lockHomes.Replica(lock, 1)
+	cl := build(model.Chaos{Enabled: true, BurstStartNs: start, BurstLenNs: 200_000, BurstSrc: 0, BurstDst: sec})
+	if p := cl.lockHomes.Primary(lock); p != 0 || cl.masterNode() != 0 {
+		t.Fatalf("lock %d is homed at node %d and the master is node %d, want both at node 0", lock, p, cl.masterNode())
+	}
+	var merged proto.VectorTime
+	onWire := false
+	cl.opt.Tracer = tracerFunc(func(e TraceEvent) {
+		if e.Kind == "lock.clear" && e.Node == sec && merged == nil {
+			onWire = second != nil
+			merged = slices.Clone(cl.nodes[sec].lockHomesState[lock].vt)
+		}
+	})
+	if err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	switch {
+	case second == nil || merged == nil:
+		t.Fatal("node 0 did not release twice, or no release reached the secondary home")
+	case !onWire:
+		t.Fatal("the first release reached the secondary home before the second was made: nothing was checked")
+	case slices.Equal(firstVT, secondVT):
+		t.Fatalf("both releases carried %v: the barrier moved nothing, so nothing was checked", firstVT)
+	case first == second:
+		t.Error("the second release refilled the envelope still on the wire")
+	}
+	if !slices.Equal(merged, firstVT) {
+		t.Errorf("at the first release's delivery the secondary home holds %v, want that release's %v (the second carried %v)", merged, firstVT, secondVT)
+	}
+}

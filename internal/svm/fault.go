@@ -6,6 +6,7 @@ import (
 
 	"ftsvm/internal/mem"
 	"ftsvm/internal/proto"
+	"ftsvm/internal/sim"
 	"ftsvm/internal/vmmc"
 )
 
@@ -18,24 +19,29 @@ import (
 func (t *Thread) readFault(pg *page) {
 	if fut := pg.fetching; fut != nil {
 		// Another local thread is already fetching this page; wait for it
-		// and let the caller re-check the page state. (Capture the future
-		// first: the flush inside beginWait yields, and the owner may
-		// finish and clear pg.fetching before we park.)
+		// and let the caller re-check the page state. (Make the future, or
+		// capture it, first: the flush inside beginWait yields, and the
+		// owner may finish and clear pg.fetching before we park.)
+		if fut == fetchPending {
+			fut = t.cl.eng.NewFuture()
+			pg.fetching = fut
+		}
 		t0 := t.beginWait()
 		t.proc.Await(fut)
 		t.endWait(CompDataWait, t0)
 		return
 	}
-	fut := t.cl.eng.NewFuture()
-	pg.fetching = fut
+	pg.fetching = fetchPending
 	t.node.stats.ReadFaults++
 	needRecovery := false
 	func() {
 		// The dedupe future must resolve before this thread can park in
 		// the recovery barrier, or the waiters could never arrive there.
 		defer func() {
+			if fut := pg.fetching; fut != fetchPending {
+				fut.Resolve(nil)
+			}
 			pg.fetching = nil
-			fut.Resolve(nil)
 		}()
 		cfg := t.cl.cfg
 		t.charge(CompDataWait, cfg.PageFaultTrapNs)
@@ -76,6 +82,12 @@ func (t *Thread) readFault(pg *page) {
 		t.joinRecovery()
 	}
 }
+
+// fetchPending is page.fetching while a read fault runs with no sibling
+// waiting; it is never awaited or resolved. A future completed with no
+// waiter schedules nothing, so making one only when a sibling waits
+// changes no event.
+var fetchPending = new(sim.Future)
 
 // localFetch is the extended protocol's home-page fault path: the primary
 // home copies its own committed copy into the working copy, waiting first

@@ -220,3 +220,128 @@ func TestFetchLeavesPagePoolsLevel(t *testing.T) {
 		}
 	})
 }
+
+// siblingFault runs a four-node extended-protocol cluster with two threads
+// a node, every page homed at node 0. Node 0 writes 42 to page 0 before a
+// barrier; after it both threads of node 1 read the page. Thread 2 faults
+// at once; thread 3 faults 2 µs later, while thread 2's fetch is on the
+// wire, and must wait for it rather than fetch again. Just before thread 3
+// faults it checks that the fetch runs with no waiter and calls mid. It
+// returns the cluster and what threads 2 and 3 read.
+func siblingFault(t *testing.T, mid func(cl *Cluster)) (*Cluster, [2]uint64) {
+	t.Helper()
+	cfg := model.Default()
+	cfg.Nodes = 4
+	cfg.ThreadsPerNode = 2
+	var got [2]uint64
+	cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 4, Locks: 1,
+		HomeAssign: func(int) int { return 0 },
+		Body: func(th *Thread) {
+			if th.ID() == 0 {
+				th.WriteU64(0, 42)
+			}
+			th.Barrier()
+			if th.NodeID() != 1 {
+				return
+			}
+			if th.ID() == 3 {
+				th.Compute(2_000)
+				th.flush()
+				if pg := th.node.pt.page(0); pg.fetching != fetchPending {
+					t.Error("the sibling's fetch is not in progress with no waiter when thread 3 faults")
+				}
+				mid(th.cl)
+			}
+			got[th.ID()-2] = th.ReadU64(0)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A sibling left waiting would park forever: stop the run long after
+	// it should have ended.
+	cl.Engine().At(100_000_000, cl.Engine().Stop)
+	if err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !cl.Finished() {
+		t.Fatal("threads did not finish: a waiting sibling was never woken")
+	}
+	if f := cl.nodes[1].pt.page(0).fetching; f != nil {
+		t.Fatalf("page 0 is still marked as being fetched (%p)", f)
+	}
+	return cl, got
+}
+
+// TestReadFaultSiblingWaits: two threads on one node fault the same page.
+// One fetches it; the other makes the de-dup future, waits on it and is
+// woken when the fetch installs the page.
+func TestReadFaultSiblingWaits(t *testing.T) {
+	cl, got := siblingFault(t, func(*Cluster) {})
+	st := cl.nodes[1].stats
+	if st.ReadFaults != 1 || st.RemoteFetches != 1 {
+		t.Errorf("node 1 counted %d read faults and %d remote fetches, want 1 and 1", st.ReadFaults, st.RemoteFetches)
+	}
+	if got != [2]uint64{42, 42} {
+		t.Errorf("node 1's threads read %v, want 42 twice", got)
+	}
+}
+
+// TestReadFaultSiblingReleasedByRecovery: the page's home dies while the
+// fetch is on the wire, so the fetching thread ends in recovery. The
+// sibling waiting on its future must be released before that thread parks
+// in the recovery barrier, or the sibling could never arrive there; both
+// then read the page from the new home.
+func TestReadFaultSiblingReleasedByRecovery(t *testing.T) {
+	cl, got := siblingFault(t, func(cl *Cluster) {
+		cl.Engine().At(0, func() { cl.KillNode(0) })
+	})
+	if r := cl.ProtoStats().Recoveries; r != 1 {
+		t.Fatalf("%d recoveries, want 1", r)
+	}
+	if got != [2]uint64{42, 42} {
+		t.Errorf("node 1's threads read %v, want 42 twice", got)
+	}
+	if err := cl.VerifyReplicas(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadFaultAllocBudget: a steady-state read fault with no sibling
+// waiting allocates nothing. The page's de-dup future is made only when a
+// sibling waits for it. (One object per fault while every fault made one.)
+func TestReadFaultAllocBudget(t *testing.T) {
+	allocs := -1.0
+	cfg := model.Default()
+	cfg.Nodes = 2
+	cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 2, Locks: 1, Body: func(th *Thread) {
+		if th.NodeID() != 1 {
+			return
+		}
+		pg := th.node.pt.page(0)
+		fault := func() {
+			pg.setState(pInvalid)
+			th.readFault(pg)
+			if pg.state != pReadOnly || pg.fetching != nil {
+				t.Errorf("a read fault on page 0 left it in state %v, fetching %p", pg.state, pg.fetching)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			fault()
+		}
+		allocs = testing.AllocsPerRun(1000, fault)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := cl.pageHomes.Primary(0); h != 0 {
+		t.Fatalf("page 0 is homed at node %d, want 0", h)
+	}
+	if err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("allocations per steady-state read fault: %.1f", allocs)
+	const budget = 0
+	if allocs < 0 || allocs > budget {
+		t.Fatalf("a steady-state read fault allocates %.1f objects, budget %d", allocs, budget)
+	}
+}

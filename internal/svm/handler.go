@@ -95,7 +95,7 @@ func (n *node) applyDiffMsg(m *diffMsg) {
 			m.Diff.ApplyMasked(pg.dirtyTwin, pg.stashMask)
 		}
 		if pg.baseVer == nil {
-			pg.baseVer = proto.NewVector(cfg.Nodes)
+			pg.baseVer = n.newVec()
 		}
 		if pg.baseVer[m.Src] < m.Interval {
 			pg.baseVer[m.Src] = m.Interval
@@ -104,7 +104,7 @@ func (n *node) applyDiffMsg(m *diffMsg) {
 	case 1: // tentative copy at the secondary home
 		if pg.tentative == nil {
 			pg.tentative = n.getPageBufZero()
-			pg.tentVer = proto.NewVector(cfg.Nodes)
+			pg.tentVer = n.newVec()
 		}
 		if m.Undo != nil {
 			if pg.undoFrom == nil {
@@ -123,7 +123,7 @@ func (n *node) applyDiffMsg(m *diffMsg) {
 	case 2: // committed copy at the primary home
 		if pg.committed == nil {
 			pg.committed = n.getPageBufZero()
-			pg.commitVer = proto.NewVector(cfg.Nodes)
+			pg.commitVer = n.newVec()
 		}
 		pg.applyDiff(pg.committed, pg.commitVer, m.Src, m.Interval, m.Diff)
 		pg.serveWaiters(pg.commitVer, pg.committed, cfg.PageSize+64)
@@ -134,7 +134,6 @@ func (n *node) applyDiffMsg(m *diffMsg) {
 // handleFetch serves (or defers) a remote page fetch.
 func (n *node) handleFetch(d *vmmc.Delivery, m *fetchReq) {
 	pg := n.pt.page(m.Page)
-	cfg := n.cl.cfg
 	var buf []byte
 	var ver proto.VectorTime
 	if n.cl.opt.Mode == ModeFT {
@@ -142,13 +141,13 @@ func (n *node) handleFetch(d *vmmc.Delivery, m *fetchReq) {
 			// Newly promoted home whose replica has not arrived yet:
 			// defer until recovery installs it.
 			pg.committed = n.getPageBufZero()
-			pg.commitVer = proto.NewVector(cfg.Nodes)
+			pg.commitVer = n.newVec()
 		}
 		buf, ver = pg.committed, pg.commitVer
 	} else {
 		buf, ver = pg.ensureWorking(), pg.baseVer
 		if ver == nil {
-			pg.baseVer = proto.NewVector(cfg.Nodes)
+			pg.baseVer = n.newVec()
 			ver = pg.baseVer
 		}
 	}

@@ -55,7 +55,7 @@ func TestLockReadReplyMatchesReference(t *testing.T) {
 		refN, refLH := build()
 		// One envelope serves every read, as a node's does for one lock, so
 		// each fill must overwrite everything the previous one set.
-		req := newLockRead(lock, nodes)
+		req := &lockRead{Lock: lock, Reply: &lockReadReply{VT: proto.NewVector(nodes)}}
 		for set := 0; set < 1<<nodes; set++ {
 			for reader := 0; reader < nodes; reader++ {
 				// The stored timestamp moves between reads, as releases

@@ -109,7 +109,22 @@ func (t *Thread) handOver(l int, ol *ownedLock) {
 		// the home(s), atomically per home.
 		n.setHeld(l, false)
 		t.cl.trace(obs.KLockRelease, n.id, t.id, int64(l))
-		rel := &lockRelease{Lock: l, Node: n.id, VT: n.vtSnapshot()}
+		// Refill the envelope only while nothing this node posted is in
+		// flight: every copy of the last release has landed, and no home
+		// keeps one (DESIGN §6). It is out of ol while its copies are
+		// posted, since a post may yield to a sibling's handOver.
+		rel := ol.rel
+		switch {
+		case rel == nil || n.ep.InFlight() > 0:
+			rel = new(lockRelease)
+		case poisonScratch:
+			// Poison it and post a new one, so a copy still on the wire
+			// would deliver lock -1 (the shared snapshot is dropped).
+			*rel = lockRelease{Lock: -1, Node: -1}
+			rel = new(lockRelease)
+		}
+		ol.rel = nil
+		*rel = lockRelease{Lock: l, Node: n.id, VT: n.vtSnapshot()}
 		prim := t.cl.lockHomes.Primary(l)
 		t.postLockMsg(prim, rel, n.msgWire(prim, rel))
 		if t.cl.opt.Mode == ModeFT {
@@ -118,6 +133,7 @@ func (t *Thread) handOver(l int, ol *ownedLock) {
 				t.postLockMsg(sec, rel, n.msgWire(sec, rel))
 			}
 		}
+		ol.rel = rel
 	default:
 		// Queue lock, uncontended: the lock stays cached on this node;
 		// the home still records us as tail and forwards future requests.
@@ -133,7 +149,10 @@ func (n *node) lockState(l int) *ownedLock {
 			pendingGrant: -1,
 			set:          lockSet{Lock: l, Node: n.id},
 			clr:          lockClear{Lock: l, Node: n.id},
+			read0:        lockRead{Lock: l},
 		}
+		ol.read0.Reply = &ol.reply0
+		ol.read = &ol.read0
 		n.owned[l] = ol
 	}
 	return ol
@@ -234,10 +253,10 @@ func (t *Thread) pollingAcquire(l int) proto.VectorTime {
 func (t *Thread) lockReadVector(l, prim int) (*lockReadReply, error) {
 	n := t.node
 	ol := n.lockState(l)
-	if ol.read == nil {
-		ol.read = newLockRead(l, t.cl.cfg.Nodes)
-	}
 	req := ol.read
+	if req.Reply.VT == nil {
+		req.Reply.VT = n.newVec()
+	}
 	if prim == n.id {
 		t.charge(CompLock, t.cl.cfg.ProtoOpNs)
 		return n.lockHomesState[l].readReply(n.id, req.Reply), nil
@@ -248,7 +267,7 @@ func (t *Thread) lockReadVector(l, prim int) (*lockReadReply, error) {
 	t.endWait(CompLock, t0)
 	if err != nil {
 		// The home may still answer the request and fill its envelope later.
-		ol.read = nil
+		ol.read = &lockRead{Lock: l, Reply: &lockReadReply{}}
 		if errors.Is(err, vmmc.ErrNodeDead) || errors.Is(err, vmmc.ErrAborted) {
 			return nil, err
 		}
@@ -258,12 +277,6 @@ func (t *Thread) lockReadVector(l, prim int) (*lockReadReply, error) {
 		panic("svm: lock read reply is not the request's envelope")
 	}
 	return req.Reply, nil
-}
-
-// newLockRead makes a read request for lock l with an empty envelope whose
-// timestamp buffer is nodes wide.
-func newLockRead(l, nodes int) *lockRead {
-	return &lockRead{Lock: l, Reply: &lockReadReply{VT: proto.NewVector(nodes)}}
 }
 
 // readReply answers reader's read of the lock vector in rep, the reader's

@@ -267,7 +267,7 @@ func (pg *page) setStash(twin, working []byte, mask []uint64) {
 // moved rather than re-reading the whole vector.
 func (pg *page) setReqVer(src int, v int32) {
 	if pg.reqVer == nil {
-		pg.reqVer = proto.NewVector(pg.pt.node.cl.cfg.Nodes)
+		pg.reqVer = pg.pt.node.newVec()
 	}
 	pg.reqVer[src] = v
 	if a := pg.pt.aud; a != nil {
@@ -395,11 +395,11 @@ func (pg *page) ensureWorking() []byte {
 }
 
 // initHome sets up home-side storage for this node's home pages.
-func (pt *pageTable) initHome(pid int, role proto.Role, ft bool, size, nnodes int) {
+func (pt *pageTable) initHome(pid int, role proto.Role, ft bool) {
 	pg := pt.page(pid)
 	if !ft {
 		if pg.baseVer == nil {
-			pg.baseVer = proto.NewVector(nnodes)
+			pg.baseVer = pt.node.newVec()
 		}
 		// Base-mode home pages are always valid at their home.
 		pg.ensureWorking()
@@ -412,12 +412,12 @@ func (pt *pageTable) initHome(pid int, role proto.Role, ft bool, size, nnodes in
 	case proto.Primary:
 		if pg.committed == nil {
 			pg.committed = pt.node.getPageBufZero()
-			pg.commitVer = proto.NewVector(nnodes)
+			pg.commitVer = pt.node.newVec()
 		}
 	case proto.Secondary:
 		if pg.tentative == nil {
 			pg.tentative = pt.node.getPageBufZero()
-			pg.tentVer = proto.NewVector(nnodes)
+			pg.tentVer = pt.node.newVec()
 		}
 	}
 }

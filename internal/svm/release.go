@@ -570,13 +570,13 @@ func (t *Thread) applyLocalDiff(c capturedDiff, itv int32, phase int) {
 	if phase == 1 {
 		if pg.tentative == nil {
 			pg.tentative = t.node.getPageBufZero()
-			pg.tentVer = proto.NewVector(cfg.Nodes)
+			pg.tentVer = n.newVec()
 		}
 		pg.applyDiff(pg.tentative, pg.tentVer, n.id, itv, c.diff)
 	} else {
 		if pg.committed == nil {
 			pg.committed = t.node.getPageBufZero()
-			pg.commitVer = proto.NewVector(cfg.Nodes)
+			pg.commitVer = n.newVec()
 		}
 		pg.applyDiff(pg.committed, pg.commitVer, n.id, itv, c.diff)
 		pg.serveWaiters(pg.commitVer, pg.committed, cfg.PageSize+64)

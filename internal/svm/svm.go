@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"ftsvm/internal/checkpoint"
 	"ftsvm/internal/mem"
@@ -213,6 +212,8 @@ type Cluster struct {
 	// SetCommitSink). Nil by default: the commit path pays one branch.
 	commitSink CommitSink
 
+	vecs []vecArena // by node id, not in node: node keeps its size class
+
 	// vtSnapHook, when set (tests only), sees every vector-time snapshot
 	// vtSnapshot makes, once, when it is made.
 	vtSnapHook func(proto.VectorTime)
@@ -342,11 +343,16 @@ type ownedLock struct {
 	// The polling round's messages for this (node, lock). set and clr are
 	// never written after lockState fills them in, so one instance serves
 	// every round, every replica and whatever is still on the wire. read
-	// carries the reply envelope (see lockReadReply): made at the first
-	// read, refilled by every read after it, replaced after an error.
-	set  lockSet
-	clr  lockClear
-	read *lockRead
+	// carries the reply envelope (see lockReadReply): read0 and reply0,
+	// refilled by every read, until an error replaces it with a new one.
+	set    lockSet
+	clr    lockClear
+	read   *lockRead
+	read0  lockRead
+	reply0 lockReadReply
+	// rel is the release envelope of the polling and NIC locks, refilled
+	// only while nothing this node posted is in flight (see handOver).
+	rel *lockRelease
 }
 
 // New validates opt and builds a cluster ready to Run.
@@ -432,25 +438,36 @@ func New(opt Options) (*Cluster, error) {
 		n.ep.SetHandler(n.handle)
 		cl.nodes[i] = n
 	}
+	k := 1 // replica homes per page and lock: more only in ModeFT
+	if opt.Mode == ModeFT {
+		k = degree
+	}
+	// Each node's first vector chunk holds exactly the versions of the
+	// page and lock replicas it homes, carved below (see newVec).
+	cl.vecs = make([]vecArena, cfg.Nodes)
+	for s := 0; s < k; s++ {
+		for p := 0; p < opt.Pages; p++ {
+			cl.vecs[cl.pageHomes.Replica(p, s)].chunk++
+		}
+		for l := 0; l < nlocks; l++ {
+			cl.vecs[cl.lockHomes.Replica(l, s)].chunk++
+		}
+	}
+	for i, a := range cl.vecs {
+		cl.vecs[i].free = make(proto.VectorTime, a.chunk*cfg.Nodes)
+	}
 	// Install home-side page storage at all k replica homes (slot 0 is
 	// the primary/committed copy, every other slot a tentative copy).
 	for p := 0; p < opt.Pages; p++ {
-		if opt.Mode == ModeFT {
-			cl.nodes[cl.pageHomes.Primary(p)].pt.initHome(p, proto.Primary, true, cfg.PageSize, cfg.Nodes)
-			for s := 1; s < degree; s++ {
-				cl.nodes[cl.pageHomes.Replica(p, s)].pt.initHome(p, proto.Secondary, true, cfg.PageSize, cfg.Nodes)
-			}
-		} else {
-			cl.nodes[cl.pageHomes.Primary(p)].pt.initHome(p, proto.Primary, false, cfg.PageSize, cfg.Nodes)
+		cl.nodes[cl.pageHomes.Primary(p)].pt.initHome(p, proto.Primary, k > 1)
+		for s := 1; s < k; s++ {
+			cl.nodes[cl.pageHomes.Replica(p, s)].pt.initHome(p, proto.Secondary, true)
 		}
 	}
 	// Install home-side lock state at all k replica homes.
 	for l := 0; l < nlocks; l++ {
-		cl.nodes[cl.lockHomes.Primary(l)].initLockHome(l)
-		if opt.Mode == ModeFT {
-			for s := 1; s < degree; s++ {
-				cl.nodes[cl.lockHomes.Replica(l, s)].initLockHome(l)
-			}
+		for s := 0; s < k; s++ {
+			cl.nodes[cl.lockHomes.Replica(l, s)].initLockHome(l)
 		}
 	}
 	return cl, nil
@@ -460,7 +477,7 @@ func (n *node) initLockHome(l int) {
 	if n.lockHomesState[l] == nil {
 		n.lockHomesState[l] = &lockHome{
 			vec:  make([]bool, n.cl.cfg.Nodes),
-			vt:   proto.NewVector(n.cl.cfg.Nodes),
+			vt:   n.newVec(),
 			tail: -1,
 			init: true,
 		}
@@ -475,12 +492,35 @@ func (n *node) initLockHome(l int) {
 // shared vector, so they must never write into it either.
 func (n *node) vtSnapshot() proto.VectorTime {
 	if n.vtSnap == nil {
-		n.vtSnap = slices.Clone(n.vt)
+		n.vtSnap = n.newVec()
+		copy(n.vtSnap, n.vt)
 		if h := n.cl.vtSnapHook; h != nil {
 			h(n.vtSnap)
 		}
 	}
 	return n.vtSnap
+}
+
+// vecArena is a node's vector arena: its chunk's rest and vector count.
+type vecArena struct {
+	free  proto.VectorTime
+	chunk int
+}
+
+// newVec returns a zero vector time carved from the node's arena. After
+// New's first chunk each holds twice the vectors of the one before, at
+// least 4 and at most 512 elements' worth (DESIGN §6). A vector is capped
+// at its length, so an append copies it instead of writing the next, and
+// no slot is handed out twice.
+func (n *node) newVec() proto.VectorTime {
+	a, w := &n.cl.vecs[n.id], n.cl.cfg.Nodes
+	if len(a.free) < w {
+		a.chunk = min(max(2*a.chunk, 4), max(512/w, 1))
+		a.free = make(proto.VectorTime, a.chunk*w)
+	}
+	v := a.free[:w:w]
+	a.free = a.free[w:]
+	return v
 }
 
 // advanceVT raises the node's entry for src to itv if it is behind. With
