@@ -203,18 +203,14 @@ func ablationSerial(out io.Writer, sz harness.Size, nodes int) int {
 	for _, app := range []string{"waternsq", "watersp", "radix"} {
 		c := harness.Config{App: app, Size: sz, Mode: svm.ModeBase, Nodes: nodes, ThreadsPerNode: 2}
 		par := harness.Run(c)
-		// SerialReleases is an svm option, not a harness one; build directly.
-		var serNs int64
-		ser, w, err := harness.NewCluster(c, svm.Options{SerialReleases: true})
-		if err == nil {
-			err = finish(ser, w)
-			serNs = ser.ExecTime()
-		}
-		if par.Err != nil || err != nil {
-			err = fmt.Errorf("par=%v ser=%v", par.Err, err)
+		c.SerialReleases = true
+		ser := harness.Run(c)
+		var err error
+		if par.Err != nil || ser.Err != nil {
+			err = fmt.Errorf("par=%v ser=%v", par.Err, ser.Err)
 		}
 		t.row(fmt.Sprintf("%-14s", app), err, "%10.1f %10.1f %+8.1f%%",
-			float64(par.ExecNs)/1e6, float64(serNs)/1e6, 100*float64(serNs-par.ExecNs)/float64(par.ExecNs))
+			float64(par.ExecNs)/1e6, float64(ser.ExecNs)/1e6, 100*float64(ser.ExecNs-par.ExecNs)/float64(par.ExecNs))
 	}
 	return t.errs
 }
@@ -354,7 +350,7 @@ func (t *table) killed(label string, c harness.Config) (string, *svm.Cluster) {
 		return "", nil
 	}
 	label += fmt.Sprintf(" %14.1f", float64(clean.ExecNs)/1e6)
-	cl, w, err := harness.NewCluster(c, svm.Options{})
+	cl, w, err := harness.NewCluster(c)
 	if err == nil {
 		killAt := clean.ExecNs / 3
 		cl.Engine().At(killAt, func() { cl.KillNode(1 + int(killAt)%(c.Nodes-1)) })

@@ -50,7 +50,7 @@ func chaosCmd(args []string, out, errw io.Writer) int {
 			for _, mode := range []svm.Mode{svm.ModeBase, svm.ModeFT} {
 				name := fmt.Sprintf("%-8s %-10s %-9s", sc.Name, app, mode)
 				cl, w, err := harness.NewCluster(harness.Config{App: app, Size: *size, Mode: mode, Nodes: *nodes,
-					ThreadsPerNode: *tpn, Detection: *det, Chaos: &sc.Chaos}, svm.Options{})
+					ThreadsPerNode: *tpn, Detection: *det, Chaos: &sc.Chaos})
 				if err == nil {
 					err = verify(out, cl, w, *ring, fmt.Sprintf("flight recorder, %s/%s scenario chaos:", app, mode))
 				}

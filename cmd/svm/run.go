@@ -80,7 +80,7 @@ func runCmd(args []string, out, errw io.Writer) (code int) {
 		App: *app, Size: *size, Mode: *mode, LockAlgo: *lock, Nodes: *nodes, ThreadsPerNode: *threads,
 		Overrides: func(cfg *model.Config) { cfg.Seed = *seed },
 	}
-	cl, w, err := harness.NewCluster(c, svm.Options{})
+	cl, w, err := harness.NewCluster(c)
 	if err != nil {
 		return usageError(errw, "run", err)
 	}

@@ -3,8 +3,8 @@
 //
 // The run executes the SPLASH-2-style six-step FFT on 8 simulated nodes
 // under the fault-tolerant protocol, killing node 3 during one of its
-// releases (after phase-1 diff propagation — the roll-back window). A
-// tracer narrates the protocol milestones around the failure: detection,
+// releases (after phase-1 diff propagation — the roll-back window). The
+// flight recorder's sink narrates the protocol milestones around the failure: detection,
 // the global recovery phase, and the migrated thread resuming on the
 // backup node. The FFT's spectrum check verifies the result is exact.
 //
@@ -17,35 +17,32 @@ import (
 
 	"ftsvm/internal/apps"
 	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 	"ftsvm/internal/svm"
 )
 
-type narrator struct {
-	cl     *svm.Cluster
-	killed bool
-}
-
-func (n *narrator) Event(e svm.TraceEvent) {
-	switch e.Kind {
-	case "release.phase1":
-		if !n.killed && e.Node == 3 && e.Seq >= 2 {
-			n.killed = true
-			fmt.Printf("  t=%.2fms  node 3 completed phase 1 of release #%d — killing it now\n",
-				float64(n.cl.Engine().Now())/1e6, e.Seq)
-			n.cl.KillNode(3)
+// narrate prints the protocol milestones around the failure, killing
+// node 3 right after phase 1 of its second release. It is the flight
+// recorder's sink, so it runs at each event, in virtual time.
+func narrate(cl *svm.Cluster, killed *bool) func(obs.Event) {
+	return func(e obs.Event) {
+		ms := float64(e.TimeNs) / 1e6
+		switch e.Kind {
+		case obs.KReleasePhase1:
+			if !*killed && e.Node == 3 && e.Seq >= 2 {
+				*killed = true
+				fmt.Printf("  t=%.2fms  node 3 completed phase 1 of release #%d — killing it now\n", ms, e.Seq)
+				cl.KillNode(3)
+			}
+		case obs.KRecoveryStart:
+			fmt.Printf("  t=%.2fms  failure of node %d detected; global recovery begins\n", ms, e.Node)
+		case obs.KRecoveryRehome:
+			fmt.Printf("  t=%.2fms  pages and locks re-homed; %d bytes of replicas rebuilt\n", ms, e.Seq)
+		case obs.KRecoveryMigrate:
+			fmt.Printf("  t=%.2fms  %d thread(s) migrated to the backup node\n", ms, e.Seq)
+		case obs.KRecoveryDone:
+			fmt.Printf("  t=%.2fms  recovery complete; execution continues on 7 nodes\n", ms)
 		}
-	case "recovery.start":
-		fmt.Printf("  t=%.2fms  failure of node %d detected; global recovery begins\n",
-			float64(n.cl.Engine().Now())/1e6, e.Node)
-	case "recovery.rehome":
-		fmt.Printf("  t=%.2fms  pages and locks re-homed; %d bytes of replicas rebuilt\n",
-			float64(n.cl.Engine().Now())/1e6, e.Seq)
-	case "recovery.migrate":
-		fmt.Printf("  t=%.2fms  %d thread(s) migrated to the backup node\n",
-			float64(n.cl.Engine().Now())/1e6, e.Seq)
-	case "recovery.done":
-		fmt.Printf("  t=%.2fms  recovery complete; execution continues on 7 nodes\n",
-			float64(n.cl.Engine().Now())/1e6)
 	}
 }
 
@@ -57,7 +54,6 @@ func main() {
 	shape := apps.Shape{Nodes: cfg.Nodes, ThreadsPerNode: cfg.ThreadsPerNode, PageSize: cfg.PageSize}
 	w := apps.FFT(shape, 1<<16) // 64K complex points
 
-	nar := &narrator{}
 	cl, err := svm.New(svm.Options{
 		Config:     cfg,
 		Mode:       svm.ModeFT,
@@ -65,16 +61,19 @@ func main() {
 		Locks:      w.Locks,
 		HomeAssign: w.HomeAssign,
 		Body:       w.Body,
-		Tracer:     nar,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	nar.cl = cl
+	killed := false
+	cl.EnableFlightRecorder(1).SetSink(narrate(cl, &killed))
 
 	fmt.Println("running 64K-point FFT on 8 nodes, extended protocol, with failure injection...")
 	if err := cl.Run(); err != nil {
 		log.Fatal(err)
+	}
+	if !killed {
+		log.Fatal("node 3 never reached phase 1 of its second release; nothing was killed")
 	}
 	if err := w.Err(); err != nil {
 		log.Fatal("spectrum verification FAILED: ", err)

@@ -20,6 +20,7 @@ import (
 	"log"
 
 	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 	"ftsvm/internal/svm"
 )
 
@@ -34,24 +35,22 @@ type state struct {
 	Iter int
 }
 
-type killer struct {
-	cl     *svm.Cluster
-	killed bool
-}
-
-func (k *killer) Event(e svm.TraceEvent) {
-	switch e.Kind {
-	case "release.savets":
-		if !k.killed && e.Node == 2 && e.Seq == 5 {
-			k.killed = true
-			fmt.Printf("  t=%.2fms  node 2 saved release #%d's timestamp — killing it "+
-				"(roll-forward window, sibling mid-critical-section)\n",
-				float64(k.cl.Engine().Now())/1e6, e.Seq)
-			k.cl.KillNode(2)
+// killAtSaveTS is the flight recorder's sink: it kills node 2 right
+// after it saves release #5's timestamp and reports the recovery.
+func killAtSaveTS(cl *svm.Cluster, killed *bool) func(obs.Event) {
+	return func(e obs.Event) {
+		ms := float64(e.TimeNs) / 1e6
+		switch e.Kind {
+		case obs.KReleaseSaveTS:
+			if !*killed && e.Node == 2 && e.Seq == 5 {
+				*killed = true
+				fmt.Printf("  t=%.2fms  node 2 saved release #%d's timestamp — killing it "+
+					"(roll-forward window, sibling mid-critical-section)\n", ms, e.Seq)
+				cl.KillNode(2)
+			}
+		case obs.KRecoveryDone:
+			fmt.Printf("  t=%.2fms  recovery complete; node %d's threads resumed on the backup\n", ms, e.Node)
 		}
-	case "recovery.done":
-		fmt.Printf("  t=%.2fms  recovery complete; node %d's threads resumed on the backup\n",
-			float64(k.cl.Engine().Now())/1e6, e.Node)
 	}
 }
 
@@ -60,13 +59,11 @@ func main() {
 	cfg.Nodes = nodes
 	cfg.ThreadsPerNode = tpn
 
-	k := &killer{}
 	cl, err := svm.New(svm.Options{
 		Config: cfg,
 		Mode:   svm.ModeFT,
 		Pages:  accs + 1,
 		Locks:  accs,
-		Tracer: k,
 		Body: func(t *svm.Thread) {
 			st := &state{}
 			t.Setup(st)
@@ -85,7 +82,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	k.cl = cl
+	killed := false
+	cl.EnableFlightRecorder(1).SetSink(killAtSaveTS(cl, &killed))
 
 	fmt.Printf("%d nodes x %d threads, %d locked accumulators, %d updates/thread:\n",
 		nodes, tpn, accs, iters)
@@ -94,6 +92,9 @@ func main() {
 	}
 	if !cl.Finished() {
 		log.Fatal("threads did not finish")
+	}
+	if !killed {
+		log.Fatal("node 2 never saved release #5's timestamp; nothing was killed")
 	}
 
 	// Every thread adds (id+1) once per iteration, so the accumulators

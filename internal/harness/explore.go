@@ -23,7 +23,7 @@ func ExploreSpec(c Config) explore.Spec {
 	return explore.Spec{
 		Name: name,
 		New: func() (explore.Instance, error) {
-			cl, w, err := NewCluster(c, svm.Options{})
+			cl, w, err := NewCluster(c)
 			if err != nil {
 				return explore.Instance{}, err
 			}

@@ -220,6 +220,10 @@ type Config struct {
 	// UnsafeSinglePhase collapses the two propagation phases (ablation:
 	// the price of failure atomicity).
 	UnsafeSinglePhase bool
+	// SerialReleases serializes each node's lock releases, as the
+	// extended protocol does, under the base protocol too (ablation: the
+	// price of release serialization, §4.4).
+	SerialReleases bool
 	// FullTwins disables write-set tracked diffing (ablation: full-page
 	// twin copies and full-page diff scans, the pre-tracking behavior).
 	// Protocol outputs are identical either way; only host time moves.
@@ -242,10 +246,13 @@ type Config struct {
 	// lane workers. Virtual metrics are bit-identical either way.
 	Workers int
 	// KillKind, when non-empty, injects a node failure: KillVictim is
-	// fail-stopped the KillSeq'th time it emits this trace-event kind
-	// (e.g. "release.done"; 0 matches the first occurrence). Requires
-	// Mode == svm.ModeFT, a known kind and a victim inside the cluster,
-	// or Run returns an error; tracer-driven cells always run serially.
+	// fail-stopped the first time it records this event kind (e.g.
+	// "release.done") with sequence number KillSeq (its release count,
+	// barrier epoch or lock id; 0 matches any). The kill comes from the
+	// flight recorder's sink, as `svm fi`'s do. Requires Mode ==
+	// svm.ModeFT, a known kind, a victim inside the cluster and KillSeq
+	// >= 0, or Run returns an error; so does a kill the run never
+	// reaches. Kill cells always run serially.
 	KillKind   string
 	KillVictim int
 	KillSeq    int64
@@ -340,10 +347,9 @@ func (c Config) ModelConfig() (model.Config, error) {
 }
 
 // NewCluster builds c's workload and the cluster that runs it, without
-// running it: the one place a cell becomes svm.Options. opt carries what
-// a Config cannot express (a tracer, serialized base-protocol releases);
-// every other option comes from c. KillKind is Run's alone.
-func NewCluster(c Config, opt svm.Options) (*svm.Cluster, *apps.Workload, error) {
+// running it: the one place a cell becomes svm.Options. KillKind is
+// Run's alone.
+func NewCluster(c Config) (*svm.Cluster, *apps.Workload, error) {
 	cfg, err := c.ModelConfig()
 	if err != nil {
 		return nil, nil, err
@@ -352,40 +358,41 @@ func NewCluster(c Config, opt svm.Options) (*svm.Cluster, *apps.Workload, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	opt.Config, opt.Mode, opt.LockAlgo = cfg, c.Mode, c.LockAlgo
-	opt.Pages, opt.Locks, opt.HomeAssign, opt.Body = w.Pages, w.Locks, w.HomeAssign, w.Body
-	opt.AggregateDiffs, opt.UnsafeSinglePhase, opt.FullTwins, opt.Workers = c.AggregateDiffs, c.UnsafeSinglePhase, c.FullTwins, c.Workers
-	cl, err := svm.New(opt)
+	cl, err := svm.New(svm.Options{Config: cfg, Mode: c.Mode, LockAlgo: c.LockAlgo,
+		Pages: w.Pages, Locks: w.Locks, HomeAssign: w.HomeAssign, Body: w.Body,
+		SerialReleases: c.SerialReleases, AggregateDiffs: c.AggregateDiffs,
+		UnsafeSinglePhase: c.UnsafeSinglePhase, FullTwins: c.FullTwins, Workers: c.Workers})
 	return cl, w, err
 }
 
 // Run executes one experiment cell.
 func Run(c Config) Result {
-	var opt svm.Options
-	var kt *killTracer
+	var kind obs.Kind
 	if c.KillKind != "" {
 		cfg, err := c.ModelConfig()
 		if err == nil {
-			err = c.checkKill(cfg.Nodes)
+			kind, err = c.checkKill(cfg.Nodes)
 		}
 		if err != nil {
 			return Result{Config: c, Err: err}
 		}
-		kt = &killTracer{kind: c.KillKind, node: c.KillVictim, seq: c.KillSeq}
-		opt.Tracer = kt
 	}
-	cl, w, err := NewCluster(c, opt)
+	cl, w, err := NewCluster(c)
 	if err != nil {
 		return Result{Config: c, Err: err}
 	}
-	if kt != nil {
-		kt.cl = cl
+	var fired *bool
+	if c.KillKind != "" {
+		fired = killOn(cl, kind, c.KillVictim, c.KillSeq)
 	}
 	if c.Audit {
 		cl.EnableAuditor()
 	}
 	if err := cl.Run(); err != nil {
 		return Result{Config: c, Err: err}
+	}
+	if fired != nil && !*fired {
+		return Result{Config: c, Err: fmt.Errorf("harness: kill never fired: node %d did not record %s (KillSeq %d)", c.KillVictim, c.KillKind, c.KillSeq)}
 	}
 	if !cl.Finished() {
 		return Result{Config: c, Err: fmt.Errorf("harness: %s did not finish", c.App)}
@@ -413,44 +420,38 @@ func Run(c Config) Result {
 	return r
 }
 
-// checkKill rejects a failure injection the cell cannot perform: one into
-// the base protocol, which does not survive it, or one that names a node
-// or an event kind that does not exist and so would silently run healthy.
-func (c Config) checkKill(nodes int) error {
+// checkKill resolves the cell's KillKind, rejecting a failure injection
+// the cell cannot perform: one into the base protocol, which does not
+// survive it, or one that names a node, an event kind or an occurrence
+// that does not exist and so would silently run healthy.
+func (c Config) checkKill(nodes int) (obs.Kind, error) {
+	kind, ok := obs.KindByName(c.KillKind)
 	switch {
-	case c.KillKind == "":
-		return nil
 	case c.Mode != svm.ModeFT:
-		return fmt.Errorf("harness: KillKind %q needs the extended protocol, not %s", c.KillKind, c.Mode)
+		return kind, fmt.Errorf("harness: KillKind %q needs the extended protocol, not %s", c.KillKind, c.Mode)
 	case c.KillVictim < 0 || c.KillVictim >= nodes:
-		return fmt.Errorf("harness: KillVictim %d is not a node of a %d-node cluster", c.KillVictim, nodes)
+		return kind, fmt.Errorf("harness: KillVictim %d is not a node of a %d-node cluster", c.KillVictim, nodes)
+	case c.KillSeq < 0:
+		return kind, fmt.Errorf("harness: KillSeq %d is negative (0: any)", c.KillSeq)
+	case !ok:
+		return kind, fmt.Errorf("harness: unknown KillKind %q", c.KillKind)
 	}
-	if _, ok := obs.KindByName(c.KillKind); !ok {
-		return fmt.Errorf("harness: unknown KillKind %q", c.KillKind)
-	}
-	return nil
+	return kind, nil
 }
 
-// killTracer fail-stops a node the seq'th time it emits the configured
-// trace-event kind (seq 0: the first occurrence) — the harness-level
-// form of the failure injection the svm tests and `svm fi` drive directly.
-type killTracer struct {
-	cl   *svm.Cluster
-	kind string
-	node int
-	seq  int64
-	done bool
-}
-
-func (k *killTracer) Event(e svm.TraceEvent) {
-	if k.done || e.Kind != k.kind || e.Node != k.node {
-		return
-	}
-	if k.seq != 0 && e.Seq != k.seq {
-		return
-	}
-	k.done = true
-	k.cl.KillNode(k.node)
+// killOn fail-stops node the first time it records kind with sequence
+// number seq (0: any), from the flight recorder's sink as `svm fi` does,
+// and reports whether it has. The recorder charges no virtual time and
+// keeps one event per node: the sink is all a kill needs.
+func killOn(cl *svm.Cluster, kind obs.Kind, node int, seq int64) *bool {
+	fired := new(bool)
+	cl.EnableFlightRecorder(1).SetSink(func(e obs.Event) {
+		if !*fired && e.Kind == kind && int(e.Node) == node && (seq == 0 || e.Seq == seq) {
+			*fired = true
+			cl.KillNode(node)
+		}
+	})
+	return fired
 }
 
 // RunPair runs a base/extended pair for one app and configuration, using

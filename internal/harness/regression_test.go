@@ -4,63 +4,29 @@ import (
 	"fmt"
 	"testing"
 
-	"ftsvm/internal/apps"
-	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 	"ftsvm/internal/svm"
 )
 
-// eventKiller fail-stops victim at the first matching trace event. Unlike
-// the svm package's killTracer, the victim may differ from the node the
-// event fires on — needed to kill a bystander home inside another node's
-// release window.
-type eventKiller struct {
-	cl     *svm.Cluster
-	kind   string
-	node   int // node the event fires on
-	victim int // node to kill
-	seq    int64
-	done   bool
-}
-
-func (k *eventKiller) Event(e svm.TraceEvent) {
-	if k.done || e.Kind != k.kind || e.Node != k.node || (k.seq != 0 && e.Seq != k.seq) {
-		return
-	}
-	k.done = true
-	k.cl.KillNode(k.victim)
-}
-
-// runAppWithKill executes app (small size, 4 nodes, extended protocol)
-// with the given kill schedule and verifies completion, the app's own
-// result check, and the replica audit.
-func runAppWithKill(t *testing.T, app, kind string, node, victim int, seq int64) {
+// runAppWithKill executes app (small size, 4 nodes, extended protocol),
+// fail-stopping victim the seq'th time it records kind, and verifies
+// completion, the app's own result check, and the replica audit.
+func runAppWithKill(t *testing.T, app string, kind obs.Kind, victim int, seq int64) {
 	t.Helper()
-	runAppWithKillTPN(t, app, kind, node, victim, seq, 1)
+	runAppWithKillTPN(t, app, kind, victim, seq, 1)
 }
 
-func runAppWithKillTPN(t *testing.T, app, kind string, node, victim int, seq int64, tpn int) {
+func runAppWithKillTPN(t *testing.T, app string, kind obs.Kind, victim int, seq int64, tpn int) {
 	t.Helper()
-	cfg := model.Default()
-	cfg.Nodes = 4
-	cfg.ThreadsPerNode = tpn
-	s := apps.Shape{Nodes: 4, ThreadsPerNode: tpn, PageSize: cfg.PageSize}
-	w, err := Build(app, SizeSmall, s)
+	cl, w, err := NewCluster(Config{App: app, Size: SizeSmall, Mode: svm.ModeFT, Nodes: 4, ThreadsPerNode: tpn})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := &eventKiller{kind: kind, node: node, victim: victim, seq: seq}
-	cl, err := svm.New(svm.Options{
-		Config: cfg, Mode: svm.ModeFT, Pages: w.Pages, Locks: w.Locks,
-		HomeAssign: w.HomeAssign, Body: w.Body, Tracer: k,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.cl = cl
+	fired := killOn(cl, kind, victim, seq)
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !k.done {
+	if !*fired {
 		t.Skip("kill point never reached")
 	}
 	if !cl.Finished() {
@@ -83,7 +49,7 @@ func runAppWithKillTPN(t *testing.T, app, kind string, node, victim int, seq int
 // the committed replica. Found by `svm check`; verified byte-for-byte by
 // VerifyReplicas.
 func TestBystanderHomeFailure(t *testing.T) {
-	runAppWithKill(t, "waternsq", "release.commit", 0, 0, 1)
+	runAppWithKill(t, "waternsq", obs.KReleaseCommit, 0, 1)
 }
 
 // TestBystanderHomeFailureSweep widens the regression to every victim at
@@ -94,9 +60,9 @@ func TestBystanderHomeFailureSweep(t *testing.T) {
 	}
 	for _, app := range []string{"waternsq", "kvstore"} {
 		for victim := 0; victim < 4; victim++ {
-			for _, kind := range []string{"release.commit", "release.savets"} {
-				t.Run(app+"/"+kind, func(t *testing.T) {
-					runAppWithKill(t, app, kind, victim, victim, 2)
+			for _, kind := range []obs.Kind{obs.KReleaseCommit, obs.KReleaseSaveTS} {
+				t.Run(app+"/"+kind.String(), func(t *testing.T) {
+					runAppWithKill(t, app, kind, victim, 2)
 				})
 			}
 		}
@@ -108,7 +74,7 @@ func TestBystanderHomeFailureSweep(t *testing.T) {
 // thread state, or a migrated thread replaying the black half-sweep
 // records a zeroed carry and the monotone-residual verification fails.
 func TestOceanReplayCarry(t *testing.T) {
-	runAppWithKill(t, "ocean", "release.commit", 0, 0, 5)
+	runAppWithKill(t, "ocean", obs.KReleaseCommit, 0, 5)
 }
 
 // TestSMPReplayExactness covers the three mechanisms that make replay
@@ -123,22 +89,23 @@ func TestOceanReplayCarry(t *testing.T) {
 //     point-A snapshot (LatestValid).
 func TestSMPReplayExactness(t *testing.T) {
 	cases := []struct {
-		app, kind string
-		seq       int64
+		app  string
+		kind obs.Kind
+		seq  int64
 	}{
-		{"waternsq", "release.commit", 5},
-		{"waternsq", "release.savets", 5},
-		{"waternsq", "release.ckptB", 3},
-		{"fft", "release.phase1", 1},
-		{"fft", "release.phase1", 3},
-		{"radix", "release.phase1", 1},
-		{"lu", "release.phase1", 1},
-		{"volrend", "release.phase1", 1},
+		{"waternsq", obs.KReleaseCommit, 5},
+		{"waternsq", obs.KReleaseSaveTS, 5},
+		{"waternsq", obs.KReleaseCkptB, 3},
+		{"fft", obs.KReleasePhase1, 1},
+		{"fft", obs.KReleasePhase1, 3},
+		{"radix", obs.KReleasePhase1, 1},
+		{"lu", obs.KReleasePhase1, 1},
+		{"volrend", obs.KReleasePhase1, 1},
 	}
 	for _, c := range cases {
 		for victim := 0; victim < 4; victim++ {
 			t.Run(fmt.Sprintf("%s/%s/n%d/s%d", c.app, c.kind, victim, c.seq), func(t *testing.T) {
-				runAppWithKillTPN(t, c.app, c.kind, victim, victim, c.seq, 2)
+				runAppWithKillTPN(t, c.app, c.kind, victim, c.seq, 2)
 			})
 		}
 	}
@@ -149,18 +116,7 @@ func TestSMPReplayExactness(t *testing.T) {
 // pre-SMP protocol), active under SMP lock contention.
 func TestDeferredWordsContract(t *testing.T) {
 	run := func(tpn int) int64 {
-		cfg := model.Default()
-		cfg.Nodes = 4
-		cfg.ThreadsPerNode = tpn
-		s := apps.Shape{Nodes: 4, ThreadsPerNode: tpn, PageSize: cfg.PageSize}
-		w, err := Build("waternsq", SizeSmall, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl, err := svm.New(svm.Options{
-			Config: cfg, Mode: svm.ModeFT, Pages: w.Pages, Locks: w.Locks,
-			HomeAssign: w.HomeAssign, Body: w.Body,
-		})
+		cl, w, err := NewCluster(Config{App: "waternsq", Size: SizeSmall, Mode: svm.ModeFT, Nodes: 4, ThreadsPerNode: tpn})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,8 +17,8 @@ import (
 )
 
 // Kind identifies a protocol event. String() returns the stable dotted
-// names that predate this package (svm.TraceEvent.Kind), so recorder
-// consumers and legacy tracers filter on the same vocabulary.
+// names that flags, boundary IDs and harness.Config.KillKind use;
+// KindByName is its inverse.
 type Kind uint8
 
 const (

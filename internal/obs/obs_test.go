@@ -66,7 +66,8 @@ func TestRecordZeroAlloc(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	// These names are the wire contract with svm.TraceEvent consumers.
+	// These names are the contract with -kinds flags, boundary IDs and
+	// harness.Config.KillKind.
 	want := map[Kind]string{
 		KReleaseCommit: "release.commit",
 		KReleasePhase1: "release.phase1",

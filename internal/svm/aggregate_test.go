@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 )
 
 // runAggregate builds a cluster with batched diff propagation enabled.
@@ -121,12 +122,11 @@ func TestAggregateDiffsSurviveFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &killTracer{cl: cl, kind: "release.phase1", node: 1, seq: 3}
-	cl.opt.Tracer = tr
+	fired := killOn(cl, obs.KReleasePhase1, 1, 3)
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !tr.done {
+	if !*fired {
 		t.Skip("kill point never reached")
 	}
 	checkCounter(t, cl, 4*iters)

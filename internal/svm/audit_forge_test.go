@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 	"ftsvm/internal/proto"
 )
 
@@ -234,15 +235,15 @@ func TestAuditDifferentialFirstNoticeInRecovery(t *testing.T) {
 			th.Compute(10_000_000)
 			th.Barrier()
 		},
-		Tracer: tracerFunc(func(e TraceEvent) {
-			if e.Kind == "recovery.sync" {
-				atSync = pg.reqAt(0)
-			}
-		}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	onEvent(cl, func(e obs.Event) {
+		if e.Kind == obs.KRecoverySync {
+			atSync = pg.reqAt(0)
+		}
+	})
 	d := AttachAuditDiff(cl)
 	pg = cl.nodes[1].pt.page(0)
 	cl.eng.At(5_000_000, func() {

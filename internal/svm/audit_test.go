@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 	"ftsvm/internal/proto"
 )
 
@@ -106,18 +107,17 @@ func TestMutualExclusionProperty(t *testing.T) {
 			}
 			cl.EnableFlightRecorder(32)
 			cl.EnableAuditor()
-			var kt *killTracer
+			var fired *bool
 			if tc.kill {
 				// Kill node 2 at one of its release commits — a milestone
 				// every case reaches, unlike a fixed virtual time the short
 				// workload may finish before.
-				kt = &killTracer{cl: cl, kind: "release.commit", node: 2, seq: 2}
-				cl.opt.Tracer = kt
+				fired = killOn(cl, obs.KReleaseCommit, 2, 2)
 			}
 			if err := cl.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if kt != nil && !kt.done {
+			if fired != nil && !*fired {
 				t.Fatal("kill milestone never fired")
 			}
 			if !cl.Finished() {
@@ -169,12 +169,12 @@ func TestNICLockGrantReplicationWindow(t *testing.T) {
 	// Kill the lock's primary home the instant a *remote* acquirer
 	// transitions to holding — the exact window the bug left open.
 	done := false
-	cl.opt.Tracer = tracerFunc(func(e TraceEvent) {
-		if done || e.Kind != "lock.held" || e.Seq != 0 {
+	onEvent(cl, func(e obs.Event) {
+		if done || e.Kind != obs.KLockHeld || e.Seq != 0 {
 			return
 		}
 		prim := cl.lockHomes.Primary(0)
-		if e.Node == prim {
+		if int(e.Node) == prim {
 			return
 		}
 		done = true

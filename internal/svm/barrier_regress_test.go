@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 	"ftsvm/internal/sim"
 )
 
@@ -42,22 +43,20 @@ func TestFailAtBarrierArrivalEpoch(t *testing.T) {
 		for _, epoch := range []int64{3, 7} {
 			cfg := model.Default()
 			cfg.Nodes = 4
-			tracer := &killTracer{kind: "barrier.arrive", node: victim, seq: epoch}
-			opt := Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Body: perSlotBody(iters), Tracer: tracer}
-			cl, err := New(opt)
+			cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Body: perSlotBody(iters)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			cl.EnableFlightRecorder(64)
 			cl.EnableAuditor()
-			tracer.cl = cl
+			fired := killOn(cl, obs.KBarrierArrive, victim, epoch)
 			// A livelock here would spin forever; bound the run so the
 			// regression fails fast instead of hanging the suite.
 			cl.Engine().SetEventBudget(2_000_000)
 			if err := cl.Run(); err != nil {
 				t.Fatalf("victim %d epoch %d: %v", victim, epoch, err)
 			}
-			if !tracer.done {
+			if !*fired {
 				t.Fatalf("victim %d: barrier.arrive seq %d never fired", victim, epoch)
 			}
 			if !cl.Finished() {

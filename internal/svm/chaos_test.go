@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 )
 
 // Chaos regressions: deterministic network degradation aimed at the
@@ -12,34 +13,9 @@ import (
 // invariant auditor, and ends with the application's own
 // result check plus a byte-level replica audit.
 
-// phaseClock records the virtual times of one node's release phase-1 and
-// phase-2 milestones for a given release sequence number.
-type phaseClock struct {
-	cl             *Cluster
-	node           int
-	seq            int64
-	phase1, phase2 int64
-}
-
-func (pc *phaseClock) Event(e TraceEvent) {
-	if e.Node != pc.node || e.Seq != pc.seq {
-		return
-	}
-	switch e.Kind {
-	case "release.phase1":
-		if pc.phase1 == 0 {
-			pc.phase1 = pc.cl.Engine().Now()
-		}
-	case "release.phase2":
-		if pc.phase2 == 0 {
-			pc.phase2 = pc.cl.Engine().Now()
-		}
-	}
-}
-
 // chaosCluster builds the 4-node counter workload in FT mode with honest
 // detection, the online auditor, and the given chaos configuration.
-func chaosCluster(t *testing.T, chaos model.Chaos, algo LockAlgo, body func(*Thread), tracer Tracer) *Cluster {
+func chaosCluster(t *testing.T, chaos model.Chaos, algo LockAlgo, body func(*Thread)) *Cluster {
 	t.Helper()
 	cfg := model.Default()
 	cfg.Nodes = 4
@@ -47,7 +23,7 @@ func chaosCluster(t *testing.T, chaos model.Chaos, algo LockAlgo, body func(*Thr
 	cfg.Chaos = chaos
 	cl, err := New(Options{
 		Config: cfg, Mode: ModeFT, LockAlgo: algo,
-		Pages: 8, Locks: 1, Body: body, Tracer: tracer,
+		Pages: 8, Locks: 1, Body: body,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,24 +58,33 @@ func finishChaosRun(t *testing.T, cl *Cluster, iters int) {
 // across it.
 func TestChaosBurstAcrossReleasePhases(t *testing.T) {
 	const iters = 8
-	clock := &phaseClock{node: 1, seq: 3}
-	clean := chaosCluster(t, model.Chaos{BurstSrc: -1, BurstDst: -1},
-		LockPolling, counterBody(iters), clock)
-	clock.cl = clean
+	clean := chaosCluster(t, model.Chaos{BurstSrc: -1, BurstDst: -1}, LockPolling, counterBody(iters))
+	// The virtual times of node 1's third release's phase-1 and phase-2
+	// milestones.
+	var phase1, phase2 int64
+	onEvent(clean, func(e obs.Event) {
+		switch {
+		case e.Node != 1 || e.Seq != 3:
+		case e.Kind == obs.KReleasePhase1 && phase1 == 0:
+			phase1 = e.TimeNs
+		case e.Kind == obs.KReleasePhase2 && phase2 == 0:
+			phase2 = e.TimeNs
+		}
+	})
 	finishChaosRun(t, clean, iters)
-	if clock.phase1 == 0 || clock.phase2 <= clock.phase1 {
-		t.Fatalf("did not observe the phase boundary: phase1=%d phase2=%d", clock.phase1, clock.phase2)
+	if phase1 == 0 || phase2 <= phase1 {
+		t.Fatalf("did not observe the phase boundary: phase1=%d phase2=%d", phase1, phase2)
 	}
 
 	const margin = 5_000 // ns on each side of the boundary window
 	chaos := model.Chaos{
 		Enabled:      true,
 		Seed:         31,
-		BurstStartNs: clock.phase1 - margin,
-		BurstLenNs:   clock.phase2 - clock.phase1 + 2*margin,
+		BurstStartNs: phase1 - margin,
+		BurstLenNs:   phase2 - phase1 + 2*margin,
 		BurstSrc:     -1, BurstDst: -1, // one-shot, all links
 	}
-	cl := chaosCluster(t, chaos, LockPolling, counterBody(iters), nil)
+	cl := chaosCluster(t, chaos, LockPolling, counterBody(iters))
 	finishChaosRun(t, cl, iters)
 	if cl.Network().Retransmits == 0 {
 		t.Fatal("burst window dropped nothing — boundary not exercised")
@@ -113,8 +98,7 @@ func TestChaosBurstAcrossReleasePhases(t *testing.T) {
 func TestChaosGrayLockHomeDuringHandoff(t *testing.T) {
 	const iters = 8
 	// Learn the lock's primary home from an identically-shaped cluster.
-	probe := chaosCluster(t, model.Chaos{BurstSrc: -1, BurstDst: -1},
-		LockNIC, counterBody(iters), nil)
+	probe := chaosCluster(t, model.Chaos{BurstSrc: -1, BurstDst: -1}, LockNIC, counterBody(iters))
 	home := probe.lockHomes.Primary(0)
 
 	chaos := model.Chaos{
@@ -124,7 +108,7 @@ func TestChaosGrayLockHomeDuringHandoff(t *testing.T) {
 		GrayFactor: 6,
 		BurstSrc:   -1, BurstDst: -1,
 	}
-	cl := chaosCluster(t, chaos, LockNIC, counterBody(iters), nil)
+	cl := chaosCluster(t, chaos, LockNIC, counterBody(iters))
 	finishChaosRun(t, cl, iters)
 	if cl.Network().FalseSuspicions > 0 && cl.Network().ConfirmedDead(home) {
 		t.Fatal("gray lock home was confirmed dead")
@@ -161,6 +145,6 @@ func TestChaosJitterAcrossBarrierBroadcast(t *testing.T) {
 		JitterNs: 150_000, // ~30x the link latency
 		BurstSrc: -1, BurstDst: -1,
 	}
-	cl := chaosCluster(t, chaos, LockPolling, barrierCounterBody(iters), nil)
+	cl := chaosCluster(t, chaos, LockPolling, barrierCounterBody(iters))
 	finishChaosRun(t, cl, iters)
 }

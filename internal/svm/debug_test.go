@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 )
 
 // TestDebugFailDuringCompute is a diagnostic harness: it stops the
@@ -22,16 +23,16 @@ func TestDebugFailDuringCompute(t *testing.T) {
 	opt := Options{
 		Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1,
 		Body: counterBody(8),
-		Tracer: tracerFunc(func(e TraceEvent) {
-			if len(trace) < 400 {
-				trace = append(trace, fmt.Sprintf("%s n%d t%d seq%d", e.Kind, e.Node, e.Thread, e.Seq))
-			}
-		}),
 	}
 	cl, err := New(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	onEvent(cl, func(e obs.Event) {
+		if len(trace) < 400 {
+			trace = append(trace, fmt.Sprintf("%s n%d t%d seq%d", e.Kind, e.Node, e.Thread, e.Seq))
+		}
+	})
 	cl.Engine().At(3_000_000, func() { cl.KillNode(2) })
 	cl.Engine().At(500_000_000, func() { cl.Engine().Stop() })
 	_ = cl.Run()
@@ -53,7 +54,3 @@ func TestDebugFailDuringCompute(t *testing.T) {
 			n.id, n.dead, n.excluded, n.vt, n.barEpoch, n.barSentEpoch, n.releaseBusy, len(n.intervals))
 	}
 }
-
-type tracerFunc func(TraceEvent)
-
-func (f tracerFunc) Event(e TraceEvent) { f(e) }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 )
 
 // runCounterWithDir runs the lock-protected counter workload with the
@@ -15,19 +16,13 @@ func runCounterWithDir(t *testing.T, dir model.DirectoryMode, kill bool) *Cluste
 	cfg.Nodes = 4
 	cfg.Directory = dir
 	const iters = 8
-	opt := Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Body: counterBody(iters)}
-	var tracer *killTracer
-	if kill {
-		tracer = &killTracer{kind: "release.done", node: 1, seq: 3}
-		opt.Tracer = tracer
-	}
-	cl, err := New(opt)
+	cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Body: counterBody(iters)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl.EnableAuditor()
-	if tracer != nil {
-		tracer.cl = cl
+	if kill {
+		killOn(cl, obs.KReleaseDone, 1, 3)
 	}
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
@@ -82,15 +77,12 @@ func TestDirectoryHashedEveryVictim(t *testing.T) {
 			cfg.Nodes = 4
 			cfg.Directory = model.DirHashed
 			const iters = 8
-			tracer := &killTracer{kind: "release.phase1", node: victim, seq: 2}
-			opt := Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1,
-				Body: counterBody(iters), Tracer: tracer}
-			cl, err := New(opt)
+			cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Body: counterBody(iters)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			cl.EnableAuditor()
-			tracer.cl = cl
+			killOn(cl, obs.KReleasePhase1, victim, 2)
 			if err := cl.Run(); err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 	"ftsvm/internal/proto"
 )
 
@@ -126,11 +127,11 @@ func abandonCluster(t *testing.T, dst int) (*Cluster, *[]uint64) {
 func runAbandoned(t *testing.T, cl *Cluster, held func(done bool)) {
 	t.Helper()
 	recovered := false
-	cl.opt.Tracer = tracerFunc(func(e TraceEvent) {
+	onEvent(cl, func(e obs.Event) {
 		switch e.Kind {
-		case "recovery.start":
+		case obs.KRecoveryStart:
 			held(false)
-		case "recovery.done":
+		case obs.KRecoveryDone:
 			recovered = true
 			held(true)
 		}
@@ -397,15 +398,15 @@ func TestVTSnapshotTracksVT(t *testing.T) {
 			t.Fatal(err)
 		}
 		var checks []func()
-		cl.opt.Tracer = tracerFunc(func(e TraceEvent) {
+		onEvent(cl, func(e obs.Event) {
 			switch e.Kind {
-			case "recovery.locks": // the step before globalSync
+			case obs.KRecoveryLocks: // the step before globalSync
 				for _, n := range cl.nodes {
 					if !n.dead && n.id != 1 {
 						checks = append(checks, taken(t, n, "globalSync"))
 					}
 				}
-			case "recovery.sync":
+			case obs.KRecoverySync:
 				for _, check := range checks {
 					check()
 				}
@@ -477,8 +478,8 @@ func TestLockReleaseOnWireNeverRefilled(t *testing.T) {
 	}
 	var merged proto.VectorTime
 	onWire := false
-	cl.opt.Tracer = tracerFunc(func(e TraceEvent) {
-		if e.Kind == "lock.clear" && e.Node == sec && merged == nil {
+	onEvent(cl, func(e obs.Event) {
+		if e.Kind == obs.KLockClear && int(e.Node) == sec && merged == nil {
 			onWire = second != nil
 			merged = slices.Clone(cl.nodes[sec].lockHomesState[lock].vt)
 		}

@@ -5,67 +5,60 @@ import (
 	"testing"
 
 	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 )
 
-// killTracer kills a node when a specific trace event fires. A non-nil
-// kill hook replaces the immediate KillNode (e.g. to schedule the kill a
-// beat later, mid-broadcast).
-type killTracer struct {
-	cl   *Cluster
-	kind string
-	node int
-	seq  int64 // 0 = any
-	done bool
-	kill func()
+// onEvent streams every protocol event cl records to fn: the flight
+// recorder's sink, through a one-event-per-node recorder when cl has none
+// yet. Call it after any EnableFlightRecorder: a later one replaces the
+// recorder fn listens on.
+func onEvent(cl *Cluster, fn func(e obs.Event)) {
+	rec := cl.FlightRecorder()
+	if rec == nil {
+		rec = cl.EnableFlightRecorder(1)
+	}
+	rec.SetSink(fn)
 }
 
-func (k *killTracer) Event(e TraceEvent) {
-	if k.done || e.Kind != k.kind || e.Node != k.node {
-		return
-	}
-	if k.seq != 0 && e.Seq != k.seq {
-		return
-	}
-	k.done = true
-	if k.kill != nil {
-		k.kill()
-		return
-	}
-	k.cl.KillNode(k.node)
+// killOn fail-stops node the first time it records kind with sequence
+// number seq (0: any), and reports whether it has.
+func killOn(cl *Cluster, kind obs.Kind, node int, seq int64) *bool {
+	fired := new(bool)
+	onEvent(cl, func(e obs.Event) {
+		if !*fired && e.Kind == kind && int(e.Node) == node && (seq == 0 || e.Seq == seq) {
+			*fired = true
+			cl.KillNode(node)
+		}
+	})
+	return fired
 }
 
-// runWithKill runs the counter workload in FT mode and kills victim at the
-// given protocol milestone (or at a virtual time if kind == "time").
-func runWithKill(t *testing.T, kind string, victim int, seq int64, tpn int) *Cluster {
+// runWithKill runs the counter workload in FT mode and kills victim as
+// killOn does, or at virtual time seq if kind is KNone.
+func runWithKill(t *testing.T, kind obs.Kind, victim int, seq int64, tpn int) *Cluster {
 	t.Helper()
 	cfg := model.Default()
 	cfg.Nodes = 4
 	cfg.ThreadsPerNode = tpn
 	const iters = 8
-	tracer := &killTracer{kind: kind, node: victim, seq: seq}
-	opt := Options{
-		Config: cfg,
-		Mode:   ModeFT,
-		Pages:  8,
-		Locks:  1,
-		Body:   counterBody(iters),
-		Tracer: tracer,
-	}
-	cl, err := New(opt)
+	cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Body: counterBody(iters)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl.EnableFlightRecorder(64)
 	cl.EnableAuditor()
-	tracer.cl = cl
-	if kind == "time" {
+	fired := new(bool)
+	if kind == obs.KNone {
+		*fired = true
 		cl.Engine().At(seq, func() { cl.KillNode(victim) })
+	} else {
+		fired = killOn(cl, kind, victim, seq)
 	}
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if kind != "time" && !tracer.done {
-		t.Fatalf("trace event %q seq %d never fired for node %d", kind, seq, victim)
+	if !*fired {
+		t.Fatalf("event %s seq %d never fired for node %d", kind, seq, victim)
 	}
 	if !cl.Finished() {
 		t.Fatal("not all threads finished after recovery")
@@ -91,32 +84,32 @@ func verifyReplicaInvariants(t *testing.T, cl *Cluster) {
 
 func TestFailDuringCompute(t *testing.T) {
 	// Mid-run kill at a fixed virtual time, between synchronization points.
-	runWithKill(t, "time", 2, 3_000_000, 1)
+	runWithKill(t, obs.KNone, 2, 3_000_000, 1)
 }
 
 func TestFailAtCommit(t *testing.T) {
 	// After interval commit, before phase 1: roll back.
-	runWithKill(t, "release.commit", 1, 3, 1)
+	runWithKill(t, obs.KReleaseCommit, 1, 3, 1)
 }
 
 func TestFailAfterPhase1(t *testing.T) {
 	// Phase 1 propagated, timestamp not yet saved: roll back.
-	runWithKill(t, "release.phase1", 1, 3, 1)
+	runWithKill(t, obs.KReleasePhase1, 1, 3, 1)
 }
 
 func TestFailAfterTimestampSave(t *testing.T) {
 	// Timestamp + point-B checkpoint saved: roll forward, resume after
 	// the release.
-	runWithKill(t, "release.savets", 1, 3, 1)
+	runWithKill(t, obs.KReleaseSaveTS, 1, 3, 1)
 }
 
 func TestFailDuringPhase2(t *testing.T) {
 	// Between the visibility point and phase-2 completion: roll forward.
-	runWithKill(t, "release.ckptB", 1, 3, 1)
+	runWithKill(t, obs.KReleaseCkptB, 1, 3, 1)
 }
 
 func TestFailAfterRelease(t *testing.T) {
-	runWithKill(t, "release.done", 1, 3, 1)
+	runWithKill(t, obs.KReleaseDone, 1, 3, 1)
 }
 
 func TestFailEveryNode(t *testing.T) {
@@ -125,7 +118,7 @@ func TestFailEveryNode(t *testing.T) {
 	for victim := 0; victim < 4; victim++ {
 		victim := victim
 		t.Run(fmt.Sprintf("victim%d", victim), func(t *testing.T) {
-			runWithKill(t, "release.phase1", victim, 2, 1)
+			runWithKill(t, obs.KReleasePhase1, victim, 2, 1)
 		})
 	}
 }
@@ -154,11 +147,11 @@ func TestFailWithNICLock(t *testing.T) {
 
 func TestFailDuringCheckpointA(t *testing.T) {
 	// SMP node: killed while checkpointing siblings at point A.
-	runWithKill(t, "ckpt.A", 1, 0, 2)
+	runWithKill(t, obs.KCkptA, 1, 0, 2)
 }
 
 func TestFailSMPCompute(t *testing.T) {
-	runWithKill(t, "time", 2, 3_000_000, 2)
+	runWithKill(t, obs.KNone, 2, 3_000_000, 2)
 }
 
 // TestFailAtBarrier kills a node once it is waiting inside a barrier: the
@@ -167,7 +160,6 @@ func TestFailSMPCompute(t *testing.T) {
 func TestFailAtBarrier(t *testing.T) {
 	cfg := model.Default()
 	cfg.Nodes = 4
-	var cl *Cluster
 	phases := 3
 	body := func(th *Thread) {
 		st := &barrierState{}
@@ -178,16 +170,12 @@ func TestFailAtBarrier(t *testing.T) {
 			th.Barrier()
 		}
 	}
-	tracer := &killTracer{kind: "barrier.none"} // unused; kill by time below
-	opt := Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Body: body, Tracer: tracer}
-	var err error
-	cl, err = New(opt)
+	cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Body: body})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl.EnableFlightRecorder(64)
 	cl.EnableAuditor()
-	tracer.cl = cl
 	// Kill node 3 shortly after start: it will likely be inside or near a
 	// barrier when the others wait for it.
 	cl.Engine().At(400_000, func() { cl.KillNode(3) })
@@ -203,7 +191,7 @@ func TestFailAtBarrier(t *testing.T) {
 // TestFailBarrierMaster kills node 0 (the barrier master and recovery
 // coordinator candidate).
 func TestFailBarrierMaster(t *testing.T) {
-	runWithKill(t, "time", 0, 2_000_000, 1)
+	runWithKill(t, obs.KNone, 0, 2_000_000, 1)
 }
 
 // TestSuccessiveFailuresKillTwo exercises multiple, non-simultaneous
@@ -223,8 +211,8 @@ func TestSuccessiveFailuresKillTwo(t *testing.T) {
 	// Second, non-simultaneous failure: node 3 dies at one of its later
 	// releases, but only once the first recovery has fully completed.
 	second := false
-	cl.opt.Tracer = tracerFunc(func(e TraceEvent) {
-		if second || e.Kind != "release.done" || e.Node != 3 || e.Seq < 6 {
+	onEvent(cl, func(e obs.Event) {
+		if second || e.Kind != obs.KReleaseDone || e.Node != 3 || e.Seq < 6 {
 			return
 		}
 		if cl.nodes[1].excluded && !cl.rec.pending {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 )
 
 // fetchLoop runs a two-node extended-protocol cluster in which node 1's
@@ -99,8 +100,8 @@ func TestFetchEnvelopeAbandonedNeverReused(t *testing.T) {
 	cl.nodes[reader].pt.page(0).setReqVer(writer, 1)
 	var abandoned *fetchReq
 	deferred, recovered := false, false
-	cl.opt.Tracer = tracerFunc(func(e TraceEvent) {
-		if e.Kind != "recovery.done" {
+	onEvent(cl, func(e obs.Event) {
+		if e.Kind != obs.KRecoveryDone {
 			return
 		}
 		recovered = true

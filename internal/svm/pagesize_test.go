@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 )
 
 // multiWriterBody has each thread write its own stripe of every page plus
@@ -86,12 +87,11 @@ func TestPageSizeFailure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr := &killTracer{cl: cl, kind: "release.phase1", node: 2, seq: 3}
-			cl.opt.Tracer = tr
+			fired := killOn(cl, obs.KReleasePhase1, 2, 3)
 			if err := cl.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if !tr.done {
+			if !*fired {
 				t.Skip("kill point never reached")
 			}
 			if !cl.Finished() {

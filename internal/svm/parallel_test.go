@@ -102,6 +102,11 @@ func TestParallelMatchesSerialCluster(t *testing.T) {
 	}
 }
 
+// nopTracer is TestSerialFallbackReasons' tracer; it goes with Tracer.
+type nopTracer struct{}
+
+func (nopTracer) Event(TraceEvent) {}
+
 // TestSerialFallbackReasons pins the serial-only feature matrix: every
 // feature that observes or mutates global event order must refuse the
 // parallel engine with a stated reason, and a plain run must not.
@@ -137,7 +142,7 @@ func TestSerialFallbackReasons(t *testing.T) {
 		mut  func(*Options)
 		cfg  func(*model.Config)
 	}{
-		{"tracer", func(o *Options) { o.Tracer = &killTracer{kind: "none", node: -1, seq: -1} }, nil},
+		{"tracer", func(o *Options) { o.Tracer = nopTracer{} }, nil},
 		{"probe detection", nil, func(c *model.Config) { c.Detection = model.DetectProbe }},
 		{"chaos", nil, func(c *model.Config) {
 			c.Chaos.Enabled = true
@@ -147,9 +152,6 @@ func TestSerialFallbackReasons(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cl := build(tc.mut, tc.cfg)
-			if tc.name == "tracer" {
-				cl.opt.Tracer.(*killTracer).cl = cl
-			}
 			if err := cl.Run(); err != nil {
 				t.Fatal(err)
 			}

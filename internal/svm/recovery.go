@@ -34,8 +34,8 @@ func (cl *Cluster) KillNode(id int) {
 		// Failure injection reaches across nodes (kill the victim's
 		// endpoint, its threads, every future reply) at one global
 		// instant — an inherently serial operation. Injection harnesses
-		// must run with Workers <= 1; they all attach a tracer or
-		// recorder anyway, which already forces the serial fallback.
+		// must run with Workers <= 1; they all attach a flight recorder
+		// anyway, which already forces the serial fallback.
 		panic("svm: KillNode requires the serial engine (Workers <= 1)")
 	}
 	cl.everKilled = true

@@ -5,15 +5,8 @@ import (
 	"testing"
 
 	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 )
-
-// killAfterNthRelease kills node victim right after its n-th release
-// completes milestone kind.
-func killAfterNthRelease(cl *Cluster, kind string, victim int, n int64) *killTracer {
-	tr := &killTracer{cl: cl, kind: kind, node: victim, seq: n}
-	cl.opt.Tracer = tr
-	return tr
-}
 
 // homedCounterBody increments the word at addr under lock 0.
 func homedCounterBody(addr, iters int) func(*Thread) {
@@ -53,11 +46,11 @@ func TestRollForwardSelfSecondaryStash(t *testing.T) {
 	if cl.pageHomes.Secondary(0) != 1 {
 		t.Fatalf("layout assumption broken: secondary = %d", cl.pageHomes.Secondary(0))
 	}
-	tr := killAfterNthRelease(cl, "release.savets", 1, 3)
+	fired := killOn(cl, obs.KReleaseSaveTS, 1, 3)
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !tr.done {
+	if !*fired {
 		t.Skip("victim never reached the target release")
 	}
 	if got := cl.PeekU64(0); got != 3*iters {
@@ -84,11 +77,11 @@ func TestRollBackPrimaryHomeUndo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := killAfterNthRelease(cl, "release.phase1", 1, 3)
+	fired := killOn(cl, obs.KReleasePhase1, 1, 3)
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !tr.done {
+	if !*fired {
 		t.Skip("victim never reached the target release")
 	}
 	if got := cl.PeekU64(0); got != 3*iters {
@@ -165,13 +158,13 @@ func TestRecoveryRestoreTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.opt.Tracer = tracerFunc(func(e TraceEvent) {
+	onEvent(cl, func(e obs.Event) {
 		switch e.Kind {
-		case "release.done":
+		case obs.KReleaseDone:
 			if e.Node == 2 {
 				victimReleases = e.Seq
 			}
-		case "recovery.restore":
+		case obs.KRecoveryRestore:
 			restored = e.Seq
 		}
 	})
@@ -213,7 +206,6 @@ func TestOracleSweepReportsAtSameEvent(t *testing.T) {
 			cfg.ReplicaDegree = tc.degree
 			// At every failure report: the event it happens in, and how
 			// many failures are unrecovered by then.
-			var cl *Cluster
 			var events []int64
 			var counts []int
 			cl, err := New(Options{
@@ -224,20 +216,20 @@ func TestOracleSweepReportsAtSameEvent(t *testing.T) {
 					}
 					th.Barrier()
 				},
-				Tracer: tracerFunc(func(e TraceEvent) {
-					if e.Kind != "recovery.start" {
-						return
-					}
-					events = append(events, cl.eng.Events())
-					counts = append(counts, cl.UnrecoveredFailures())
-					if len(events) == 1 && tc.second >= 0 {
-						cl.KillNode(tc.second)
-					}
-				}),
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			onEvent(cl, func(e obs.Event) {
+				if e.Kind != obs.KRecoveryStart {
+					return
+				}
+				events = append(events, cl.eng.Events())
+				counts = append(counts, cl.UnrecoveredFailures())
+				if len(events) == 1 && tc.second >= 0 {
+					cl.KillNode(tc.second)
+				}
+			})
 			cl.eng.At(5_000_000, func() { cl.KillNode(tc.first) })
 			if err := cl.Run(); err != nil {
 				t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 )
 
 // Tests for the scale-out features (tree fan-out, delta vector-time
@@ -103,18 +104,12 @@ func TestPageTableStaysSparse(t *testing.T) {
 	}
 	const bound = 4 * pageRunLen
 	for _, kill := range []bool{false, true} {
-		opt := Options{Config: xlargeConfig(), Mode: ModeFT, Pages: 512, Locks: 1, Body: counterBody(6)}
-		var tracer *killTracer
-		if kill {
-			tracer = &killTracer{kind: "release.done", node: 256, seq: 2}
-			opt.Tracer = tracer
-		}
-		cl, err := New(opt)
+		cl, err := New(Options{Config: xlargeConfig(), Mode: ModeFT, Pages: 512, Locks: 1, Body: counterBody(6)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if kill {
-			tracer.cl = cl
+			killOn(cl, obs.KReleaseDone, 256, 2)
 		}
 		if err := cl.Run(); err != nil {
 			t.Fatal(err)
@@ -256,26 +251,28 @@ func TestTreeFanoutMasterDeath(t *testing.T) {
 			cfg := model.Default()
 			cfg.Nodes = 8
 			cfg.FanoutArity = 2
-			tracer := &killTracer{kind: "barrier.release", node: 0, seq: 3}
-			opt := Options{Config: cfg, Mode: ModeFT, Pages: 16, Locks: 1, Body: phasedBody(rounds), Tracer: tracer}
-			cl, err := New(opt)
+			cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 16, Locks: 1, Body: phasedBody(rounds)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			cl.EnableAuditor()
-			tracer.cl = cl
-			if delayNs > 0 {
-				// Replace the synchronous kill with a delayed one so part
-				// of the tree broadcast drains first.
-				d := delayNs
-				tracer.kill = func() {
-					cl.Engine().At(d, func() { cl.KillNode(0) })
+			fired := false
+			onEvent(cl, func(e obs.Event) {
+				if fired || e.Kind != obs.KBarrierRelease || e.Node != 0 || e.Seq != 3 {
+					return
 				}
-			}
+				fired = true
+				if delayNs == 0 {
+					cl.KillNode(0)
+					return
+				}
+				// A delayed kill lets part of the tree broadcast drain first.
+				cl.Engine().At(delayNs, func() { cl.KillNode(0) })
+			})
 			if err := cl.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if !tracer.done {
+			if !fired {
 				t.Fatal("master never merged episode 3")
 			}
 			if !cl.Finished() {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 )
 
 // multiLockState drives the multi-lock SMP workload: each iteration picks
@@ -55,9 +56,9 @@ func checkMultiLock(t *testing.T, cl *Cluster, locks, totalIters int) {
 // node's release.
 func TestMultiLockSMPFailureSweep(t *testing.T) {
 	const nodes, locks, iters = 3, 4, 8
-	milestones := []string{
-		"release.commit", "release.phase1", "release.savets",
-		"release.ckptB", "release.phase2", "release.done", "ckpt.A",
+	milestones := []obs.Kind{
+		obs.KReleaseCommit, obs.KReleasePhase1, obs.KReleaseSaveTS,
+		obs.KReleaseCkptB, obs.KReleasePhase2, obs.KReleaseDone, obs.KCkptA,
 	}
 	ran := 0
 	for victim := 0; victim < nodes; victim++ {
@@ -67,19 +68,18 @@ func TestMultiLockSMPFailureSweep(t *testing.T) {
 				cfg := model.Default()
 				cfg.Nodes = nodes
 				cfg.ThreadsPerNode = 2
-				tracer := &killTracer{kind: kind, node: victim, seq: seq}
 				cl, err := New(Options{
 					Config: cfg, Mode: ModeFT, Pages: locks + 1, Locks: locks,
-					Body: multiLockBody(locks, iters), Tracer: tracer,
+					Body: multiLockBody(locks, iters),
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				tracer.cl = cl
+				fired := killOn(cl, kind, victim, seq)
 				if err := cl.Run(); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if !tracer.done {
+				if !*fired {
 					continue
 				}
 				ran++

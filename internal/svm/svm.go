@@ -67,22 +67,22 @@ func (a LockAlgo) String() string {
 	}
 }
 
-// TraceEvent is emitted at protocol milestones; failure-injection tests
-// use these to kill nodes inside specific protocol windows.
+// TraceEvent is a protocol milestone handed to a Tracer: the flight
+// recorder's obs.Event with its kind as a string. It and Tracer are kept
+// only for the bench ledger's kill cells, which build their clusters
+// outside internal/harness; every other failure injection kills from
+// the recorder's sink (EnableFlightRecorder, obs.Recorder.SetSink), and
+// both go once the ledger does the same.
 type TraceEvent struct {
-	// Kind names follow internal/obs.Kind.String(): "release.commit",
-	// "release.phase1", "release.savets", "release.ckptB",
-	// "release.phase2", "release.done", "ckpt.A", "barrier.arrive",
-	// "lock.set", "lock.clear", "lock.grant", "lock.held",
-	// "lock.release", "kill", "recovery.*".
-	Kind   string
+	Kind   string // obs.Kind.String(): "release.phase1", "lock.grant", ...
 	Node   int
 	Thread int
 	Seq    int64 // per-node release count, barrier epoch, or lock id
 }
 
 // Tracer receives trace events in simulation context. Implementations may
-// call Cluster.KillNode from Event.
+// call Cluster.KillNode from Event. Kept for the bench ledger only (see
+// TraceEvent).
 type Tracer interface {
 	Event(e TraceEvent)
 }
@@ -103,7 +103,8 @@ type Options struct {
 	HomeAssign func(page int) int
 	// Body is the application thread body, run once per compute thread.
 	Body func(t *Thread)
-	// Tracer, if set, observes protocol milestones.
+	// Tracer, if set, observes protocol milestones. Bench-only (see
+	// TraceEvent); use the flight recorder's sink instead.
 	Tracer Tracer
 	// SerialReleases forces lock releases on one node to serialize, as the
 	// paper's initial extended design does. ModeFT sets this implicitly.
@@ -649,7 +650,8 @@ func (cl *Cluster) spawnThread(t *Thread) {
 // trace emits a protocol milestone to the attached tracer and the
 // flight recorder. Both are nil-guarded and charge no virtual time, so
 // the default (neither enabled) costs two branches and the simulated
-// event stream is identical with or without them.
+// event stream is identical with or without them, and a kill from
+// either observer at the same event gives the same run.
 func (cl *Cluster) trace(kind obs.Kind, nodeID, threadID int, seq int64) {
 	cl.phase.note(kind, nodeID, cl.eng.Now())
 	if cl.opt.Tracer != nil {

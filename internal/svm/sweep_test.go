@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 )
 
 // TestFailureScheduleSweep systematically fail-stops every node at every
@@ -17,9 +18,9 @@ import (
 func TestFailureScheduleSweep(t *testing.T) {
 	const nodes = 4
 	const iters = 6
-	milestones := []string{
-		"release.commit", "release.phase1", "release.savets",
-		"release.ckptB", "release.phase2", "release.done", "ckpt.A",
+	milestones := []obs.Kind{
+		obs.KReleaseCommit, obs.KReleasePhase1, obs.KReleaseSaveTS,
+		obs.KReleaseCkptB, obs.KReleasePhase2, obs.KReleaseDone, obs.KCkptA,
 	}
 	ran, skipped := 0, 0
 	for victim := 0; victim < nodes; victim++ {
@@ -28,19 +29,18 @@ func TestFailureScheduleSweep(t *testing.T) {
 				name := fmt.Sprintf("%s/n%d/s%d", kind, victim, seq)
 				cfg := model.Default()
 				cfg.Nodes = nodes
-				tracer := &killTracer{kind: kind, node: victim, seq: seq}
 				cl, err := New(Options{
 					Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1,
-					Body: counterBody(iters), Tracer: tracer,
+					Body: counterBody(iters),
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				tracer.cl = cl
+				fired := killOn(cl, kind, victim, seq)
 				if err := cl.Run(); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if !tracer.done {
+				if !*fired {
 					skipped++ // milestone never reached (e.g. ckpt.A needs siblings)
 					continue
 				}
@@ -73,23 +73,22 @@ func TestFailureScheduleSweepSMP(t *testing.T) {
 	const iters = 4
 	ran := 0
 	for victim := 0; victim < nodes; victim++ {
-		for _, kind := range []string{"ckpt.A", "release.savets", "release.done"} {
+		for _, kind := range []obs.Kind{obs.KCkptA, obs.KReleaseSaveTS, obs.KReleaseDone} {
 			cfg := model.Default()
 			cfg.Nodes = nodes
 			cfg.ThreadsPerNode = 2
-			tracer := &killTracer{kind: kind, node: victim, seq: 2}
 			cl, err := New(Options{
 				Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1,
-				Body: counterBody(iters), Tracer: tracer,
+				Body: counterBody(iters),
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			tracer.cl = cl
+			fired := killOn(cl, kind, victim, 2)
 			if err := cl.Run(); err != nil {
 				t.Fatalf("%s/n%d: %v", kind, victim, err)
 			}
-			if !tracer.done {
+			if !*fired {
 				continue
 			}
 			ran++

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ftsvm/internal/model"
+	"ftsvm/internal/obs"
 )
 
 // The dirty-chunk tracked diffing path (partial twins, ComputeTracked,
@@ -229,18 +230,6 @@ func TestReleasePathAllocBudget(t *testing.T) {
 	}
 }
 
-// clearCounter counts lock.clear events at one node: at a lock's primary
-// home that is one per contended poll round plus one per release.
-type clearCounter struct {
-	node, n int
-}
-
-func (c *clearCounter) Event(e TraceEvent) {
-	if e.Kind == "lock.clear" && e.Node == c.node {
-		c.n++
-	}
-}
-
 // TestPollingRoundAllocBudget gates both rounds of the polling lock (§4.3).
 // A contended round (set, read, clear, back off): four nodes take one lock
 // once each and hold it for a while; holding it longer adds poll rounds by
@@ -257,8 +246,7 @@ func TestPollingRoundAllocBudget(t *testing.T) {
 	run := func(holdNs int64) (mallocs uint64, rounds int) {
 		cfg := model.Default()
 		cfg.Nodes = 4
-		tr := &clearCounter{}
-		cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Tracer: tr, Body: func(th *Thread) {
+		cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Body: func(th *Thread) {
 			th.Acquire(0)
 			th.Compute(holdNs)
 			th.Release(0)
@@ -267,14 +255,21 @@ func TestPollingRoundAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr.node = cl.lockHomes.Primary(0)
+		// lock.clear events at the lock's primary home: one per contended
+		// poll round plus one per release.
+		home := int32(cl.lockHomes.Primary(0))
+		onEvent(cl, func(e obs.Event) {
+			if e.Kind == obs.KLockClear && e.Node == home {
+				rounds++
+			}
+		})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if err := cl.Run(); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs, tr.n
+		return after.Mallocs - before.Mallocs, rounds
 	}
 	// The last waiter spins for three holds: short of the 8 ms after which
 	// it would start probing the cluster.
