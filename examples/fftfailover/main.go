@@ -66,7 +66,7 @@ func main() {
 		log.Fatal(err)
 	}
 	killed := false
-	cl.EnableFlightRecorder(1).SetSink(narrate(cl, &killed))
+	cl.EnableFlightRecorder(0).SetSink(narrate(cl, &killed))
 
 	fmt.Println("running 64K-point FFT on 8 nodes, extended protocol, with failure injection...")
 	if err := cl.Run(); err != nil {

@@ -83,7 +83,7 @@ func main() {
 		log.Fatal(err)
 	}
 	killed := false
-	cl.EnableFlightRecorder(1).SetSink(killAtSaveTS(cl, &killed))
+	cl.EnableFlightRecorder(0).SetSink(killAtSaveTS(cl, &killed))
 
 	fmt.Printf("%d nodes x %d threads, %d locked accumulators, %d updates/thread:\n",
 		nodes, tpn, accs, iters)

@@ -38,7 +38,7 @@ func runWithFailure(t *testing.T, s Shape, w *Workload, victim int, kind obs.Kin
 			cl.KillNode(victim)
 		})
 	} else {
-		cl.EnableFlightRecorder(1).SetSink(func(e obs.Event) {
+		cl.EnableFlightRecorder(0).SetSink(func(e obs.Event) {
 			if killed || e.Kind != kind || int(e.Node) != victim || e.Seq < seq {
 				return
 			}

@@ -21,6 +21,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"ftsvm/internal/obs"
 	"ftsvm/internal/oracle"
@@ -79,8 +80,9 @@ type Instance struct {
 type Spec struct {
 	Name string
 	New  func() (Instance, error)
-	// RingSize is the per-node flight-recorder ring (default 512 — the
-	// rings only feed post-mortem dumps; boundary counting streams).
+	// RingSize is the per-node flight-recorder ring Replay keeps for its
+	// caller's post-mortem dump (default 512). Every other run is sink
+	// only: boundary counting, kills and the fingerprint all stream.
 	RingSize int
 }
 
@@ -111,14 +113,15 @@ func (tr *Trace) Budget() int64 {
 // protocol-step boundary. The run must itself pass the auditor and the
 // workload self-check: boundaries of a broken baseline mean nothing.
 func Record(sp Spec) (*Trace, error) {
-	x, err := instrument(sp, true, true, 0)
+	x, err := instrument(sp, 0, true, true, 0)
 	if err != nil {
 		return nil, fmt.Errorf("explore: %w", err)
 	}
-	tr := &Trace{}
+	bs := getChunks()
+	defer chunkPool.Put(bs)
 	if err := x.run(func(e obs.Event) {
 		occ, _ := x.next(e)
-		tr.Boundaries = append(tr.Boundaries, Boundary{Kind: e.Kind, Node: e.Node, Occ: occ})
+		bs.add(Boundary{Kind: e.Kind, Node: e.Node, Occ: occ})
 	}); err != nil {
 		return nil, fmt.Errorf("explore: %s baseline run: %w", sp.Name, err)
 	}
@@ -129,10 +132,12 @@ func Record(sp Spec) (*Trace, error) {
 	if err := x.Check(); err != nil {
 		return nil, fmt.Errorf("explore: %s baseline self-check: %w", sp.Name, err)
 	}
-	tr.Events = cl.Engine().Events()
-	tr.TimeNs = cl.ExecTime()
-	tr.Fingerprint = fmt.Sprintf("%016x", hashMemory(x.h, cl))
-	return tr, nil
+	return &Trace{
+		Boundaries:  bs.sample(0),
+		Events:      cl.Engine().Events(),
+		TimeNs:      cl.ExecTime(),
+		Fingerprint: fmt.Sprintf("%016x", hashMemory(x.h, cl)),
+	}, nil
 }
 
 // execution is one instrumented run of a workload, the shape Record,
@@ -149,16 +154,17 @@ type execution struct {
 	injecting bool
 }
 
-// instrument builds a fresh instance of sp for one execution: under the
+// instrument builds a fresh instance of sp for one execution: keeping the
+// last ring events of each node (0: a sink-only recorder), under the
 // invariant auditor when audit, hashing events into the fingerprint when
 // hash, and bounded to budget events when budget > 0.
-func instrument(sp Spec, audit, hash bool, budget int64) (*execution, error) {
+func instrument(sp Spec, ring int, audit, hash bool, budget int64) (*execution, error) {
 	inst, err := sp.New()
 	if err != nil {
 		return nil, fmt.Errorf("build %s: %w", sp.Name, err)
 	}
 	cl := inst.Cluster
-	x := &execution{Instance: inst, rec: cl.EnableFlightRecorder(sp.ringSize()),
+	x := &execution{Instance: inst, rec: cl.EnableFlightRecorder(ring),
 		occ: newOccCounter(cl.Nodes()), hash: hash, h: fnvOffset64}
 	cl.EnableWireTrace()
 	if audit {
@@ -270,18 +276,23 @@ func Explore(sp Spec, b Boundary, budget int64) Verdict {
 // passes, the replica invariant holds, and the final committed memory
 // equals the consistency oracle's causal replay of the commit log.
 func ExploreSchedule(sp Spec, schedule []Boundary, budget int64) Verdict {
-	v, _ := Replay(sp, schedule, budget)
+	v, _ := replay(sp, schedule, budget, 0)
 	return v
 }
 
 // Replay is ExploreSchedule that also hands back the run's flight
 // recorder (nil when the instance could not be built), whose rings hold
-// each node's last events for a post-mortem dump.
-func Replay(sp Spec, schedule []Boundary, budget int64) (v Verdict, rec *obs.Recorder) {
+// each node's last sp.RingSize events for a post-mortem dump.
+func Replay(sp Spec, schedule []Boundary, budget int64) (Verdict, *obs.Recorder) {
+	return replay(sp, schedule, budget, sp.ringSize())
+}
+
+// replay is one injection run whose recorder keeps ring events per node.
+func replay(sp Spec, schedule []Boundary, budget int64, ring int) (v Verdict, rec *obs.Recorder) {
 	for _, b := range schedule {
 		v.Schedule = append(v.Schedule, b.ID())
 	}
-	x, err := instrument(sp, true, true, budget)
+	x, err := instrument(sp, ring, true, true, budget)
 	if err != nil {
 		v.Err = err.Error()
 		return v, nil
@@ -361,15 +372,15 @@ func Replay(sp Spec, schedule []Boundary, budget int64) (v Verdict, rec *obs.Rec
 }
 
 // checkOracle replays the run's commit log up to the cluster's final
-// consistency frontier and compares every page frame against live
-// memory (PeekLiveBytes falls back to PeekBytes when nothing died).
+// consistency frontier and compares every page frame, read in place,
+// against live memory (a live frame is the primary's own when nothing
+// died).
 func checkOracle(cl *svm.Cluster, log *oracle.Log) error {
-	psz := cl.PageSize()
-	store := oracle.NewStore(cl.NumPages(), psz, cl.Nodes())
+	store := oracle.NewStore(cl.NumPages(), cl.PageSize(), cl.Nodes())
 	if err := store.Replay(log.Records, cl.LiveVT()); err != nil {
 		return err
 	}
-	return store.Check(func(p int) []byte { return cl.PeekLiveBytes(p*psz, psz) })
+	return store.Check(func(p int) []byte { return cl.Frame(p, true) })
 }
 
 // The fingerprint is 64-bit FNV-1a (the hash/fnv New64a function) kept as
@@ -403,11 +414,18 @@ func hashLE(h, v uint64, n int) uint64 {
 }
 
 // hashMemory folds the final authoritative memory image into the
-// fingerprint.
+// fingerprint, every frame read in place. A never-allocated frame is
+// PageSize zero bytes, and folding a zero byte is a multiplication by the
+// prime.
 func hashMemory(h uint64, cl *svm.Cluster) uint64 {
-	psz := cl.PageSize()
 	for p := 0; p < cl.NumPages(); p++ {
-		h = hashBytes(h, cl.PeekBytes(p*psz, psz))
+		if f := cl.Frame(p, false); f != nil {
+			h = hashBytes(h, f)
+		} else {
+			for range cl.PageSize() {
+				h *= fnvPrime64
+			}
+		}
 	}
 	return h
 }
@@ -426,24 +444,71 @@ func Sample(bs []Boundary, n int) []Boundary {
 	if n <= 0 || n >= len(bs) {
 		return bs
 	}
+	return sampleAt(len(bs), n, func(i int) Boundary { return bs[i] })
+}
+
+// sampleAt is Sample over a list of total boundaries read through at, for
+// 0 < n <= total: with n == total it keeps every boundary.
+func sampleAt(total, n int, at func(int) Boundary) []Boundary {
 	out := make([]Boundary, 0, n)
 	if n == 1 {
-		return append(out, bs[0])
+		return append(out, at(0))
 	}
-	step := float64(len(bs)-1) / float64(n-1)
+	step := float64(total-1) / float64(n-1)
 	last := -1
 	for i := 0; i < n; i++ {
 		j := int(float64(i)*step + 0.5)
-		if j >= len(bs) {
-			j = len(bs) - 1
+		if j >= total {
+			j = total - 1
 		}
 		if j == last {
 			continue
 		}
 		last = j
-		out = append(out, bs[j])
+		out = append(out, at(j))
 	}
 	return out
+}
+
+// chunkLen is the number of boundaries in one chunk: 64 KB.
+const chunkLen = 4096
+
+// chunks is a boundary list kept in fixed-size chunks. A run enumerates
+// tens of thousands of boundaries: a recording keeps them all and a pair
+// discovery a handful, so the list is never copied into a doubling slice,
+// and an emptied list reuses its chunks for the next run.
+type chunks struct {
+	c [][]Boundary
+	n int
+}
+
+// chunkPool keeps boundary lists, with their chunks, between runs.
+var chunkPool = sync.Pool{New: func() any { return new(chunks) }}
+
+// getChunks returns an empty list from chunkPool; put it back when done.
+func getChunks() *chunks {
+	l := chunkPool.Get().(*chunks)
+	l.n = 0
+	return l
+}
+
+func (l *chunks) add(b Boundary) {
+	if l.n == len(l.c)*chunkLen {
+		l.c = append(l.c, make([]Boundary, chunkLen))
+	}
+	l.c[l.n/chunkLen][l.n%chunkLen] = b
+	l.n++
+}
+
+func (l *chunks) at(i int) Boundary { return l.c[i/chunkLen][i%chunkLen] }
+
+// sample is Sample over the list, into a new slice of exactly the kept
+// boundaries (n <= 0: all of them).
+func (l *chunks) sample(n int) []Boundary {
+	if n <= 0 || n > l.n {
+		n = l.n
+	}
+	return sampleAt(l.n, n, l.at)
 }
 
 // FilterKinds keeps only boundaries of the named kinds (dotted names).

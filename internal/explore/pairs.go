@@ -31,12 +31,23 @@ func (p Pair) ID() string { return p.First.ID() + "+" + p.Second.ID() }
 // injection run, every returned coordinate names a real event of the
 // two-kill schedule's prefix.
 func DiscoverSeconds(sp Spec, first Boundary, budget int64) ([]Boundary, error) {
-	x, err := instrument(sp, false, false, budget)
-	if err != nil {
-		return nil, fmt.Errorf("explore: %w", err)
+	seconds := getChunks()
+	defer chunkPool.Put(seconds)
+	if err := discover(sp, first, budget, seconds); err != nil {
+		return nil, err
 	}
+	return seconds.sample(0), nil
+}
+
+// discover is DiscoverSeconds collecting into seconds, which it empties
+// first.
+func discover(sp Spec, first Boundary, budget int64, seconds *chunks) error {
+	x, err := instrument(sp, 0, false, false, budget)
+	if err != nil {
+		return fmt.Errorf("explore: %w", err)
+	}
+	seconds.n = 0
 	injected := false
-	var seconds []Boundary
 	runErr := x.run(func(e obs.Event) {
 		n, act := x.next(e)
 		if !act {
@@ -48,16 +59,16 @@ func DiscoverSeconds(sp Spec, first Boundary, budget int64) ([]Boundary, error) 
 			return
 		}
 		if injected && !x.Cluster.NodeDead(int(e.Node)) {
-			seconds = append(seconds, Boundary{Kind: e.Kind, Node: e.Node, Occ: n})
+			seconds.add(Boundary{Kind: e.Kind, Node: e.Node, Occ: n})
 		}
 	})
 	if runErr != nil {
-		return nil, fmt.Errorf("explore: %s discovery at %s: %w", sp.Name, first.ID(), runErr)
+		return fmt.Errorf("explore: %s discovery at %s: %w", sp.Name, first.ID(), runErr)
 	}
 	if !injected {
-		return nil, fmt.Errorf("explore: %s: boundary %s never fired in discovery run", sp.Name, first.ID())
+		return fmt.Errorf("explore: %s: boundary %s never fired in discovery run", sp.Name, first.ID())
 	}
-	return seconds, nil
+	return nil
 }
 
 // ExplorePairs enumerates and re-executes ordered failure-point pairs:
@@ -74,12 +85,13 @@ func DiscoverSeconds(sp Spec, first Boundary, budget int64) ([]Boundary, error) 
 // failure model, which makes a pair sweep a refusal-rule test instead.
 func ExplorePairs(sp Spec, firsts []Boundary, secondsPer int, budget int64, workers int, progress func(done int, v Verdict)) ([]Pair, []Verdict, error) {
 	var pairs []Pair
+	seconds := getChunks()
+	defer chunkPool.Put(seconds)
 	for _, b1 := range firsts {
-		seconds, err := DiscoverSeconds(sp, b1, budget)
-		if err != nil {
+		if err := discover(sp, b1, budget, seconds); err != nil {
 			return nil, nil, err
 		}
-		for _, b2 := range Sample(seconds, secondsPer) {
+		for _, b2 := range seconds.sample(secondsPer) {
 			pairs = append(pairs, Pair{First: b1, Second: b2})
 		}
 	}

@@ -442,10 +442,10 @@ func (c Config) checkKill(nodes int) (obs.Kind, error) {
 // killOn fail-stops node the first time it records kind with sequence
 // number seq (0: any), from the flight recorder's sink as `svm fi` does,
 // and reports whether it has. The recorder charges no virtual time and
-// keeps one event per node: the sink is all a kill needs.
+// keeps no rings: the sink is all a kill needs.
 func killOn(cl *svm.Cluster, kind obs.Kind, node int, seq int64) *bool {
 	fired := new(bool)
-	cl.EnableFlightRecorder(1).SetSink(func(e obs.Event) {
+	cl.EnableFlightRecorder(0).SetSink(func(e obs.Event) {
 		if !*fired && e.Kind == kind && int(e.Node) == node && (seq == 0 || e.Seq == seq) {
 			*fired = true
 			cl.KillNode(node)

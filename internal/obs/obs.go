@@ -189,20 +189,26 @@ func (r *Ring) Last(k int) []Event {
 
 // Recorder is the per-node flight recorder: one ring per node plus an
 // optional streaming sink (`svm run -events`). The clock stamps events with the
-// engine's virtual time at record.
+// engine's virtual time at record. A recorder built with no rings is
+// sink only: it stamps each event and streams it, and keeps nothing.
 type Recorder struct {
-	rings []*Ring
+	rings []*Ring // nil when sink only
 	clock func() int64
 	sink  func(Event)
 }
 
 // NewRecorder builds a recorder for nodes nodes keeping the last
-// perNode events of each. clock supplies virtual timestamps (may be
-// nil; events then keep a zero TimeNs unless pre-stamped).
+// perNode events of each; perNode 0 keeps no rings (sink only), for
+// observers that act on the stream and never dump it. clock supplies
+// virtual timestamps (may be nil; events then keep a zero TimeNs unless
+// pre-stamped).
 func NewRecorder(nodes, perNode int, clock func() int64) *Recorder {
-	r := &Recorder{rings: make([]*Ring, nodes), clock: clock}
-	for i := range r.rings {
-		r.rings[i] = NewRing(perNode)
+	r := &Recorder{clock: clock}
+	if perNode > 0 {
+		r.rings = make([]*Ring, nodes)
+		for i := range r.rings {
+			r.rings[i] = NewRing(perNode)
+		}
 	}
 	return r
 }
@@ -225,15 +231,21 @@ func (r *Recorder) Record(e Event) {
 	}
 }
 
-// Node returns node i's ring.
-func (r *Recorder) Node(i int) *Ring { return r.rings[i] }
-
-// Nodes returns the number of per-node rings.
-func (r *Recorder) Nodes() int { return len(r.rings) }
+// Node returns node i's ring, or nil when the recorder is sink only.
+func (r *Recorder) Node(i int) *Ring {
+	if r.rings == nil {
+		return nil
+	}
+	return r.rings[i]
+}
 
 // Dump writes each node's last lastN retained events to w — the
 // post-mortem view `svm fi -boundary` and `svm chaos` print on a failure.
 func (r *Recorder) Dump(w io.Writer, lastN int) {
+	if r.rings == nil {
+		fmt.Fprintln(w, "flight recorder kept no rings (sink only)")
+		return
+	}
 	for i, ring := range r.rings {
 		evs := ring.Last(lastN)
 		fmt.Fprintf(w, "node %d: last %d of %d events\n", i, len(evs), ring.Total())

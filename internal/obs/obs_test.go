@@ -126,3 +126,29 @@ func TestDump(t *testing.T) {
 		}
 	}
 }
+
+// TestSinkOnlyRecorder: perNode 0 keeps no rings, yet still stamps every
+// event and streams it to the sink without allocating; Node reads as no
+// ring and Dump says that nothing was kept.
+func TestSinkOnlyRecorder(t *testing.T) {
+	rec := NewRecorder(2, 0, func() int64 { return 42 })
+	var streamed []Event
+	rec.SetSink(func(e Event) { streamed = append(streamed, e) })
+	rec.Record(Event{Kind: KLockGrant, Node: 1, Thread: -1, Seq: 3})
+	if len(streamed) != 1 || streamed[0].TimeNs != 42 || streamed[0].Kind != KLockGrant {
+		t.Fatalf("sink got %+v, want one lock.grant stamped 42", streamed)
+	}
+	if rec.Node(0) != nil || rec.Node(1) != nil {
+		t.Fatalf("sink-only recorder has rings %v %v, want none", rec.Node(0), rec.Node(1))
+	}
+	var sb strings.Builder
+	rec.Dump(&sb, 8)
+	if got := sb.String(); !strings.Contains(got, "no rings") {
+		t.Errorf("Dump = %q, want it to say no rings were kept", got)
+	}
+	rec.SetSink(func(Event) {})
+	e := Event{Kind: KReleaseDone, Node: 0, Thread: 2, Seq: 9}
+	if allocs := testing.AllocsPerRun(1000, func() { rec.Record(e) }); allocs != 0 {
+		t.Fatalf("sink-only Record allocates %.1f objects per call, want 0", allocs)
+	}
+}

@@ -50,38 +50,59 @@ type Record struct {
 // cl.SetCommitSink(log.Commit).
 type Log struct {
 	Records []Record
+
+	// The records' diffs and vectors live in log-owned slabs, so a commit
+	// costs no object of its own: runs and payloads in buf, the diff
+	// headers, the Diffs slices and the vectors carved from the rest.
+	buf   mem.DiffBuf
+	heads []mem.Diff
+	ptrs  []*mem.Diff
+	vts   []int32
 }
 
 // Commit appends one interval. The diffs and vector time are cloned:
 // the sink contract says the arguments are live protocol objects.
 func (l *Log) Commit(node int, interval int32, vt proto.VectorTime, diffs []*mem.Diff) {
-	ds := make([]*mem.Diff, len(diffs))
+	heads, ptrs := carve(&l.heads, len(diffs)), carve(&l.ptrs, len(diffs))
 	for i, d := range diffs {
-		ds[i] = d.Clone()
+		heads[i] = mem.Diff{Page: d.Page, Runs: l.buf.AppendClone(d.Runs)}
+		ptrs[i] = &heads[i]
 	}
-	l.Records = append(l.Records, Record{Node: node, Interval: interval, VT: vt.Clone(), Diffs: ds})
+	v := carve(&l.vts, len(vt))
+	copy(v, vt)
+	l.Records = append(l.Records, Record{Node: node, Interval: interval, VT: v, Diffs: ptrs})
+}
+
+// carve takes the next n elements of *slab. A slab without the room is
+// replaced by a fresh one at least twice its capacity, never grown in
+// place, so what was carved before keeps its storage.
+func carve[T any](slab *[]T, n int) []T {
+	s := *slab
+	if cap(s)-len(s) < n {
+		s = make([]T, 0, max(2*cap(s), n, 64))
+	}
+	*slab = s[:len(s)+n]
+	return s[len(s) : len(s)+n : len(s)+n]
 }
 
 // Store is the reference sequential memory: one flat buffer per page,
 // plus the frontier of intervals already applied.
 type Store struct {
 	pageSize int
-	pages    [][]byte
+	pages    [][]byte // nil until the page's first applied diff
 	applied  proto.VectorTime
 }
 
 // NewStore builds a zeroed reference store for pages pages of pageSize
 // bytes across nodes nodes — shared memory starts zero-filled, exactly
 // like the cluster's never-touched committed copies read back as zeros.
+// A page's frame is allocated at its first applied diff.
 func NewStore(pages, pageSize, nodes int) *Store {
-	s := &Store{pageSize: pageSize, pages: make([][]byte, pages), applied: proto.NewVector(nodes)}
-	for i := range s.pages {
-		s.pages[i] = make([]byte, pageSize)
-	}
-	return s
+	return &Store{pageSize: pageSize, pages: make([][]byte, pages), applied: proto.NewVector(nodes)}
 }
 
-// Page returns page p's reference contents.
+// Page returns page p's reference contents, nil (all zeros) when no diff
+// has touched it.
 func (s *Store) Page(p int) []byte { return s.pages[p] }
 
 // Applied returns the frontier of intervals replayed so far.
@@ -143,6 +164,9 @@ func (s *Store) Replay(recs []Record, upTo proto.VectorTime) error {
 				return fmt.Errorf("oracle: node %d interval %d diffs page %d outside the %d-page space",
 					r.Node, r.Interval, d.Page, len(s.pages))
 			}
+			if s.pages[d.Page] == nil {
+				s.pages[d.Page] = make([]byte, s.pageSize)
+			}
 			d.Apply(s.pages[d.Page])
 		}
 		s.applied[r.Node] = r.Interval
@@ -182,25 +206,46 @@ func describe(rem []Record) string {
 }
 
 // Check compares every reference page against the actual frame returned
-// by actual(page) — for an SVM cluster, the primary home's committed
-// copy (svm.Cluster.PeekBytes). A nil or short actual frame is compared
-// as zero-filled, matching never-allocated committed copies. Returns an
-// error naming the first diverging page and byte.
+// by actual(page) — for an SVM cluster, the authoritative frame
+// (svm.Cluster.Frame). A nil or short frame on either side reads as
+// zero-filled past its end, matching never-allocated copies; nothing is
+// copied. Returns an error naming the first diverging page and byte.
 func (s *Store) Check(actual func(page int) []byte) error {
 	for p, ref := range s.pages {
 		got := actual(p)
-		if len(got) < len(ref) {
-			g := make([]byte, len(ref))
-			copy(g, got)
-			got = g
-		}
-		if !bytes.Equal(ref, got[:len(ref)]) {
-			off := 0
-			for ; off < len(ref) && ref[off] == got[off]; off++ {
-			}
+		if off := firstDiff(ref, got, s.pageSize); off >= 0 {
 			return fmt.Errorf("oracle: page %d diverges from the reference at byte %d: committed %#02x, reference %#02x (applied frontier %v)",
-				p, off, got[off], ref[off], s.applied)
+				p, off, byteAt(got, off), byteAt(ref, off), s.applied)
 		}
 	}
 	return nil
+}
+
+// firstDiff returns the first offset below n at which a and b differ, each
+// read as zeros past its end, or -1 when they agree.
+func firstDiff(a, b []byte, n int) int {
+	a, b = a[:min(len(a), n)], b[:min(len(b), n)]
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	if !bytes.Equal(a, b[:len(a)]) {
+		for i := range a {
+			if a[i] != b[i] {
+				return i
+			}
+		}
+	}
+	for i, c := range b[len(a):] {
+		if c != 0 {
+			return len(a) + i
+		}
+	}
+	return -1
+}
+
+func byteAt(b []byte, i int) byte {
+	if i < len(b) {
+		return b[i]
+	}
+	return 0
 }

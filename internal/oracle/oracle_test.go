@@ -191,3 +191,93 @@ func TestLogCommitClones(t *testing.T) {
 		t.Fatalf("logged diff mutated: %v", r.Diffs[0].Runs[0].Data)
 	}
 }
+
+// TestCheckNilFramesInPlace: nil frames on either side — a page nobody
+// wrote, a dead primary with no live replica — compare as zeros without
+// allocating, and a divergence from a nil frame names the same page and
+// byte, with the same values, as a zero-filled copy of it would.
+func TestCheckNilFramesInPlace(t *testing.T) {
+	s := NewStore(3, 8, 1)
+	if err := s.Replay([]Record{rec(0, 1, proto.VectorTime{0}, wdiff(1, 3, 5))}, nil); err != nil {
+		t.Fatal(err)
+	}
+	written := []byte{0, 0, 0, 5, 0, 0, 0, 0}
+	zero := make([]byte, 8)
+	match := func(p int) []byte {
+		switch p {
+		case 1:
+			return written
+		case 2:
+			return zero // allocated but never written, against a never-applied reference
+		}
+		return nil // nil against a never-applied reference
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := s.Check(match); err != nil {
+			t.Fatalf("Check: %v", err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Check of matching frames allocates %.0f objects, want 0", allocs)
+	}
+
+	const want = "oracle: page 1 diverges from the reference at byte 3: committed 0x00, reference 0x05 (applied frontier [1])"
+	for name, frame := range map[string][]byte{"nil": nil, "short": {0, 0}, "zeros": zero} {
+		err := s.Check(func(p int) []byte {
+			if p == 1 {
+				return frame
+			}
+			return nil
+		})
+		if err == nil || err.Error() != want {
+			t.Errorf("%s frame: Check = %v, want %q", name, err, want)
+		}
+	}
+	stray := []byte{0, 0, 0, 0, 0, 0, 9, 0}
+	err := s.Check(func(p int) []byte {
+		if p == 1 {
+			return written
+		}
+		return stray
+	})
+	const wantStray = "oracle: page 0 diverges from the reference at byte 6: committed 0x09, reference 0x00 (applied frontier [1])"
+	if err == nil || err.Error() != wantStray {
+		t.Errorf("write to a never-applied page: Check = %v, want %q", err, wantStray)
+	}
+}
+
+// TestLogCommitSlabs: committed records keep their own diffs and vectors
+// across slab refills — a record carved before a slab was replaced still
+// reads its own bytes — and NewStore allocates no page up front.
+func TestLogCommitSlabs(t *testing.T) {
+	var l Log
+	const commits = 300
+	vt := proto.VectorTime{0, 0, 0}
+	for i := 1; i <= commits; i++ {
+		vt[0] = int32(i)
+		l.Commit(0, int32(i), vt, []*mem.Diff{wdiff(i%5, i%8, byte(i)), wdiff(5+i%3, 0, byte(i+1))})
+	}
+	for i, r := range l.Records {
+		itv := int32(i + 1)
+		if r.Interval != itv || r.VT[0] != itv || len(r.Diffs) != 2 ||
+			r.Diffs[0].Page != int(itv)%5 || r.Diffs[0].Runs[0].Off != int(itv)%8 || r.Diffs[0].Runs[0].Data[0] != byte(itv) ||
+			r.Diffs[1].Page != 5+int(itv)%3 || r.Diffs[1].Runs[0].Data[0] != byte(itv+1) {
+			t.Fatalf("record %d = %+v (diffs %+v %+v), want interval %d's own", i, r, *r.Diffs[0], *r.Diffs[1], itv)
+		}
+	}
+	s := NewStore(8, 16, 3)
+	for p := range 8 {
+		if s.Page(p) != nil {
+			t.Fatalf("page %d allocated before any diff", p)
+		}
+	}
+	if err := s.Replay(l.Records, nil); err != nil {
+		t.Fatal(err)
+	}
+	last := commits // the last commit wrote both locations last
+	if got := s.Page(last % 5)[last%8]; got != byte(last) {
+		t.Errorf("last commit's first diff: byte %d, want %d", got, byte(last))
+	}
+	if got := s.Page(5 + last%3)[0]; got != byte(last+1) {
+		t.Errorf("last commit's second diff: byte %d, want %d", got, byte(last+1))
+	}
+}

@@ -9,13 +9,12 @@ import (
 )
 
 // onEvent streams every protocol event cl records to fn: the flight
-// recorder's sink, through a one-event-per-node recorder when cl has none
-// yet. Call it after any EnableFlightRecorder: a later one replaces the
+// recorder's sink, through a sink-only recorder when cl has none yet. Call it after any EnableFlightRecorder: a later one replaces the
 // recorder fn listens on.
 func onEvent(cl *Cluster, fn func(e obs.Event)) {
 	rec := cl.FlightRecorder()
 	if rec == nil {
-		rec = cl.EnableFlightRecorder(1)
+		rec = cl.EnableFlightRecorder(0)
 	}
 	rec.SetSink(fn)
 }

@@ -5,68 +5,50 @@ import (
 	"fmt"
 )
 
-// PeekBytes copies n bytes starting at shared address addr out of the
-// authoritative home copies (the primary home's committed copy in the
-// extended protocol, the home's working copy in the base protocol). It is
-// an inspector for examples and tests after Run returns; it performs no
-// protocol actions and consumes no virtual time.
-func (cl *Cluster) PeekBytes(addr, n int) []byte {
-	out := make([]byte, n)
-	psz := cl.cfg.PageSize
-	for i := 0; i < n; {
-		pid := (addr + i) / psz
-		off := (addr + i) % psz
-		chunk := psz - off
-		if chunk > n-i {
-			chunk = n - i
-		}
-		home := cl.pageHomes.Primary(pid)
-		pg := cl.nodes[home].pt.page(pid)
-		var buf []byte
-		if cl.opt.Mode == ModeFT {
-			buf = pg.committed
-		} else {
-			buf = pg.working
-		}
-		if buf != nil {
-			copy(out[i:i+chunk], buf[off:off+chunk])
-		}
-		i += chunk
+// Frame returns page pid's authoritative frame in place, or nil when that
+// frame was never allocated (it reads as zeros): the primary home's
+// committed copy in the extended protocol, the home's working copy in the
+// base protocol. With live, a dead primary's frame is replaced by the
+// first surviving replica's tentative copy — the survivor's replica of the
+// committed state — and is nil when no replica survives: a real system
+// could never read a crashed machine's DRAM, so neither does a check of
+// a run that ends with an undetected failure. It is an inspector for
+// after Run returns; it performs no protocol actions and consumes no
+// virtual time, and it reads only home pages, whose page-table runs exist
+// from construction. The caller must not write to the frame.
+func (cl *Cluster) Frame(pid int, live bool) []byte {
+	home := cl.nodes[cl.pageHomes.Primary(pid)]
+	if cl.opt.Mode != ModeFT {
+		return home.pt.page(pid).working
 	}
-	return out
+	if !live || !home.dead {
+		return home.pt.page(pid).committed
+	}
+	for s := 1; s < cl.pageHomes.Degree(); s++ {
+		if sec := cl.nodes[cl.pageHomes.Replica(pid, s)]; !sec.dead {
+			return sec.pt.page(pid).tentative
+		}
+	}
+	return nil
 }
 
-// PeekLiveBytes is PeekBytes restricted to live nodes: when a page's
-// primary home is dead, the secondary home's tentative copy — the
-// survivor's replica of the committed state — is read instead. This is
+// PeekBytes copies n bytes starting at shared address addr out of the
+// authoritative home copies (Frame without live). It is an inspector for
+// examples and tests after Run returns.
+func (cl *Cluster) PeekBytes(addr, n int) []byte { return cl.peek(addr, n, false) }
+
+// PeekLiveBytes is PeekBytes restricted to live nodes (Frame with live):
 // the inspector for runs that end with an undetected failure (a node
-// killed after its last protocol obligation): a real system could never
-// read a crashed machine's DRAM, so neither does the consistency check.
-func (cl *Cluster) PeekLiveBytes(addr, n int) []byte {
-	if cl.opt.Mode != ModeFT {
-		return cl.PeekBytes(addr, n)
-	}
+// killed after its last protocol obligation).
+func (cl *Cluster) PeekLiveBytes(addr, n int) []byte { return cl.peek(addr, n, true) }
+
+func (cl *Cluster) peek(addr, n int, live bool) []byte {
 	out := make([]byte, n)
 	psz := cl.cfg.PageSize
 	for i := 0; i < n; {
-		pid := (addr + i) / psz
-		off := (addr + i) % psz
-		chunk := psz - off
-		if chunk > n-i {
-			chunk = n - i
-		}
-		var buf []byte
-		if home := cl.pageHomes.Primary(pid); !cl.nodes[home].dead {
-			buf = cl.nodes[home].pt.page(pid).committed
-		} else {
-			for s := 1; s < cl.pageHomes.Degree(); s++ {
-				if sec := cl.pageHomes.Replica(pid, s); !cl.nodes[sec].dead {
-					buf = cl.nodes[sec].pt.page(pid).tentative
-					break
-				}
-			}
-		}
-		if buf != nil {
+		pid, off := (addr+i)/psz, (addr+i)%psz
+		chunk := min(psz-off, n-i)
+		if buf := cl.Frame(pid, live); buf != nil {
 			copy(out[i:i+chunk], buf[off:off+chunk])
 		}
 		i += chunk
