@@ -29,6 +29,11 @@ import (
 //	svm fi -app counter -boundary 'release.phase1@n2#3'
 //	svm fi -app waternsq -lock nic -detect probe -kinds lock.grant
 //	svm fi -app counter -nodes 6 -degree 3 -pairs -budget 16 -seconds 9
+//	svm fi -app kvstore -detect probe -chaos storm -budget 32
+//
+// -chaos runs the recording and every injection run over one network
+// chaos scenario (default none, the fault-free network), and a recording
+// is held to the same end-of-run check as an injection run.
 //
 // The workload is recorded once per app; the sweep then re-executes it
 // on a pool of -workers goroutines, each injection run owning a fresh
@@ -48,6 +53,8 @@ import (
 // Every failing verdict is reproducible from (app config, schedule,
 // seed): rerun it with -boundary 'id' or -boundary 'id1,id2', which
 // follows a failing verdict with each node's last flight-recorder events.
+// A multi-app hint names every app up to the failing one: gob numbers
+// types process-wide, so the apps before it shape its checkpoint costs.
 func fiCmd(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("fi", flag.ContinueOnError)
 	appList := enum(fs, "app", "counter,falseshare", "comma-separated applications to sweep", list(appName))
@@ -57,6 +64,7 @@ func fiCmd(args []string, out, errw io.Writer) int {
 	threads := enum(fs, "threads", "1", "compute threads per node", atLeast(1))
 	lock := enum(fs, "lock", "polling", "lock algorithm: polling, nic (the queue lock has no FT variant)", oneOf(map[string]svm.LockAlgo{"polling": svm.LockPolling, "nic": svm.LockNIC}))
 	detect := enum(fs, "detect", "oracle", "failure detection: oracle, probe", model.ParseDetection)
+	chaos := enum(fs, "chaos", "none", "network chaos scenario: none, jitter, degrade, burst, gray, storm", harness.ChaosByName)
 	seed := fs.Int64("seed", 1, "simulation seed")
 	degree := enum(fs, "degree", "2", "home-replication degree k: k-1 overlapping failures tolerated (2 = the paper's primary/secondary)", atLeast(2))
 	pairs := fs.Bool("pairs", false, "sweep ordered failure-point pairs: every swept boundary as a first kill, -seconds second kills each")
@@ -86,18 +94,19 @@ func fiCmd(args []string, out, errw io.Writer) int {
 
 	// Non-default spec-shaping flags, echoed into reproduce hints so a
 	// pasted command rebuilds the exact cluster the failure needs.
-	for _, name := range []string{"size", "tier", "nodes", "threads", "lock", "detect", "seed", "degree"} {
+	for _, name := range []string{"size", "tier", "nodes", "threads", "lock", "detect", "chaos", "seed", "degree"} {
 		if f := fs.Lookup(name); f.Value.String() != f.DefValue {
 			s.repro += fmt.Sprintf(" -%s %s", name, f.Value)
 		}
 	}
 
 	failed := 0
-	for _, app := range *appList {
+	for i, app := range *appList {
+		s.apps = strings.Join((*appList)[:i+1], ",")
 		sp := harness.ExploreSpec(harness.Config{
 			App: app, Size: *size, Tier: *tier,
 			Nodes: cellNodes, ThreadsPerNode: *threads,
-			LockAlgo: *lock, Detection: *detect,
+			LockAlgo: *lock, Detection: *detect, Chaos: &chaos.Chaos,
 			Overrides: func(cfg *model.Config) {
 				cfg.Seed = *seed
 				cfg.ReplicaDegree = *degree
@@ -148,7 +157,7 @@ func parseShard(s string) ([2]int, error) {
 // sweep holds the flags one fi invocation applies to every app.
 type sweep struct {
 	out, errw                io.Writer
-	repro                    string
+	apps, repro              string // the reproduce hint's -app list and other flags
 	budget, workers, seconds *int
 	shard                    *[2]int
 	kinds                    *[]string
@@ -201,7 +210,7 @@ func (s *sweep) verdicts(sp explore.Spec, vs []explore.Verdict) (failed int) {
 		} else if !v.Pass {
 			fmt.Fprintf(s.out, "FAIL %s at %s: %s\n", sp.Name, strings.Join(v.Schedule, "+"), v.Err)
 			fmt.Fprintf(s.out, "  reproduce: svm fi -app %s%s -boundary '%s'\n",
-				strings.SplitN(sp.Name, "/", 2)[0], s.repro, strings.Join(v.Schedule, ","))
+				s.apps, s.repro, strings.Join(v.Schedule, ","))
 		}
 	}
 	return failed

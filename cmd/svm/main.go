@@ -32,7 +32,6 @@ commands:
   run    execute one application, optionally failing a node or tracing events
   bench  regenerate the paper's figures (-figure) and ablations (-ablation)
   fi     sweep every failure point of a workload under the auditor and oracle
-  chaos  sweep the applications across the network-chaos scenarios
   serve  open-loop serving benchmark under chaos with a mid-run kill
 
 Run 'svm <command> -h' for a command's flags.
@@ -42,7 +41,6 @@ var commands = map[string]func(args []string, out, errw io.Writer) int{
 	"run":   runCmd,
 	"bench": benchCmd,
 	"fi":    fiCmd,
-	"chaos": chaosCmd,
 	"serve": serveCmd,
 }
 
@@ -165,9 +163,11 @@ func parseScenarios(s string) ([]harness.ChaosScenario, error) {
 	return list(harness.ChaosByName)(s)
 }
 
-// appNames is every application harness.Build knows: the chaos suite and
-// the micro-workloads written for failure-point sweeps.
-var appNames = append(append([]string{}, chaosApps...), "counter", "falseshare", "kvmicro")
+// appNames is every application harness.Build knows: the paper's six
+// SPLASH-2 workloads, the extension applications and the micro-workloads
+// written for failure-point sweeps.
+var appNames = append(append([]string{}, harness.AppNames...),
+	"ocean", "kvstore", "kvserve", "counter", "falseshare", "kvmicro")
 
 // appName checks one application name.
 func appName(s string) (string, error) {
@@ -269,24 +269,4 @@ func finish(cl *svm.Cluster, w *apps.Workload) error {
 		return fmt.Errorf("result verification: %w", err)
 	}
 	return nil
-}
-
-// verify runs one audited cell: the online invariant auditor and a
-// flight recorder of ring events per node watch the run, then finish's
-// checks and, under the extended protocol, the replica audit must pass.
-// A failure dumps each node's last events under header.
-func verify(out io.Writer, cl *svm.Cluster, w *apps.Workload, ring int, header string) error {
-	rec := cl.EnableFlightRecorder(ring)
-	cl.EnableAuditor()
-	err := finish(cl, w)
-	if err == nil && cl.Mode() == svm.ModeFT {
-		if err = cl.VerifyReplicas(); err != nil {
-			err = fmt.Errorf("replica audit: %w", err)
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(out, header)
-		rec.Dump(out, 8)
-	}
-	return err
 }

@@ -111,12 +111,16 @@ func (tr *Trace) Budget() int64 {
 
 // Record executes the workload once, failure-free, enumerating every
 // protocol-step boundary. The run must itself pass the auditor and the
-// workload self-check: boundaries of a broken baseline mean nothing.
+// end-of-run check every injection run is held to (self-check, replica
+// invariant, oracle): boundaries of a broken baseline mean nothing.
 func Record(sp Spec) (*Trace, error) {
 	x, err := instrument(sp, 0, true, true, 0)
 	if err != nil {
 		return nil, fmt.Errorf("explore: %w", err)
 	}
+	cl := x.Cluster
+	var log oracle.Log
+	cl.SetCommitSink(log.Commit)
 	bs := getChunks()
 	defer chunkPool.Put(bs)
 	if err := x.run(func(e obs.Event) {
@@ -125,12 +129,11 @@ func Record(sp Spec) (*Trace, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("explore: %s baseline run: %w", sp.Name, err)
 	}
-	cl := x.Cluster
 	if !cl.Finished() {
 		return nil, fmt.Errorf("explore: %s baseline run did not finish", sp.Name)
 	}
-	if err := x.Check(); err != nil {
-		return nil, fmt.Errorf("explore: %s baseline self-check: %w", sp.Name, err)
+	if err := x.verify(&log, false); err != nil {
+		return nil, fmt.Errorf("explore: %s baseline check: %w", sp.Name, err)
 	}
 	return &Trace{
 		Boundaries:  bs.sample(0),
@@ -347,28 +350,32 @@ func replay(sp Spec, schedule []Boundary, budget int64, ring int) (v Verdict, re
 	case !cl.Finished():
 		v.Err = "surviving threads did not finish"
 	default:
-		err := x.Check()
-		if err == nil {
-			if len(v.Injected) > 0 && v.Recoveries < int64(len(v.Injected)) {
-				// Undetected failure: a victim died after its last
-				// protocol obligation, so nothing ever probed it. The
-				// post-recovery replica invariant cannot hold (one home is
-				// dead and nobody rehomed); the availability invariant
-				// must, and memory is read from live homes only.
-				err = cl.VerifyAvailability()
-			} else {
-				err = cl.VerifyReplicas()
-			}
-		}
-		if err == nil {
-			err = checkOracle(cl, &log)
-		}
-		if err != nil {
+		if err := x.verify(&log, v.Recoveries < int64(len(v.Injected))); err != nil {
 			v.Err = err.Error()
 		}
 	}
 	v.Pass = v.Err == ""
 	return v, x.rec
+}
+
+// verify is the check every finished run ends in: the workload's
+// self-check, the replica invariant, then the oracle's replay of log.
+// After an undetected kill (the victim died after its last protocol
+// obligation, so nothing probed it and nobody rehomed its pages) the
+// availability invariant stands in for the replica invariant.
+func (x *execution) verify(log *oracle.Log, undetected bool) error {
+	if err := x.Check(); err != nil {
+		return err
+	}
+	cl := x.Cluster
+	holds := cl.VerifyReplicas
+	if undetected {
+		holds = cl.VerifyAvailability
+	}
+	if err := holds(); err != nil {
+		return err
+	}
+	return checkOracle(cl, log)
 }
 
 // checkOracle replays the run's commit log up to the cluster's final

@@ -1,6 +1,7 @@
 package explore_test
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -243,4 +244,35 @@ func TestUndetectedFailureHeldToAvailability(t *testing.T) {
 		}
 	}
 	t.Fatal("no undetected-failure outcome among the last 40 boundaries")
+}
+
+// TestRecordRunsTheFullCheck: a recording ends in the check an injection
+// run ends in, not in the workload's self-check alone. The self-check
+// here passes but, as a stand-in for a replica the protocol let drift,
+// flips one byte of a primary's committed frame (which only a test may
+// write): the replica audit must fail the recording.
+func TestRecordRunsTheFullCheck(t *testing.T) {
+	sp := counterSpec()
+	build := sp.New
+	sp.New = func() (explore.Instance, error) {
+		inst, err := build()
+		if err != nil {
+			return inst, err
+		}
+		cl := inst.Cluster
+		inst.Check = func() error {
+			for p := 0; p < cl.NumPages(); p++ {
+				if f := cl.Frame(p, false); f != nil {
+					f[0] ^= 1
+					return nil
+				}
+			}
+			return errors.New("no page was ever written")
+		}
+		return inst, nil
+	}
+	_, err := explore.Record(sp)
+	if err == nil || !strings.Contains(err.Error(), "baseline check: page") || !strings.Contains(err.Error(), "replicas diverge") {
+		t.Fatalf("Record = %v, want the replica audit to fail the baseline check", err)
+	}
 }

@@ -240,7 +240,7 @@ func (r *Recorder) Node(i int) *Ring {
 }
 
 // Dump writes each node's last lastN retained events to w — the
-// post-mortem view `svm fi -boundary` and `svm chaos` print on a failure.
+// post-mortem view `svm fi -boundary` prints on a failure.
 func (r *Recorder) Dump(w io.Writer, lastN int) {
 	if r.rings == nil {
 		fmt.Fprintln(w, "flight recorder kept no rings (sink only)")

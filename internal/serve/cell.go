@@ -59,10 +59,6 @@ func RunCell(sp Spec) Result {
 	if err != nil {
 		return Result{Spec: sp, Err: err}
 	}
-	// The flight recorder keeps post-mortem context for the failure
-	// cells and forces the serial engine, which failure injection
-	// requires; the milestone trace rides the same event stream.
-	cl.EnableFlightRecorder(64)
 	if sp.KillAtNs > 0 {
 		victim := sp.Victim
 		cl.Engine().At(sp.KillAtNs, func() { cl.KillNode(victim) })

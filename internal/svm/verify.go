@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"bytes"
 	"fmt"
 
 	"ftsvm/internal/proto"
@@ -47,10 +48,12 @@ func (cl *Cluster) VerifyReplicas() error {
 			if pgS.tentative == nil {
 				return fmt.Errorf("page %d: one replica missing", p)
 			}
-			for i := range pgP.committed {
-				if pgP.committed[i] != pgS.tentative[i] {
-					return fmt.Errorf("page %d: replicas diverge at byte %d (committed %d vs tentative %d)",
-						p, i, pgP.committed[i], pgS.tentative[i])
+			if !bytes.Equal(pgP.committed, pgS.tentative) {
+				for i := range pgP.committed {
+					if pgP.committed[i] != pgS.tentative[i] {
+						return fmt.Errorf("page %d: replicas diverge at byte %d (committed %d vs tentative %d)",
+							p, i, pgP.committed[i], pgS.tentative[i])
+					}
 				}
 			}
 			if !pgP.commitVer.Equal(pgS.tentVer) {
