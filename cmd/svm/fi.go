@@ -91,6 +91,16 @@ func fiCmd(args []string, out, errw io.Writer) int {
 		// model refuses it, and the sweep would pass having tested nothing.
 		return usageError(errw, "fi", fmt.Errorf("a %d-node cluster cannot survive a failure at degree %d (need -nodes > -degree)", *nodes, *degree))
 	}
+	if *s.schedule != nil {
+		// A kill on a node outside the cluster never fires: the replay would
+		// run the whole workload only to report the schedule unfired.
+		cfg, _ := harness.Config{Tier: *tier, Nodes: cellNodes}.ModelConfig() // the tier was checked at flag parsing
+		for _, b := range *s.schedule {
+			if b.Node < 0 || int(b.Node) >= cfg.Nodes {
+				return usageError(errw, "fi", fmt.Errorf("boundary %s names node %d of a %d-node cluster", b.ID(), b.Node, cfg.Nodes))
+			}
+		}
+	}
 
 	// Non-default spec-shaping flags, echoed into reproduce hints so a
 	// pasted command rebuilds the exact cluster the failure needs.

@@ -156,6 +156,8 @@ func TestHostileInput(t *testing.T) {
 		{"fi", "-app", "bogus"},
 		{"fi", "-kinds", "release.bogus"},
 		{"fi", "-boundary", "release.done@n9"},
+		{"fi", "-app", "counter", "-boundary", "release.done@n9#1"},
+		{"fi", "-tier", "large", "-boundary", "release.done@n2#1,release.done@n64#1"},
 		{"fi", "-chaos", "bogus"},
 		{"serve", "-scenarios", "bogus"},
 		{"serve", "-detect", "oracle,bogus"},

@@ -1,10 +1,13 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine owns a virtual clock and an event heap. Simulated activities
-// run either as plain callbacks (executed inline in the engine goroutine)
-// or as processes: coroutines that execute one at a time, switched to and
-// from by the scheduler, so that a simulation with any number of processes
-// is fully deterministic for a given seed.
+// run either as plain callbacks or as processes: coroutines that execute
+// one at a time, switched to and from by the scheduler, so that a
+// simulation with any number of processes is fully deterministic for a
+// given seed. A callback runs on whichever goroutine hosts the event loop
+// at the time: Run's, or that of the process that parked last, which goes
+// on executing events until the next process dispatch and so resumes
+// itself without a switch when that dispatch is its own.
 //
 // All times are virtual nanoseconds.
 package sim
@@ -58,6 +61,17 @@ type Engine struct {
 	executed int64 // events Run has executed so far
 	budget   int64 // when > 0, Run returns a BudgetError after this many events
 
+	// What a process that hosted the serial loop (see loop) leaves for
+	// Run when it yields: hosted says it did, and so did the tail of the
+	// event Run resumed it with; handoff is the process whose dispatch
+	// comes next, handErr the error Run returns, raise a callback's panic
+	// value. inPlace counts the dispatches a process took in place.
+	hosted  bool
+	handoff *Proc
+	handErr error
+	raise   any
+	inPlace int64
+
 	// Parallel execution (lane.go). lanes exist on serial engines too once
 	// Lane() has been called (as thin delegates); par is non-nil only after
 	// Parallel() enabled windowed execution.
@@ -78,7 +92,7 @@ type event struct {
 	// instead of a fn closure: timeouts and Advance fire millions of times
 	// per run, and a per-event closure allocation (plus its GC scan) was
 	// the simulator's single largest allocation source. fn == nil marks a
-	// wake event.
+	// wake event, or with gen == 0 (never a wake token) a dispatch of p.
 	p   *Proc
 	gen uint64
 	// opRef links an event created during a parallel window to the lane op
@@ -355,7 +369,57 @@ func (e *Engine) Run() error {
 	if e.par != nil {
 		return e.runParallel()
 	}
-	for !e.stopped {
+	e.loop(nil)
+	if err := e.handErr; err != nil {
+		e.handErr = nil
+		return err
+	}
+	if e.stopped {
+		return nil
+	}
+	if e.live > 0 {
+		return e.deadlock()
+	}
+	return nil
+}
+
+// loop is the serial event loop. Run runs it with host nil; a process
+// parking inside its own dispatch runs it on its own stack with host
+// itself, starting with that dispatch's tail, and it returns true when
+// the host's own dispatch comes next: the host resumes with no coroutine
+// switch. Otherwise it returns false: at Stop, an exceeded budget (error
+// in e.handErr) or an empty queue, and a hosted loop also at another live
+// process's dispatch (left in e.handoff for Run) or at a panic in a
+// callback or the hook (left in e.raise for Run to re-raise, so that it
+// neither unwinds the host's body nor names the host in a ProcPanic).
+func (e *Engine) loop(host *Proc) (resumed bool) {
+	if host != nil {
+		defer func() {
+			if r := recover(); r != nil {
+				e.raise = r
+			}
+		}()
+	}
+	tail := host != nil
+	for {
+		if tail {
+			// The tail of every event, whichever goroutine executed it.
+			e.executed++
+			if e.afterEvent != nil {
+				e.afterEvent()
+			}
+			if e.budget > 0 && e.executed >= e.budget && !e.stopped {
+				e.handErr = &BudgetError{Time: e.now, Executed: e.executed}
+				return false
+			}
+			if e.executed&yieldMask == 0 {
+				runtime.Gosched()
+			}
+		}
+		tail = true
+		if e.stopped {
+			return false
+		}
 		var ev event
 		// Due timed events were scheduled before time reached e.now, so
 		// their seqs precede every now-queue entry: drain them first.
@@ -373,31 +437,44 @@ func (e *Engine) Run() error {
 				e.now = ev.t
 			}
 		} else {
-			break
+			return false
 		}
-		if ev.fn != nil {
+		switch {
+		case ev.fn != nil:
 			ev.fn()
-		} else {
+		case ev.gen != 0:
 			ev.p.wakeIf(ev.gen)
-		}
-		e.executed++
-		if e.afterEvent != nil {
-			e.afterEvent()
-		}
-		if e.budget > 0 && e.executed >= e.budget && !e.stopped {
-			return &BudgetError{Time: e.now, Executed: e.executed}
-		}
-		if e.executed&yieldMask == 0 {
-			runtime.Gosched()
+		case host == nil:
+			// Run dispatches the process, and then every process that the
+			// ones it resumes hand the loop back for. A process that
+			// yielded from the loop it hosted did the tail; one that
+			// finished, was killed or had finished already did not.
+			for p := ev.p; ; {
+				e.dispatch(p)
+				if tail = !e.hosted; tail {
+					break
+				}
+				e.hosted = false
+				if r := e.raise; r != nil {
+					e.raise = nil
+					panic(r)
+				}
+				if p = e.handoff; p == nil {
+					break
+				}
+				e.handoff = nil
+			}
+			if e.handErr != nil {
+				return false
+			}
+		case ev.p == host:
+			e.inPlace++
+			return true
+		case !ev.p.done:
+			e.handoff = ev.p
+			return false
 		}
 	}
-	if e.stopped {
-		return nil
-	}
-	if e.live > 0 {
-		return e.deadlock()
-	}
-	return nil
 }
 
 // BudgetError reports that Run exceeded its event budget (SetEventBudget)

@@ -48,6 +48,22 @@ func BenchmarkProcSwitch(b *testing.B) {
 	}
 }
 
+// BenchmarkProcSelfResume measures a park whose own dispatch comes next:
+// the process executes its wake event and resumes on its own stack, with
+// no switch — the cost of Advance with nothing else due.
+func BenchmarkProcSelfResume(b *testing.B) {
+	eng := New(1)
+	eng.Spawn("self", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Advance(1)
+		}
+	})
+	b.ResetTimer()
+	if err := eng.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkGateBroadcast measures waking a crowd of parked processes at
 // once — the barrier-release hot path.
 func BenchmarkGateBroadcast(b *testing.B) {

@@ -77,7 +77,8 @@ func TestKillWhileRunningStillRunsDefers(t *testing.T) {
 // TestProcPanicSurfacesOnRunCaller: a panic in a process body must
 // re-raise on the goroutine that called Run — where a failure harness
 // can recover it — naming the process, instead of crashing the process
-// goroutine while the engine runs on.
+// goroutine while the engine runs on. The body panics after resuming
+// itself in place, so the panic leaves through the coroutine's own exit.
 func TestProcPanicSurfacesOnRunCaller(t *testing.T) {
 	eng := New(1)
 	eng.Spawn("bomber", func(p *Proc) {
@@ -99,6 +100,9 @@ func TestProcPanicSurfacesOnRunCaller(t *testing.T) {
 	}()
 	if got.Proc != "bomber" || got.Value != "boom" {
 		t.Fatalf("ProcPanic = {%q %v}", got.Proc, got.Value)
+	}
+	if eng.inPlace != 1 {
+		t.Fatalf("%d in-place resumes, want 1", eng.inPlace)
 	}
 }
 

@@ -336,8 +336,10 @@ func (ln *Lane) runWindow() {
 		ln.cur = lrec{t: ln.now, seq: ev.seq, ref: ev.opRef, opLo: int32(len(ln.ops))}
 		if ev.fn != nil {
 			ev.fn()
-		} else {
+		} else if ev.gen != 0 {
 			ev.p.wakeIf(ev.gen)
+		} else {
+			ln.eng.dispatch(ev.p)
 		}
 		if ln.suspended {
 			return

@@ -317,7 +317,7 @@ func TestEventOrderDifferential(t *testing.T) {
 	if testing.Short() {
 		seeds = 30
 	}
-	var events int64
+	var events, inPlace int64
 	var heaped, rekeyed int
 	for seed := int64(1); seed <= seeds; seed++ {
 		r := newOrderRun(seed)
@@ -357,9 +357,10 @@ func TestEventOrderDifferential(t *testing.T) {
 		events += r.steps
 		heaped += r.heaped
 		rekeyed += r.rekeyed
+		inPlace += r.eng.inPlace
 	}
-	if heaped == 0 || rekeyed == 0 {
-		t.Fatalf("%d events: %d heap entries seen, %d fifos re-keyed: the programs did not exercise both", events, heaped, rekeyed)
+	if heaped == 0 || rekeyed == 0 || inPlace == 0 {
+		t.Fatalf("%d events: %d heap entries seen, %d fifos re-keyed, %d dispatches taken in place: the programs did not exercise all three", events, heaped, rekeyed, inPlace)
 	}
-	t.Logf("%d events, %d heap entries seen at boundaries, %d fifo re-keyings", events, heaped, rekeyed)
+	t.Logf("%d events, %d heap entries seen at boundaries, %d fifo re-keyings, %d dispatches taken in place", events, heaped, rekeyed, inPlace)
 }

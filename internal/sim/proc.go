@@ -35,10 +35,6 @@ type Proc struct {
 	waiting bool   // in a prepared sleep; with !done, what deadlock() reports
 	killed  bool
 	done    bool
-
-	// dispatchFn is the one dispatch closure this process ever allocates;
-	// every wake reschedules it instead of capturing p anew.
-	dispatchFn func()
 }
 
 // Spawn starts fn as a new process on lane 0. The process begins running
@@ -88,13 +84,12 @@ func (e *Engine) SpawnOn(ln *Lane, name string, fn func(p *Proc)) *Proc {
 		}()
 		fn(p)
 	})
-	p.dispatchFn = func() { e.dispatch(p) }
-	ln.sched(ln, 0, event{fn: p.dispatchFn})
+	ln.sched(ln, 0, event{p: p})
 	return p
 }
 
-// dispatch switches to p and returns, on the dispatching goroutine (the
-// engine, or the lane executor under Parallel), when p parks again.
+// dispatch switches to p and returns, on the dispatching goroutine (Run,
+// or the lane executor under Parallel), when p yields again.
 func (e *Engine) dispatch(p *Proc) {
 	if p.done {
 		return
@@ -109,7 +104,9 @@ func (e *Engine) dispatch(p *Proc) {
 	}
 }
 
-// park returns control to the dispatcher until the process is resumed.
+// park returns control to the dispatcher until the process is resumed. On
+// a serial engine the process first hosts the event loop (Engine.loop)
+// and yields only if a dispatch other than its own comes first.
 func (p *Proc) park() {
 	if p.killed {
 		// Killed while running (a failure injected from this process's
@@ -120,7 +117,12 @@ func (p *Proc) park() {
 		// dead process blocked forever.
 		panic(ErrKilled)
 	}
-	p.yield(struct{}{})
+	if e := p.eng; e.par != nil {
+		p.yield(struct{}{})
+	} else if !e.loop(p) {
+		e.hosted = true
+		p.yield(struct{}{})
+	}
 	if p.killed {
 		panic(ErrKilled)
 	}
@@ -178,16 +180,18 @@ func (p *Proc) doSleep() {
 	p.park()
 }
 
-// wakeIf resumes the process if it is still in the sleep identified by gen.
-// It is a no-op for stale tokens, so multiple wake sources (a value arriving
-// and a timeout) can race harmlessly. Must be called from the process's
-// own lane context (engine context on a serial engine).
-func (p *Proc) wakeIf(gen uint64) {
+// wakeIf resumes the process if it is still in the sleep identified by gen,
+// and reports whether it did. It is a no-op for stale tokens, so multiple
+// wake sources (a value arriving and a timeout) can race harmlessly. Must
+// be called from the process's own lane context (engine context on a
+// serial engine).
+func (p *Proc) wakeIf(gen uint64) bool {
 	if !p.waiting || p.sleeps != gen || p.done {
-		return
+		return false
 	}
 	p.waiting = false
-	p.ln.sched(p.ln, 0, event{fn: p.dispatchFn})
+	p.ln.sched(p.ln, 0, event{p: p})
+	return true
 }
 
 // Advance moves the process's virtual time forward by d nanoseconds,

@@ -254,8 +254,10 @@ func TestFinishedProcsLeaveNoGoroutines(t *testing.T) {
 }
 
 // TestProcSwitchAllocFree is the allocation gate for the process switch:
-// in steady state a park, its wake event and the dispatch back allocate
-// nothing.
+// in steady state a park, its wake event and the dispatch of another
+// process, handed back to Run, allocate nothing. Two processes advance in
+// lock step, so every dispatch is the other one's (TestInPlaceResumeAllocFree
+// has a process resuming itself).
 func TestProcSwitchAllocFree(t *testing.T) {
 	e := New(1)
 	allocs := -1.0
@@ -263,8 +265,16 @@ func TestProcSwitchAllocFree(t *testing.T) {
 		p.Advance(1) // first use sizes the event queues
 		allocs = testing.AllocsPerRun(1000, func() { p.Advance(1) })
 	})
+	e.Spawn("q", func(q *Proc) {
+		for i := 0; i < 1002; i++ {
+			q.Advance(1)
+		}
+	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if e.inPlace != 0 {
+		t.Fatalf("%d dispatches taken in place: the processes did not alternate", e.inPlace)
 	}
 	if allocs != 0 {
 		t.Fatalf("a park/dispatch round trip allocates %.2f objects", allocs)
@@ -299,21 +309,33 @@ func TestRunYieldsToScheduler(t *testing.T) {
 	}
 }
 
+// TestKillUnwindsDefers: the kill comes from a callback that the victim
+// itself executes while it hosts the loop; the victim unwinds at its next
+// resume, in place, running its defers, and every event counts once.
 func TestKillUnwindsDefers(t *testing.T) {
 	e := New(1)
 	f := e.NewFuture()
-	cleaned := false
+	cleaned, hosted := false, false
 	p := e.Spawn("victim", func(p *Proc) {
 		defer func() { cleaned = true }()
 		p.Await(f)
 		t.Error("victim ran past Await after kill")
 	})
-	e.At(100, func() { p.Kill() })
+	e.At(100, func() {
+		hosted = hosting()
+		p.Kill()
+	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !cleaned {
 		t.Fatal("deferred cleanup did not run on kill")
+	}
+	if !hosted || e.inPlace != 1 {
+		t.Fatalf("hosted %v, %d in-place resumes: the kill did not reach the victim in place", hosted, e.inPlace)
+	}
+	if e.Events() != 3 { // the first dispatch, the kill, the dispatch that unwinds
+		t.Fatalf("%d events, want 3", e.Events())
 	}
 }
 

@@ -31,21 +31,33 @@ func (m *Mutex) TryLock(p *Proc) bool {
 	return true
 }
 
-// Unlock releases the mutex and wakes the longest-waiting process, if any.
+// Unlock releases the mutex and wakes the longest-waiting live process, if
+// any.
 func (m *Mutex) Unlock() {
 	if !m.locked {
 		panic("sim: unlock of unlocked Mutex")
 	}
 	m.locked = false
 	m.holder = nil
-	if len(m.queue) > 0 {
-		w := m.queue[0]
-		// Slide down in place rather than re-slicing: m.queue[1:] would
-		// strand the backing array's head and force append to reallocate.
-		copy(m.queue, m.queue[1:])
-		m.queue = m.queue[:len(m.queue)-1]
-		w.p.wakeIf(w.gen)
+	m.queue = wakeHead(m.queue)
+}
+
+// wakeHead wakes the longest-waiting process of a FIFO queue that is still
+// in the sleep it queued with, and drops it and every entry ahead of it: a
+// process killed while queued has woken already, and handing it the wake
+// would leave the next waiter asleep for good.
+func wakeHead(q []waiter) []waiter {
+	for len(q) > 0 {
+		w := q[0]
+		// Slide down in place rather than re-slicing: q[1:] would strand
+		// the backing array's head and force append to reallocate.
+		copy(q, q[1:])
+		q = q[:len(q)-1]
+		if w.p.wakeIf(w.gen) {
+			break
+		}
 	}
+	return q
 }
 
 // Holder returns the process currently holding the mutex, or nil.
@@ -128,15 +140,11 @@ func (s *Semaphore) Acquire(p *Proc) {
 	s.avail--
 }
 
-// Release returns one permit and wakes the longest-waiting process, if any.
+// Release returns one permit and wakes the longest-waiting live process, if
+// any.
 func (s *Semaphore) Release() {
 	s.avail++
-	if len(s.queue) > 0 {
-		w := s.queue[0]
-		copy(s.queue, s.queue[1:])
-		s.queue = s.queue[:len(s.queue)-1]
-		w.p.wakeIf(w.gen)
-	}
+	s.queue = wakeHead(s.queue)
 }
 
 // Available returns the number of free permits.

@@ -150,3 +150,54 @@ func TestSemaphoreAvailable(t *testing.T) {
 		t.Fatalf("Available after release = %d", s.Available())
 	}
 }
+
+// TestReleaseSkipsKilledWaiter: a waiter killed while queued has woken
+// already (the kill woke it to unwind), so its entry must not take the
+// wake a release hands out; the next live waiter gets it. Handing it to
+// the dead entry left b asleep and the run in a deadlock.
+func TestReleaseSkipsKilledWaiter(t *testing.T) {
+	var m Mutex
+	s := NewSemaphore(1)
+	cases := []struct {
+		name   string
+		lock   func(*Proc)
+		unlock func()
+		queued func() int
+	}{
+		{"Semaphore", s.Acquire, s.Release, func() int { return len(s.queue) }},
+		{"Mutex", m.Lock, m.Unlock, func() int { return len(m.queue) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(1)
+			var got int64 = -1
+			e.Spawn("holder", func(p *Proc) {
+				tc.lock(p)
+				p.Advance(100)
+				tc.unlock()
+			})
+			a := e.Spawn("a", func(p *Proc) {
+				tc.lock(p)
+				t.Error("a acquired after it was killed")
+			})
+			e.Spawn("b", func(p *Proc) {
+				tc.lock(p)
+				got = p.Now()
+				tc.unlock()
+			})
+			e.At(50, a.Kill)
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got != 100 {
+				t.Fatalf("b acquired at t=%d, want 100", got)
+			}
+			if n := tc.queued(); n != 0 {
+				t.Fatalf("%d entries left queued", n)
+			}
+		})
+	}
+	if s.Available() != 1 || m.Holder() != nil {
+		t.Fatalf("left %d permits and holder %v", s.Available(), m.Holder())
+	}
+}
