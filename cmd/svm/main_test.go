@@ -56,7 +56,7 @@ func TestSubcommandSmoke(t *testing.T) {
 		{[]string{"fi", "-app", "counter", "-nodes", "6", "-degree", "3", "-pairs", "-budget", "1", "-seconds", "2", "-workers", "2"}, "2/2 pairs pass"},
 		{[]string{"fi", "-app", "counter", "-lock", "nic", "-budget", "6", "-workers", "2"}, "counter/small/n4/t1: 6/6 boundaries pass"},
 		{[]string{"fi", "-app", "counter", "-chaos", "burst", "-budget", "6"}, "counter/small/n4/t1: 6/6 boundaries pass"},
-		{[]string{"serve", "-scenarios", "storm", "-detect", "probe", "-requests", "60"}, "svmserve: 1 cells in"},
+		{[]string{"serve", "-scenarios", "storm", "-detect", "probe", "-requests", "60"}, "svm serve: 1 cells in"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			code, out, errw := runCapture(t, tc.args...)

@@ -74,7 +74,7 @@ func serveCmd(args []string, out, errw io.Writer) int {
 		}
 	}
 
-	fmt.Fprintf(out, "svmserve: %d scenarios x %d detection modes, %d nodes x %d thread(s), %d req/thread @ %s mean gap",
+	fmt.Fprintf(out, "svm serve: %d scenarios x %d detection modes, %d nodes x %d thread(s), %d req/thread @ %s mean gap",
 		len(*scenarios), len(*detects), base.Nodes, base.ThreadsPerNode, base.Requests, ms(base.MeanGapNs))
 	if base.KillAtNs > 0 {
 		fmt.Fprintf(out, ", kill node %d @ %s", base.Victim, ms(base.KillAtNs))
@@ -103,7 +103,7 @@ func serveCmd(args []string, out, errw io.Writer) int {
 			ms(ph.HealthyNs), ms(ph.UndetectedNs), ms(ph.DetectingNs),
 			ms(ph.RecoveryNs), ms(ph.RewarmNs), ms(ph.RestoredNs))
 	}
-	fmt.Fprintf(out, "svmserve: %d cells in %.1fms wall, %d FAILED\n", len(rs), float64(wall.Microseconds())/1000, failed)
+	fmt.Fprintf(out, "svm serve: %d cells in %.1fms wall, %d FAILED\n", len(rs), float64(wall.Microseconds())/1000, failed)
 	if failed > 0 {
 		return 1
 	}

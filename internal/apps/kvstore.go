@@ -111,6 +111,65 @@ func (tb *KVTable) SlotAddr(b, i int) int {
 	return tb.BucketAddr[b] + i*KVSlotBytes
 }
 
+// FindSlot scans bucket b for key and returns the slot holding it, or the
+// first empty slot if the key is not stored; -1 means the bucket is full.
+// The caller holds the bucket's lock.
+func (tb *KVTable) FindSlot(t *svm.Thread, b int, key uint64) int {
+	for i := 0; i < tb.SlotsPerBucket; i++ {
+		if k := t.ReadU64(tb.SlotAddr(b, i)); k == key || k == 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// Add stores key in slot i of bucket b (see FindSlot) and adds delta to
+// its value. The caller holds the bucket's lock.
+func (tb *KVTable) Add(t *svm.Thread, b, i int, key, delta uint64) {
+	addr := tb.SlotAddr(b, i)
+	t.WriteU64(addr, key)
+	v := t.ReadU64(addr + 8)
+	t.WriteU64(addr+8, v+delta)
+}
+
+// Check reads the whole table and compares it with want, the expected
+// total of every key. It reports the first of: a key stored outside its
+// bucket, a key stored twice in one bucket, a wrong number of keys, a
+// wrong total. Every slot is read whatever it finds.
+func (tb *KVTable) Check(t *svm.Thread, want map[uint64]uint64) error {
+	var first error
+	got := map[uint64]uint64{}
+	for b := 0; b < tb.Buckets; b++ {
+		seen := map[uint64]bool{}
+		for i := 0; i < tb.SlotsPerBucket; i++ {
+			k := t.ReadU64(tb.SlotAddr(b, i))
+			if k == 0 {
+				continue
+			}
+			if first == nil && tb.BucketOf(k) != b {
+				first = fmt.Errorf("key %d stored in wrong bucket %d", k, b)
+			}
+			if first == nil && seen[k] {
+				first = fmt.Errorf("key %d duplicated within bucket %d", k, b)
+			}
+			seen[k] = true
+			got[k] += t.ReadU64(tb.SlotAddr(b, i) + 8)
+		}
+	}
+	if first != nil {
+		return first
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("key count %d, want %d", len(got), len(want))
+	}
+	for k, wv := range want {
+		if got[k] != wv {
+			return fmt.Errorf("key %d = %d, want %d", k, got[k], wv)
+		}
+	}
+	return nil
+}
+
 // KVStore is the §6 "broader application domain" workload: a shared
 // hash-table key-value store under transactional per-bucket locking —
 // the access pattern of the back-end servers the paper's introduction
@@ -165,14 +224,7 @@ func KVStoreKeys(s Shape, buckets, slotsPerBucket, opsPerThread, keySpace int) *
 				key, delta := opFor(tid, st.Op)
 				b := tb.BucketOf(key)
 				t.Acquire(b)
-				slot := -1
-				for i := 0; i < slotsPerBucket; i++ {
-					k := t.ReadU64(tb.SlotAddr(b, i))
-					if k == key || k == 0 {
-						slot = i
-						break
-					}
-				}
+				slot := tb.FindSlot(t, b, key)
 				if slot < 0 {
 					// Identify the exact op that found the bucket full: the
 					// truncated stream is the root cause, and the distant
@@ -184,10 +236,7 @@ func KVStoreKeys(s Shape, buckets, slotsPerBucket, opsPerThread, keySpace int) *
 					t.Release(b)
 					return
 				}
-				addr := tb.SlotAddr(b, slot)
-				t.WriteU64(addr, key)
-				v := t.ReadU64(addr + 8)
-				t.WriteU64(addr+8, v+delta)
+				tb.Add(t, b, slot, key, delta)
 				t.Compute(500) // request parsing / hashing
 				st.Op++
 				t.Release(b)
@@ -213,33 +262,8 @@ func KVStoreKeys(s Shape, buckets, slotsPerBucket, opsPerThread, keySpace int) *
 					want[k] += d
 				}
 			}
-			got := map[uint64]uint64{}
-			for b := 0; b < buckets; b++ {
-				seen := map[uint64]bool{}
-				for i := 0; i < slotsPerBucket; i++ {
-					k := t.ReadU64(tb.SlotAddr(b, i))
-					if k == 0 {
-						continue
-					}
-					if tb.BucketOf(k) != b {
-						w.failf("key %d stored in wrong bucket %d", k, b)
-					}
-					if seen[k] {
-						w.failf("key %d duplicated within bucket %d", k, b)
-					}
-					seen[k] = true
-					got[k] += t.ReadU64(tb.SlotAddr(b, i) + 8)
-				}
-			}
-			if len(got) != len(want) {
-				w.failf("key count %d, want %d", len(got), len(want))
-				return
-			}
-			for k, wv := range want {
-				if got[k] != wv {
-					w.failf("key %d = %d, want %d", k, got[k], wv)
-					return
-				}
+			if err := tb.Check(t, want); err != nil {
+				w.failf("%v", err)
 			}
 		}
 

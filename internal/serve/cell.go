@@ -72,7 +72,16 @@ func RunCell(sp Spec) Result {
 	if err := w.Err(); err != nil {
 		return Result{Spec: sp, Err: err}
 	}
-	if err := cl.VerifyReplicas(); err != nil {
+	// A kill that no recovery followed (the victim died after its last
+	// protocol obligation, or after the run) leaves its homes unrebuilt:
+	// the availability invariant stands in for the replica invariant, as
+	// in explore's end-of-run check.
+	pt := cl.PhaseTimes()
+	holds := cl.VerifyReplicas
+	if pt.RecoverNs < pt.KillNs {
+		holds = cl.VerifyAvailability
+	}
+	if err := holds(); err != nil {
 		return Result{Spec: sp, Err: err}
 	}
 
@@ -80,7 +89,7 @@ func RunCell(sp Spec) Result {
 		Spec:       sp,
 		ExecNs:     cl.ExecTime(),
 		Hist:       obs.NewHistogram(),
-		Milestones: cl.PhaseTimes(),
+		Milestones: pt,
 	}
 	for tid := range d.done {
 		for i, dn := range d.done[tid] {

@@ -263,14 +263,7 @@ func (d *Driver) body(t *svm.Thread) {
 			key, delta, get := d.opFor(tid, i)
 			b := d.tb.BucketOf(key)
 			t.Acquire(b)
-			slot := -1
-			for s := 0; s < sp.SlotsPerBucket; s++ {
-				k := t.ReadU64(d.tb.SlotAddr(b, s))
-				if k == key || k == 0 {
-					slot = s
-					break
-				}
-			}
+			slot := d.tb.FindSlot(t, b, key)
 			if get {
 				if slot >= 0 {
 					_ = t.ReadU64(d.tb.SlotAddr(b, slot) + 8) // miss reads 0
@@ -283,10 +276,7 @@ func (d *Driver) body(t *svm.Thread) {
 					t.Release(b)
 					return
 				}
-				addr := d.tb.SlotAddr(b, slot)
-				t.WriteU64(addr, key)
-				v := t.ReadU64(addr + 8)
-				t.WriteU64(addr+8, v+delta)
+				d.tb.Add(t, b, slot, key, delta)
 			}
 			t.Compute(sp.ServiceNs)
 			st.Op++
@@ -314,28 +304,8 @@ func (d *Driver) body(t *svm.Thread) {
 				}
 			}
 		}
-		got := map[uint64]uint64{}
-		for b := 0; b < sp.Buckets; b++ {
-			for s := 0; s < sp.SlotsPerBucket; s++ {
-				k := t.ReadU64(d.tb.SlotAddr(b, s))
-				if k == 0 {
-					continue
-				}
-				if d.tb.BucketOf(k) != b {
-					d.w.Fail(fmt.Errorf("KVServe: key %d stored in wrong bucket %d", k, b))
-				}
-				got[k] += t.ReadU64(d.tb.SlotAddr(b, s) + 8)
-			}
-		}
-		if len(got) != len(want) {
-			d.w.Fail(fmt.Errorf("KVServe: %d keys stored, want %d", len(got), len(want)))
-			return
-		}
-		for k, wv := range want {
-			if got[k] != wv {
-				d.w.Fail(fmt.Errorf("KVServe: key %d = %d, want %d", k, got[k], wv))
-				return
-			}
+		if err := d.tb.Check(t, want); err != nil {
+			d.w.Fail(fmt.Errorf("KVServe: %w", err))
 		}
 	}
 

@@ -74,6 +74,28 @@ func TestServeKillPhases(t *testing.T) {
 	}
 }
 
+// TestServeKillAfterRun: a kill scheduled past the end of the stream
+// fires after every request completed, and no survivor ever learns of it.
+// The cell passes on the availability invariant and is all healthy phase.
+func TestServeKillAfterRun(t *testing.T) {
+	sp := DefaultSpec()
+	sp.Requests = 5
+	sp.KillAtNs = 999_999_999_999
+	r := RunCell(sp)
+	if r.Err != nil {
+		t.Fatalf("RunCell: %v", r.Err)
+	}
+	if want := int64(sp.Nodes * sp.ThreadsPerNode * sp.Requests); r.Completed != want {
+		t.Fatalf("completed %d requests, want %d", r.Completed, want)
+	}
+	if m := r.Milestones; m.KillNs != sp.KillAtNs || m.RecoverNs != 0 {
+		t.Fatalf("milestones %+v, want an unrecovered kill at %d", m, sp.KillAtNs)
+	}
+	if r.Phases.HealthyNs != r.ExecNs {
+		t.Fatalf("healthy phase %d != exec %d", r.Phases.HealthyNs, r.ExecNs)
+	}
+}
+
 // TestServeDeterminism: repeat runs of the same spec produce
 // byte-identical cell reports — the property the golden file's serve/
 // hashes rest on.
@@ -156,7 +178,7 @@ func TestServeOverflowReport(t *testing.T) {
 	if !strings.Contains(msg, "overflow") || !strings.Contains(msg, "thread ") {
 		t.Fatalf("overflow error %q does not identify the thread and op", msg)
 	}
-	if strings.Contains(msg, "keys stored") {
+	if strings.Contains(msg, "key count") {
 		t.Fatalf("overflow misreported as a verification diff: %q", msg)
 	}
 }

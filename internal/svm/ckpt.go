@@ -1,12 +1,10 @@
 package svm
 
 import (
-	"errors"
 	"fmt"
 
 	"ftsvm/internal/checkpoint"
 	"ftsvm/internal/obs"
-	"ftsvm/internal/vmmc"
 )
 
 // suspendSiblings models point A's sibling suspension (§4.4: updates of
@@ -147,20 +145,14 @@ func (t *Thread) saveThreadState(s *Thread) {
 			*m = ckptMsg{ThreadID: s.id, HomeNode: t.node.id, Snap: snap}
 			t.node.ep.Post(t.proc, backup, t.node.msgWire(backup, m), m)
 		}
-		err := t.node.ep.Fence(t.proc)
-		t.endWait(CompCheckpoint, t0)
-		if err == nil {
+		if t.fenced(CompCheckpoint, t0, "checkpoint deposit") {
 			if poisonScratch {
 				t.ckpt.poison()
 			}
 			return
 		}
-		t.ckpt = ckptScratch{} // what was posted may still be held
-		if errors.Is(err, vmmc.ErrNodeDead) {
-			// A backup died; recover and resend to the new backup set.
-			t.joinRecoveryErr(err)
-			continue
-		}
-		panic(fmt.Sprintf("svm: checkpoint deposit: %v", err))
+		// A backup died: resend to the new backup set from new storage,
+		// since what was posted may still be held.
+		t.ckpt = ckptScratch{}
 	}
 }

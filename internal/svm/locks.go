@@ -125,14 +125,7 @@ func (t *Thread) handOver(l int, ol *ownedLock) {
 		}
 		ol.rel = nil
 		*rel = lockRelease{Lock: l, Node: n.id, VT: n.vtSnapshot()}
-		prim := t.cl.lockHomes.Primary(l)
-		t.postLockMsg(prim, rel, n.msgWire(prim, rel))
-		if t.cl.opt.Mode == ModeFT {
-			for s := 1; s < t.cl.lockHomes.Degree(); s++ {
-				sec := t.cl.lockHomes.Replica(l, s)
-				t.postLockMsg(sec, rel, n.msgWire(sec, rel))
-			}
-		}
+		t.postLockReplicas(l, rel)
 		ol.rel = rel
 	default:
 		// Queue lock, uncontended: the lock stays cached on this node;
@@ -174,18 +167,39 @@ func (n *node) touchLock(l int) {
 	}
 }
 
-// postLockMsg sends a lock-protocol deposit, applying it locally when this
+// postLockReplicas posts lock message m to l's primary home and then, in
+// the extended protocol, to each secondary, applying it locally where this
 // node is the home.
-func (t *Thread) postLockMsg(dst int, payload any, size int) {
+func (t *Thread) postLockReplicas(l int, m wireMsg) {
 	n := t.node
-	if dst == n.id {
-		n.applyLockMsg(n.id, payload)
-		t.charge(CompLock, t.cl.cfg.ProtoOpNs)
-		return
+	k := 1
+	if t.cl.opt.Mode == ModeFT {
+		k = t.cl.lockHomes.Degree()
 	}
-	t.charge(CompLock, t.cl.cfg.NICPostOverheadNs)
+	for s := 0; s < k; s++ {
+		dst := t.cl.lockHomes.Replica(l, s)
+		size := n.msgWire(dst, m)
+		if dst == n.id {
+			n.applyLockMsg(n.id, m)
+			t.charge(CompLock, t.cl.cfg.ProtoOpNs)
+			continue
+		}
+		t.charge(CompLock, t.cl.cfg.NICPostOverheadNs)
+		t0 := t.beginWait()
+		n.ep.Post(t.proc, dst, size, m)
+		t.endWait(CompLock, t0)
+	}
+}
+
+// backoff sleeps a contended acquirer for a uniform draw from [lo, hi),
+// or lo when the window is empty, and charges the sleep to lock time.
+func (t *Thread) backoff(lo, hi int64) {
+	d := lo
+	if span := hi - lo; span > 0 {
+		d += t.proc.Int63n(span)
+	}
 	t0 := t.beginWait()
-	n.ep.Post(t.proc, dst, size, payload)
+	t.proc.Advance(d)
 	t.endWait(CompLock, t0)
 }
 
@@ -211,18 +225,12 @@ func (t *Thread) pollingAcquire(l int) proto.VectorTime {
 			t.probeCluster()
 			spinStart = t.proc.Now()
 		}
+		// FT ordering invariant: every secondary's element is posted
+		// before the primary read below, and per-sender FIFO delivers
+		// them first — so by the time the read reply grants the lock,
+		// all secondary replicas already record the new holder.
 		prim := t.cl.lockHomes.Primary(l)
-		t.postLockMsg(prim, set, set.wireBytes())
-		if ft {
-			// FT ordering invariant: every secondary's element is posted
-			// before the primary read below, and per-sender FIFO delivers
-			// them first — so by the time the read reply grants the lock,
-			// all secondary replicas already record the new holder.
-			for s := 1; s < t.cl.lockHomes.Degree(); s++ {
-				t.postLockMsg(t.cl.lockHomes.Replica(l, s), set, set.wireBytes())
-			}
-		}
-
+		t.postLockReplicas(l, set)
 		rep, err := t.lockReadVector(l, prim)
 		if err != nil {
 			t.joinRecoveryErr(err)
@@ -232,19 +240,8 @@ func (t *Thread) pollingAcquire(l int) proto.VectorTime {
 			return rep.VT
 		}
 		// Contended: clear our element and back off.
-		t.postLockMsg(prim, clr, clr.wireBytes())
-		if ft {
-			for s := 1; s < t.cl.lockHomes.Degree(); s++ {
-				t.postLockMsg(t.cl.lockHomes.Replica(l, s), clr, clr.wireBytes())
-			}
-		}
-		backoff := cfg.LockBackoffMinNs
-		if span := cfg.LockBackoffMaxNs - cfg.LockBackoffMinNs; span > 0 {
-			backoff += t.proc.Int63n(span)
-		}
-		t0 := t.beginWait()
-		t.proc.Advance(backoff)
-		t.endWait(CompLock, t0)
+		t.postLockReplicas(l, clr)
+		t.backoff(cfg.LockBackoffMinNs, cfg.LockBackoffMaxNs)
 	}
 }
 
@@ -336,13 +333,7 @@ func (t *Thread) nicAcquire(l int) proto.VectorTime {
 		if rep.Granted {
 			return rep.VT
 		}
-		backoff := cfg.LockBackoffMinNs / 2
-		if span := cfg.LockBackoffMaxNs/2 - backoff; span > 0 {
-			backoff += t.proc.Int63n(span)
-		}
-		t0 := t.beginWait()
-		t.proc.Advance(backoff)
-		t.endWait(CompLock, t0)
+		t.backoff(cfg.LockBackoffMinNs/2, cfg.LockBackoffMaxNs/2)
 	}
 }
 

@@ -230,39 +230,7 @@ func (t *Thread) releaseBase(afterVisible func()) {
 		n.releaseSeq++
 		return
 	}
-	cfg := t.cl.cfg
-	if t.cl.opt.AggregateDiffs {
-		batches := map[int]*diffBatch{}
-		for _, c := range caps {
-			home := t.cl.pageHomes.Primary(c.pid)
-			b := batches[home]
-			if b == nil {
-				b = &diffBatch{}
-				batches[home] = b
-			}
-			b.Items = append(b.Items, t.rel.diffMsg(c, n.id, itv, 0))
-		}
-		t.postBatches(batches)
-	} else {
-		for _, c := range caps {
-			home := t.cl.pageHomes.Primary(c.pid)
-			m := t.rel.diffMsg(c, n.id, itv, 0)
-			t.node.stats.DiffMsgs++
-			t.node.stats.DiffBytes += int64(m.wireBytes())
-			t.charge(CompDiff, cfg.NICPostOverheadNs)
-			t0 := t.beginWait()
-			n.ep.Post(t.proc, home, m.wireBytes(), m)
-			t.endWait(CompDiff, t0)
-		}
-	}
-	t0 := t.beginWait()
-	err := n.ep.Fence(t.proc)
-	t.endWait(CompDiff, t0)
-	if err != nil {
-		// The base protocol is the failure-free baseline; a node failure
-		// under it is fatal by design.
-		panic(fmt.Sprintf("svm: base protocol diff propagation failed: %v", err))
-	}
+	t.propagate(caps, itv, 0, 1)
 	n.releaseSeq++
 	t.cl.trace(obs.KReleaseDone, n.id, t.id, n.releaseSeq)
 }
@@ -294,32 +262,16 @@ func (t *Thread) releaseFT(afterVisible func()) {
 	// diff that already landed is idempotent (diffs carry absolute words).
 	epoch := t.cl.rec.epoch
 
-	if itv != 0 && t.cl.opt.UnsafeSinglePhase {
-		// Ablation: both copies updated concurrently under one fence —
-		// one round-trip cheaper, no roll-forward/roll-back guarantee.
-		t.propagateSinglePhase(caps, itv)
-		t.cl.trace(obs.KReleasePhase1, n.id, t.id, n.releaseSeq+1)
-		t.saveTimestamp(itv, caps)
-		t.cl.trace(obs.KReleaseSaveTS, n.id, t.id, n.releaseSeq+1)
-		t.cl.trace(obs.KReleaseCkptB, n.id, t.id, n.releaseSeq+1)
-		if afterVisible != nil {
-			afterVisible()
-		}
-		for t.cl.rec.epoch != epoch {
-			epoch = t.cl.rec.epoch
-			t.propagateSinglePhase(caps, itv)
-		}
-		for _, c := range caps {
-			pg := n.pt.page(c.pid)
-			pg.locked = false
-			pg.lockGate.Broadcast()
-		}
-		n.releaseSeq++
-		t.cl.trace(obs.KReleaseDone, n.id, t.id, n.releaseSeq)
-		return
+	// Phase 1 fans out to every secondary slot (1..k-1), phase 2 goes to
+	// the primary alone (slot 0). The single-phase ablation updates both
+	// copies under phase 1's one fence, slots 1..k — one round-trip
+	// cheaper, no roll-forward/roll-back guarantee.
+	hi1, twoPhase := t.cl.pageHomes.Degree(), !t.cl.opt.UnsafeSinglePhase
+	if !twoPhase {
+		hi1++
 	}
 	if itv != 0 {
-		t.propagatePhase(caps, itv, 1)
+		t.propagate(caps, itv, 1, hi1)
 		t.cl.trace(obs.KReleasePhase1, n.id, t.id, n.releaseSeq+1)
 		t.saveTimestamp(itv, caps)
 		t.cl.trace(obs.KReleaseSaveTS, n.id, t.id, n.releaseSeq+1)
@@ -335,15 +287,21 @@ func (t *Thread) releaseFT(afterVisible func()) {
 	}
 
 	if itv != 0 {
-		t.propagatePhase(caps, itv, 2)
+		if twoPhase {
+			t.propagate(caps, itv, 0, 1)
+		}
 		for t.cl.rec.epoch != epoch {
 			// Recovery intervened since the pre-phase-1 snapshot: the
 			// current homes may hold replicas built without this interval.
 			epoch = t.cl.rec.epoch
-			t.propagatePhase(caps, itv, 1)
-			t.propagatePhase(caps, itv, 2)
+			t.propagate(caps, itv, 1, hi1)
+			if twoPhase {
+				t.propagate(caps, itv, 0, 1)
+			}
 		}
-		t.cl.trace(obs.KReleasePhase2, n.id, t.id, n.releaseSeq+1)
+		if twoPhase {
+			t.cl.trace(obs.KReleasePhase2, n.id, t.id, n.releaseSeq+1)
+		}
 		for _, c := range caps {
 			pg := n.pt.page(c.pid)
 			pg.locked = false
@@ -354,24 +312,95 @@ func (t *Thread) releaseFT(afterVisible func()) {
 	t.cl.trace(obs.KReleaseDone, n.id, t.id, n.releaseSeq)
 }
 
-// postBatches ships aggregated diff batches, one message per destination
-// home.
-func (t *Thread) postBatches(batches map[int]*diffBatch) {
-	n := t.node
-	cfg := t.cl.cfg
-	// Deterministic destination order.
-	for dst := 0; dst < cfg.Nodes; dst++ {
-		b := batches[dst]
-		if b == nil {
-			continue
+// propagate ships the captured diffs to home slots lo..hi-1 (shipDiffs)
+// and fences them. If a destination home died, the thread participates in
+// recovery and resends to the re-homed assignment; re-applying a diff that
+// already arrived is idempotent.
+func (t *Thread) propagate(caps []capturedDiff, itv int32, lo, hi int) {
+	for {
+		t.shipDiffs(caps, itv, lo, hi)
+		if t.fenced(CompDiff, t.beginWait(), "diff propagation") {
+			return
 		}
-		t.node.stats.DiffMsgs++
-		t.node.stats.DiffBytes += int64(b.wireBytes())
-		t.charge(CompDiff, cfg.NICPostOverheadNs)
-		t0 := t.beginWait()
-		n.ep.Post(t.proc, dst, b.wireBytes(), b)
-		t.endWait(CompDiff, t0)
 	}
+}
+
+// shipDiffs posts each captured diff, in capture order, to home slots
+// lo..hi-1 of its page, taken mod k, and applies it in place where this
+// node is the home. Slot 0 carries phase 2 (the committed copy; phase 0
+// in the base protocol), every other slot phase 1 (a tentative copy).
+// Under AggregateDiffs the diffs travel in one batch per home, posted in
+// home-id order after the loop.
+func (t *Thread) shipDiffs(caps []capturedDiff, itv int32, lo, hi int) {
+	n := t.node
+	k := t.cl.pageHomes.Degree()
+	ft := t.cl.opt.Mode == ModeFT
+	agg := t.cl.opt.AggregateDiffs
+	batches := map[int]*diffBatch{}
+	for _, c := range caps {
+		for s := lo; s < hi; s++ {
+			dst := t.cl.pageHomes.Replica(c.pid, s%k)
+			phase := 1
+			switch {
+			case !ft:
+				phase = 0
+			case s%k == 0:
+				phase = 2
+			}
+			if dst == n.id {
+				t.applyLocalDiff(c, itv, phase)
+				continue
+			}
+			m := t.rel.diffMsg(c, n.id, itv, phase)
+			if !agg {
+				t.postDiff(dst, m.wireBytes(), m)
+				continue
+			}
+			b := batches[dst]
+			if b == nil {
+				b = &diffBatch{}
+				batches[dst] = b
+			}
+			b.Items = append(b.Items, m)
+		}
+	}
+	if !agg {
+		return
+	}
+	for dst := 0; dst < t.cl.cfg.Nodes; dst++ {
+		if b := batches[dst]; b != nil {
+			t.postDiff(dst, b.wireBytes(), b)
+		}
+	}
+}
+
+// postDiff posts one diff message or batch and accounts for it.
+func (t *Thread) postDiff(dst, size int, m wireMsg) {
+	t.node.stats.DiffMsgs++
+	t.node.stats.DiffBytes += int64(size)
+	t.charge(CompDiff, t.cl.cfg.NICPostOverheadNs)
+	t0 := t.beginWait()
+	t.node.ep.Post(t.proc, dst, size, m)
+	t.endWait(CompDiff, t0)
+}
+
+// fenced waits for everything this node posted to land, charging the
+// wait since t0 to c, and reports whether it all did. A dead destination
+// in the extended protocol makes the thread join recovery and report
+// false: the caller resends to the re-homed set. Any other error panics —
+// the base protocol is the failure-free baseline, so a node failure under
+// it is fatal by design.
+func (t *Thread) fenced(c Component, t0 int64, what string) bool {
+	err := t.node.ep.Fence(t.proc)
+	t.endWait(c, t0)
+	if err == nil {
+		return true
+	}
+	if t.cl.opt.Mode == ModeFT && errors.Is(err, vmmc.ErrNodeDead) {
+		t.joinRecoveryErr(err)
+		return false
+	}
+	panic(fmt.Sprintf("svm: %s: %v", what, err))
 }
 
 // clearWriters resets last-writer marks after a commit. With a dirty
@@ -456,110 +485,6 @@ func (t *Thread) splitDeferred(pg *page, d *mem.Diff) bool {
 	return deferred
 }
 
-// propagateSinglePhase ships every captured diff to both homes at once
-// (the UnsafeSinglePhase ablation): one fence instead of two ordered ones.
-func (t *Thread) propagateSinglePhase(caps []capturedDiff, itv int32) {
-	n := t.node
-	cfg := t.cl.cfg
-	deg := t.cl.pageHomes.Degree()
-	for {
-		for _, c := range caps {
-			// Phase-1 targets are every secondary slot (tentative copies),
-			// phase 2 the primary (committed copy) — at degree 2 exactly
-			// the secondary/primary pair.
-			for s := 1; s <= deg; s++ {
-				phase, dst := 1, 0
-				if s == deg {
-					phase, dst = 2, t.cl.pageHomes.Primary(c.pid)
-				} else {
-					dst = t.cl.pageHomes.Replica(c.pid, s)
-				}
-				if dst == n.id {
-					t.applyLocalDiff(c, itv, phase)
-					continue
-				}
-				m := t.rel.diffMsg(c, n.id, itv, phase)
-				t.node.stats.DiffMsgs++
-				t.node.stats.DiffBytes += int64(m.wireBytes())
-				t.charge(CompDiff, cfg.NICPostOverheadNs)
-				t0 := t.beginWait()
-				n.ep.Post(t.proc, dst, m.wireBytes(), m)
-				t.endWait(CompDiff, t0)
-			}
-		}
-		t0 := t.beginWait()
-		err := n.ep.Fence(t.proc)
-		t.endWait(CompDiff, t0)
-		if err == nil {
-			return
-		}
-		if errors.Is(err, vmmc.ErrNodeDead) {
-			t.joinRecoveryErr(err)
-			continue
-		}
-		panic(fmt.Sprintf("svm: single-phase propagation: %v", err))
-	}
-}
-
-// propagatePhase ships the captured diffs to the phase's home set
-// (1 = secondary/tentative, 2 = primary/committed). Diffs to this node's
-// own home copies are applied locally. If a destination home died, the
-// thread participates in recovery and retries against the re-homed
-// assignment; re-applying a diff that already arrived is idempotent.
-func (t *Thread) propagatePhase(caps []capturedDiff, itv int32, phase int) {
-	n := t.node
-	cfg := t.cl.cfg
-	// Phase 1 fans out to every secondary slot (1..k-1); phase 2 goes to
-	// the primary alone. At degree 2 the slot loop visits exactly the
-	// seed's single secondary, keeping the event stream bit-identical.
-	lo, hi := 0, 1
-	if phase == 1 {
-		lo, hi = 1, t.cl.pageHomes.Degree()
-	}
-	for {
-		batches := map[int]*diffBatch{}
-		for _, c := range caps {
-			for s := lo; s < hi; s++ {
-				dst := t.cl.pageHomes.Replica(c.pid, s)
-				if dst == n.id {
-					t.applyLocalDiff(c, itv, phase)
-					continue
-				}
-				m := t.rel.diffMsg(c, n.id, itv, phase)
-				if t.cl.opt.AggregateDiffs {
-					b := batches[dst]
-					if b == nil {
-						b = &diffBatch{}
-						batches[dst] = b
-					}
-					b.Items = append(b.Items, m)
-					continue
-				}
-				t.node.stats.DiffMsgs++
-				t.node.stats.DiffBytes += int64(m.wireBytes())
-				t.charge(CompDiff, cfg.NICPostOverheadNs)
-				t0 := t.beginWait()
-				n.ep.Post(t.proc, dst, m.wireBytes(), m)
-				t.endWait(CompDiff, t0)
-			}
-		}
-		if t.cl.opt.AggregateDiffs {
-			t.postBatches(batches)
-		}
-		t0 := t.beginWait()
-		err := n.ep.Fence(t.proc)
-		t.endWait(CompDiff, t0)
-		if err == nil {
-			return
-		}
-		if errors.Is(err, vmmc.ErrNodeDead) {
-			t.joinRecoveryErr(err)
-			continue // homes were reassigned; resend the phase
-		}
-		panic(fmt.Sprintf("svm: phase %d propagation: %v", phase, err))
-	}
-}
-
 // applyLocalDiff applies one of this node's own diffs to its local home
 // copy (primary homes hold committed copies, secondary homes tentative).
 func (t *Thread) applyLocalDiff(c capturedDiff, itv int32, phase int) {
@@ -629,17 +554,11 @@ func (t *Thread) saveTimestamp(itv int32, caps []capturedDiff) {
 		for _, backup := range backups {
 			n.ep.Post(t.proc, backup, n.msgWire(backup, m), m)
 		}
-		err := n.ep.Fence(t.proc)
 		// The deposit's bulk is the point-B thread state; the paper counts
-		// remote state saving under checkpointing.
-		t.endWait(CompCheckpoint, t0)
-		if err == nil {
+		// remote state saving under checkpointing. A dead backup means the
+		// set is reassigned: save again.
+		if t.fenced(CompCheckpoint, t0, "timestamp save") {
 			return
 		}
-		if errors.Is(err, vmmc.ErrNodeDead) {
-			t.joinRecoveryErr(err)
-			continue // backup set reassigned; save again
-		}
-		panic(fmt.Sprintf("svm: timestamp save: %v", err))
 	}
 }

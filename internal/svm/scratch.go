@@ -11,9 +11,9 @@ import "ftsvm/internal/mem"
 // largest release.
 //
 // All of it stays valid from commitInterval until recycle, which
-// performRelease calls after the release's last fence: after phase 2 and
-// any recovery re-propagation in the extended protocol, after the fence in
-// releaseBase, after the loop in propagateSinglePhase. By then every
+// performRelease calls after the release's last fence: that of its last
+// propagate, which in the extended protocol comes after phase 2 and any
+// recovery re-propagation. By then every
 // message that points into the scratch has been delivered (or has failed
 // at a dead destination), so only what a receiver kept could still point
 // here — and receivers keep copies (applyDiffMsg, storeSavedTS, and the

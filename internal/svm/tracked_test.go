@@ -298,9 +298,7 @@ func TestPollingRoundAllocBudget(t *testing.T) {
 				t.Errorf("an uncontended poll round granted with timestamp %v", vt)
 			}
 			// Hand the element back at every home, as a release would.
-			for s := 0; s < th.cl.lockHomes.Degree(); s++ {
-				th.postLockMsg(th.cl.lockHomes.Replica(0, s), &ol.clr, ol.clr.wireBytes())
-			}
+			th.postLockReplicas(0, &ol.clr)
 		}
 		for i := 0; i < 100; i++ {
 			round()
