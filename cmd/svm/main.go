@@ -256,8 +256,8 @@ func (p *profiles) close(errw io.Writer, code *int) {
 	}
 }
 
-// finish runs cl to completion and checks that every thread finished and
-// the workload's own result verification passed.
+// finish runs cl to completion and checks that every thread finished,
+// the workload's own result verification passed and the replicas hold.
 func finish(cl *svm.Cluster, w *apps.Workload) error {
 	if err := cl.Run(); err != nil {
 		return fmt.Errorf("simulation error: %w", err)
@@ -267,6 +267,9 @@ func finish(cl *svm.Cluster, w *apps.Workload) error {
 	}
 	if err := w.Err(); err != nil {
 		return fmt.Errorf("result verification: %w", err)
+	}
+	if err := cl.VerifyReplicas(); err != nil {
+		return fmt.Errorf("replica verification: %w", err)
 	}
 	return nil
 }

@@ -132,7 +132,7 @@ func Record(sp Spec) (*Trace, error) {
 	if !cl.Finished() {
 		return nil, fmt.Errorf("explore: %s baseline run did not finish", sp.Name)
 	}
-	if err := x.verify(&log, false); err != nil {
+	if err := x.verify(&log); err != nil {
 		return nil, fmt.Errorf("explore: %s baseline check: %w", sp.Name, err)
 	}
 	return &Trace{
@@ -249,9 +249,8 @@ type Verdict struct {
 	// Recoveries counts completed recovery episodes. Zero with a kill
 	// injected means the failure went undetected: the victim had no
 	// remaining protocol obligations, so no survivor ever contacted it —
-	// the run is then held to the availability invariant (committed state
-	// intact on live homes) instead of the post-recovery replica
-	// invariant.
+	// and VerifyReplicas holds the victim's pages to the availability
+	// invariant (committed state intact on live homes).
 	Recoveries int64 `json:"recoveries"`
 	// Fingerprint hashes the run's full event stream and final committed
 	// memory: two runs of the same schedule must produce equal values.
@@ -350,7 +349,7 @@ func replay(sp Spec, schedule []Boundary, budget int64, ring int) (v Verdict, re
 	case !cl.Finished():
 		v.Err = "surviving threads did not finish"
 	default:
-		if err := x.verify(&log, v.Recoveries < int64(len(v.Injected))); err != nil {
+		if err := x.verify(&log); err != nil {
 			v.Err = err.Error()
 		}
 	}
@@ -360,22 +359,14 @@ func replay(sp Spec, schedule []Boundary, budget int64, ring int) (v Verdict, re
 
 // verify is the check every finished run ends in: the workload's
 // self-check, the replica invariant, then the oracle's replay of log.
-// After an undetected kill (the victim died after its last protocol
-// obligation, so nothing probed it and nobody rehomed its pages) the
-// availability invariant stands in for the replica invariant.
-func (x *execution) verify(log *oracle.Log, undetected bool) error {
+func (x *execution) verify(log *oracle.Log) error {
 	if err := x.Check(); err != nil {
 		return err
 	}
-	cl := x.Cluster
-	holds := cl.VerifyReplicas
-	if undetected {
-		holds = cl.VerifyAvailability
-	}
-	if err := holds(); err != nil {
+	if err := x.Cluster.VerifyReplicas(); err != nil {
 		return err
 	}
-	return checkOracle(cl, log)
+	return checkOracle(x.Cluster, log)
 }
 
 // checkOracle replays the run's commit log up to the cluster's final

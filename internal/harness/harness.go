@@ -365,7 +365,9 @@ func NewCluster(c Config) (*svm.Cluster, *apps.Workload, error) {
 	return cl, w, err
 }
 
-// Run executes one experiment cell.
+// Run executes one experiment cell to a verified finish: every thread
+// done, the workload's self-check passed and the replicas holding
+// (svm.Cluster.VerifyReplicas).
 func Run(c Config) Result {
 	var kind obs.Kind
 	if c.KillKind != "" {
@@ -398,6 +400,9 @@ func Run(c Config) Result {
 		return Result{Config: c, Err: fmt.Errorf("harness: %s did not finish", c.App)}
 	}
 	if err := w.Err(); err != nil {
+		return Result{Config: c, Err: err}
+	}
+	if err := cl.VerifyReplicas(); err != nil {
 		return Result{Config: c, Err: err}
 	}
 	r := Result{

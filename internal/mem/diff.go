@@ -326,12 +326,3 @@ func (d *Diff) Clone() *Diff {
 	}
 	return c
 }
-
-// FirstOff returns the offset of the first run, or -1 for an empty diff
-// (diagnostic helper).
-func (d *Diff) FirstOff() int {
-	if len(d.Runs) == 0 {
-		return -1
-	}
-	return d.Runs[0].Off
-}

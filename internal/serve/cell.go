@@ -72,16 +72,7 @@ func RunCell(sp Spec) Result {
 	if err := w.Err(); err != nil {
 		return Result{Spec: sp, Err: err}
 	}
-	// A kill that no recovery followed (the victim died after its last
-	// protocol obligation, or after the run) leaves its homes unrebuilt:
-	// the availability invariant stands in for the replica invariant, as
-	// in explore's end-of-run check.
-	pt := cl.PhaseTimes()
-	holds := cl.VerifyReplicas
-	if pt.RecoverNs < pt.KillNs {
-		holds = cl.VerifyAvailability
-	}
-	if err := holds(); err != nil {
+	if err := cl.VerifyReplicas(); err != nil {
 		return Result{Spec: sp, Err: err}
 	}
 
@@ -89,7 +80,7 @@ func RunCell(sp Spec) Result {
 		Spec:       sp,
 		ExecNs:     cl.ExecTime(),
 		Hist:       obs.NewHistogram(),
-		Milestones: pt,
+		Milestones: cl.PhaseTimes(),
 	}
 	for tid := range d.done {
 		for i, dn := range d.done[tid] {

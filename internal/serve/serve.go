@@ -202,16 +202,6 @@ func NewDriver(sp Spec, pageSize int) (*Driver, error) {
 // harness.Build integration).
 func (d *Driver) Workload() *apps.Workload { return d.w }
 
-// Table returns the bucket table layout.
-func (d *Driver) Table() *apps.KVTable { return d.tb }
-
-// Arrivals returns thread tid's absolute arrival schedule.
-func (d *Driver) Arrivals(tid int) []int64 { return d.arrive[tid] }
-
-// Completions returns thread tid's completion times (0 = never
-// completed). Valid after the run.
-func (d *Driver) Completions(tid int) []int64 { return d.done[tid] }
-
 // zipfCDF returns the cumulative distribution over key ranks 1..n with
 // weight 1/rank^s, normalized so the last entry is exactly 1.
 func zipfCDF(n int, s float64) []float64 {

@@ -168,14 +168,8 @@ func (e *Engine) Lane(i int) *Lane {
 	return e.lanes[i]
 }
 
-// Lanes returns the current number of lanes.
-func (e *Engine) Lanes() int { return len(e.lanes) }
-
 // ID returns the lane's index.
 func (ln *Lane) ID() int { return ln.id }
-
-// LaneEngine returns the engine this lane partitions.
-func (ln *Lane) LaneEngine() *Engine { return ln.eng }
 
 // parRun is the parallel-mode runtime: a persistent worker pool fed one
 // lane per window assignment.

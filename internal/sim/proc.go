@@ -15,8 +15,8 @@ var ErrKilled = errors.New("sim: process killed")
 // Parallel, at most one process per lane executes at a time, and all state
 // a process touches must be local to its lane. Process code needs no
 // data-race protection for state it shares with other processes on the
-// same lane — only logical critical sections (Mutex) for state invariants
-// that must span blocking calls.
+// same lane — only logical critical sections (a Semaphore of one permit)
+// for state invariants that must span blocking calls.
 type Proc struct {
 	eng  *Engine
 	ln   *Lane

@@ -358,18 +358,18 @@ func TestKillDuringAdvance(t *testing.T) {
 	}
 }
 
-func TestMutexFIFO(t *testing.T) {
+func TestSemaphoreFIFO(t *testing.T) {
 	e := New(1)
-	var m Mutex
+	sem := NewSemaphore(1)
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
 		e.Spawn("p", func(p *Proc) {
 			p.Advance(int64(i)) // stagger arrival: 0, 1, 2
-			m.Lock(p)
+			sem.Acquire(p)
 			order = append(order, i)
 			p.Advance(100)
-			m.Unlock()
+			sem.Release()
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -377,26 +377,26 @@ func TestMutexFIFO(t *testing.T) {
 	}
 	for i, v := range order {
 		if v != i {
-			t.Fatalf("mutex order = %v, want FIFO", order)
+			t.Fatalf("acquire order = %v, want FIFO", order)
 		}
 	}
 }
 
-func TestMutexExclusion(t *testing.T) {
+func TestSemaphoreExclusion(t *testing.T) {
 	e := New(1)
-	var m Mutex
+	sem := NewSemaphore(1)
 	inside := 0
 	maxInside := 0
 	for i := 0; i < 5; i++ {
 		e.Spawn("p", func(p *Proc) {
-			m.Lock(p)
+			sem.Acquire(p)
 			inside++
 			if inside > maxInside {
 				maxInside = inside
 			}
 			p.Advance(10)
 			inside--
-			m.Unlock()
+			sem.Release()
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -459,16 +459,16 @@ func TestDeterminism(t *testing.T) {
 	run := func() (int64, []int) {
 		e := New(42)
 		var trace []int
-		var m Mutex
+		sem := NewSemaphore(1)
 		for i := 0; i < 8; i++ {
 			i := i
 			e.Spawn("p", func(p *Proc) {
 				for j := 0; j < 5; j++ {
 					p.Advance(e.Rand().Int63n(100) + 1)
-					m.Lock(p)
+					sem.Acquire(p)
 					trace = append(trace, i)
 					p.Advance(7)
-					m.Unlock()
+					sem.Release()
 				}
 			})
 		}

@@ -1,47 +1,5 @@
 package sim
 
-// Mutex is a FIFO mutual-exclusion lock for simulated processes. Because
-// processes run one at a time, a Mutex is only needed to protect invariants
-// across *blocking* calls (Advance, Await, network operations), not against
-// data races.
-type Mutex struct {
-	locked bool
-	holder *Proc
-	queue  []waiter
-}
-
-// Lock blocks p until the mutex is available, with FIFO fairness.
-func (m *Mutex) Lock(p *Proc) {
-	for m.locked {
-		gen := p.prepareSleep()
-		m.queue = append(m.queue, waiter{p, gen})
-		p.doSleep()
-	}
-	m.locked = true
-	m.holder = p
-}
-
-// TryLock acquires the mutex if it is free and reports whether it did.
-func (m *Mutex) TryLock(p *Proc) bool {
-	if m.locked {
-		return false
-	}
-	m.locked = true
-	m.holder = p
-	return true
-}
-
-// Unlock releases the mutex and wakes the longest-waiting live process, if
-// any.
-func (m *Mutex) Unlock() {
-	if !m.locked {
-		panic("sim: unlock of unlocked Mutex")
-	}
-	m.locked = false
-	m.holder = nil
-	m.queue = wakeHead(m.queue)
-}
-
 // wakeHead wakes the longest-waiting process of a FIFO queue that is still
 // in the sleep it queued with, and drops it and every entry ahead of it: a
 // process killed while queued has woken already, and handing it the wake
@@ -59,9 +17,6 @@ func wakeHead(q []waiter) []waiter {
 	}
 	return q
 }
-
-// Holder returns the process currently holding the mutex, or nil.
-func (m *Mutex) Holder() *Proc { return m.holder }
 
 // Gate is a broadcast condition: processes Wait on it and a Broadcast wakes
 // every current waiter. There is no lost-wakeup hazard in the cooperative

@@ -67,12 +67,11 @@ func (cl *Cluster) PeekU64(addr int) uint64 {
 }
 
 // DebugPage summarizes one page's replica state across all nodes for
-// diagnostics: homes, copy presence, version vectors, and the first byte
-// at which the two replicas diverge (-1 if equal).
+// diagnostics: homes, copy presence, version vectors, and for each
+// secondary home the first byte at which its tentative copy diverges from
+// the primary's committed copy (-1 if equal or either copy is missing).
 func (cl *Cluster) DebugPage(p int) string {
-	P := cl.pageHomes.Primary(p)
-	S := cl.pageHomes.Secondary(p)
-	out := fmt.Sprintf("page %d: P=n%d S=n%d\n", p, P, S)
+	out := fmt.Sprintf("page %d: homes %v\n", p, homesOf(cl.pageHomes, p))
 	for i, nd := range cl.nodes {
 		pg := nd.pt.page(p)
 		out += fmt.Sprintf("  n%d dead=%v state=%v commit=%v%v tent=%v%v work=%v base=%v req=%v lastItv=%d\n",
@@ -81,17 +80,15 @@ func (cl *Cluster) DebugPage(p int) string {
 			pg.tentative != nil, pg.tentVer,
 			pg.working != nil, pg.baseVer, pg.reqVer, pg.lastLocalItv)
 	}
-	pgP, pgS := cl.nodes[P].pt.page(p), cl.nodes[S].pt.page(p)
-	div := -1
-	if pgP.committed != nil && pgS.tentative != nil {
-		for i := range pgP.committed {
-			if pgP.committed[i] != pgS.tentative[i] {
-				div = i
-				break
-			}
+	prim, _ := cl.homeCopy(p, 0)
+	for s := 1; s < cl.pageHomes.Degree(); s++ {
+		div := -1
+		if tent, _ := cl.homeCopy(p, s); prim != nil && tent != nil {
+			div = firstDiff(prim, tent)
 		}
+		out += fmt.Sprintf("  slot %d n%d first divergence: %d\n", s, cl.pageHomes.Replica(p, s), div)
 	}
-	return out + fmt.Sprintf("  first divergence: %d\n", div)
+	return out
 }
 
 // DebugState summarizes a thread's liveness for diagnostics.

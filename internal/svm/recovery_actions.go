@@ -60,7 +60,8 @@ func (t *Thread) reconcilePages(deads []int, saveds []*savedState) {
 				if pgP.committed == nil && pgS.tentative == nil {
 					continue
 				}
-				ensureHomeCopies(cl, pgP, pgS)
+				ensureCommitted(cl, pgP)
+				ensureTentative(cl, pgS)
 				visit(pgP, pgS)
 			}
 		}
@@ -70,7 +71,9 @@ func (t *Thread) reconcilePages(deads []int, saveds []*savedState) {
 			cv, dv := pgP.commitVer[dead], pgS.tentVer[dead]
 			if dv > cv && dv > saveds[di].ts[dead] {
 				// Roll back: undo exactly the dead node's tentative update
-				// using the pre-image that rode with the phase-1 diff.
+				// using the pre-image that rode with the phase-1 diff. Unlike
+				// cancelUnsaved, this returns the copy to the primary's
+				// committed version cv, not to the saved timestamp.
 				if rec, ok := pgS.undoFrom[dead]; ok && rec.interval == dv {
 					rec.undo.Apply(pgS.tentative)
 				}
@@ -125,18 +128,35 @@ func (t *Thread) reconcilePages(deads []int, saveds []*savedState) {
 	}
 }
 
-func ensureHomeCopies(cl *Cluster, pgP, pgS *page) {
-	ensureCommitted(cl, pgP)
-	if pgS.tentative == nil {
-		pgS.tentative = pgS.pt.node.getPageBufZero()
-		pgS.tentVer = proto.NewVector(cl.cfg.Nodes)
-	}
-}
-
 func ensureCommitted(cl *Cluster, pg *page) {
 	if pg.committed == nil {
 		pg.committed = pg.pt.node.getPageBufZero()
 		pg.commitVer = proto.NewVector(cl.cfg.Nodes)
+	}
+}
+
+func ensureTentative(cl *Cluster, pg *page) {
+	if pg.tentative == nil {
+		pg.tentative = pg.pt.node.getPageBufZero()
+		pg.tentVer = proto.NewVector(cl.cfg.Nodes)
+	}
+}
+
+// cancelUnsaved rolls pg's tentative copy back to each episode dead
+// node's saved timestamp (tsOf, in deads' order): an interval beyond it
+// belongs to a release whose phase 1 did not complete. The pre-image
+// that rode with its phase-1 diff undoes it; undo holds that record (pg
+// itself, or the live holder pg was just copied from). reconcilePages'
+// roll-back, which has a committed copy, rolls back to that instead.
+func cancelUnsaved(pg, undo *page, deads []int, tsOf []int32) {
+	for di, d := range deads {
+		if pg.tentVer[d] <= tsOf[di] {
+			continue
+		}
+		if rec, ok := undo.undoFrom[d]; ok && rec.interval == pg.tentVer[d] {
+			rec.undo.Apply(pg.tentative)
+		}
+		pg.tentVer[d] = tsOf[di]
 	}
 }
 
@@ -163,18 +183,8 @@ func (t *Thread) rehomeAndReplicate(dead int, deads []int, tsOf []int32) {
 			// phase 1 did not complete: roll it back using the stored
 			// pre-image (the committed copy that would normally provide
 			// the roll-back data died with the releaser).
-			if sv.tentative == nil {
-				sv.tentative = sv.pt.node.getPageBufZero()
-				sv.tentVer = proto.NewVector(cfg.Nodes)
-			}
-			for di, d := range deads {
-				if sv.tentVer[d] > tsOf[di] {
-					if rec, ok := sv.undoFrom[d]; ok && rec.interval == sv.tentVer[d] {
-						rec.undo.Apply(sv.tentative)
-					}
-					sv.tentVer[d] = tsOf[di]
-				}
-			}
+			ensureTentative(cl, sv)
+			cancelUnsaved(sv, sv, deads, tsOf)
 			ensureCommitted(cl, pg)
 			copy(pg.committed, sv.tentative)
 			pg.commitVer = sv.tentVer.Clone()
@@ -186,17 +196,8 @@ func (t *Thread) rehomeAndReplicate(dead int, deads []int, tsOf []int32) {
 				// of that replica would resurrect a cancelled interval.
 				for s := 1; s < deg; s++ {
 					osPg := cl.nodes[cl.pageHomes.Replica(r.Item, s)].pt.page(r.Item)
-					if osPg.tentative == nil || osPg.tentVer == nil {
-						continue
-					}
-					for di, d := range deads {
-						if osPg.tentVer[d] <= tsOf[di] {
-							continue
-						}
-						if rec, ok := osPg.undoFrom[d]; ok && rec.interval == osPg.tentVer[d] {
-							rec.undo.Apply(osPg.tentative)
-						}
-						osPg.tentVer[d] = tsOf[di]
+					if osPg.tentative != nil {
+						cancelUnsaved(osPg, osPg, deads, tsOf)
 					}
 				}
 			}
@@ -208,9 +209,7 @@ func (t *Thread) rehomeAndReplicate(dead int, deads []int, tsOf []int32) {
 				// Rebuild the tail from the first live tentative holder with
 				// the episode deads' unsaved intervals cancelled on the copy
 				// — exactly the state the pending promotion will commit.
-				if pg.tentative == nil {
-					pg.tentative = pg.pt.node.getPageBufZero()
-				}
+				ensureTentative(cl, pg)
 				var src *page
 				for s := 1; s < cl.pageHomes.Degree(); s++ {
 					n := cl.pageHomes.Replica(r.Item, s)
@@ -223,28 +222,19 @@ func (t *Thread) rehomeAndReplicate(dead int, deads []int, tsOf []int32) {
 					}
 				}
 				if src == nil {
-					pg.tentVer = proto.NewVector(cfg.Nodes)
+					clear(pg.tentVer)
 				} else {
 					copy(pg.tentative, src.tentative)
-					pg.tentVer = src.tentVer.Clone()
-					for di, d := range deads {
-						if pg.tentVer[d] > tsOf[di] {
-							if rec, ok := src.undoFrom[d]; ok && rec.interval == pg.tentVer[d] {
-								rec.undo.Apply(pg.tentative)
-							}
-							pg.tentVer[d] = tsOf[di]
-						}
-					}
+					copy(pg.tentVer, src.tentVer)
+					cancelUnsaved(pg, src, deads, tsOf)
 				}
 				bytesMoved += cfg.PageSize
 				continue
 			}
 			ensureCommitted(cl, sv)
-			if pg.tentative == nil {
-				pg.tentative = pg.pt.node.getPageBufZero()
-			}
+			ensureTentative(cl, pg)
 			copy(pg.tentative, sv.committed)
-			pg.tentVer = sv.commitVer.Clone()
+			copy(pg.tentVer, sv.commitVer)
 			if r.NewNode != r.Survivor {
 				bytesMoved += cfg.PageSize
 			}

@@ -8,130 +8,106 @@ import (
 )
 
 // VerifyReplicas audits the extended protocol's replication invariant
-// after a run: every page's k homes are distinct live nodes, and the
-// primary's committed copy matches every secondary's tentative copy byte
-// for byte (with equal version vectors). At quiescence — all threads
-// finished, no release in flight — the replicas must have converged;
-// any divergence means an interval was applied to one copy and lost on
-// another, exactly the corruption the two-phase pipeline exists to
-// prevent. Returns nil for ModeBase clusters (no replicas to audit).
+// after a run, page by page (verifyPage). Every runner ends in it, after
+// any failure, detected or not. Returns nil for ModeBase clusters (no
+// replicas to audit).
 func (cl *Cluster) VerifyReplicas() error {
 	if cl.opt.Mode != ModeFT {
 		return nil
 	}
-	dir := cl.pageHomes
-	deg := dir.Degree()
 	for p := 0; p < cl.pageHomes.Items(); p++ {
-		if err := distinctHomes(dir, p); err != nil {
+		if err := cl.verifyPage(p); err != nil {
 			return err
-		}
-		for s := 0; s < deg; s++ {
-			if h := dir.Replica(p, s); cl.nodes[h].dead {
-				return fmt.Errorf("page %d: home on dead node (slot %d = node %d)", p, s, h)
-			}
-		}
-		pgP := cl.nodes[dir.Replica(p, 0)].pt.page(p)
-		touched := pgP.committed != nil
-		for s := 1; s < deg; s++ {
-			if cl.nodes[dir.Replica(p, s)].pt.page(p).tentative != nil {
-				touched = true
-			}
-		}
-		if !touched {
-			continue // never touched
-		}
-		if pgP.committed == nil {
-			return fmt.Errorf("page %d: one replica missing", p)
-		}
-		for s := 1; s < deg; s++ {
-			pgS := cl.nodes[dir.Replica(p, s)].pt.page(p)
-			if pgS.tentative == nil {
-				return fmt.Errorf("page %d: one replica missing", p)
-			}
-			if !bytes.Equal(pgP.committed, pgS.tentative) {
-				for i := range pgP.committed {
-					if pgP.committed[i] != pgS.tentative[i] {
-						return fmt.Errorf("page %d: replicas diverge at byte %d (committed %d vs tentative %d)",
-							p, i, pgP.committed[i], pgS.tentative[i])
-					}
-				}
-			}
-			if !pgP.commitVer.Equal(pgS.tentVer) {
-				return fmt.Errorf("page %d: replica versions diverge: %v vs %v", p, pgP.commitVer, pgS.tentVer)
-			}
 		}
 	}
 	return nil
 }
 
-// VerifyAvailability audits the weaker invariant that holds when a node
-// has fail-stopped after its last protocol obligation and no survivor
-// has observed the death (no recovery episode ran): every page still
-// has at least one live home holding its committed state, so a future
-// access — which would trigger detection and recovery — can rebuild
-// full replication without data loss. Pages with all homes live are
-// held to the byte-compare contract; a page whose only intact copy
-// sits on a dead node is exactly the durability loss the k homes exist
-// to prevent. Returns nil for ModeBase clusters.
-func (cl *Cluster) VerifyAvailability() error {
-	if cl.opt.Mode != ModeFT {
-		return nil
-	}
+// verifyPage holds page p to the rule its homes' membership picks. A
+// home on a node that died and was never recovered (nobody observed the
+// death, so nobody rehomed the page) picks availability: if any copy
+// exists a live home must hold one, from which a later access — which
+// would detect the death and recover — can rebuild full replication.
+// Every other page must have converged at quiescence: its k homes are
+// distinct live nodes, and the primary's committed copy equals every
+// secondary's tentative copy byte for byte with equal version vectors;
+// a divergence is an interval applied to one copy and lost on another.
+// A home on a recovered (excluded) node is an error under either rule.
+func (cl *Cluster) verifyPage(p int) error {
 	dir := cl.pageHomes
 	deg := dir.Degree()
-	for p := 0; p < cl.pageHomes.Items(); p++ {
-		if err := distinctHomes(dir, p); err != nil {
-			return err
+	if err := distinctHomes(dir, p); err != nil {
+		return err
+	}
+	unrecovered, allDead, anyCopy, liveCopy := false, true, false, false
+	for s := 0; s < deg; s++ {
+		h := dir.Replica(p, s)
+		n := cl.nodes[h]
+		if n.excluded {
+			return fmt.Errorf("page %d: home on dead node (slot %d = node %d)", p, s, h)
 		}
-		copyAt := func(s int) []byte {
-			pg := cl.nodes[dir.Replica(p, s)].pt.page(p)
-			if s == 0 {
-				return pg.committed
-			}
-			return pg.tentative
+		unrecovered = unrecovered || n.dead
+		allDead = allDead && n.dead
+		if c, _ := cl.homeCopy(p, s); c != nil {
+			anyCopy = true
+			liveCopy = liveCopy || !n.dead
 		}
-		anyDead, allDead, anyCopy, liveCopy := false, true, false, false
-		for s := 0; s < deg; s++ {
-			dead := cl.nodes[dir.Replica(p, s)].dead
-			anyDead = anyDead || dead
-			allDead = allDead && dead
-			if copyAt(s) != nil {
-				anyCopy = true
-				if !dead {
-					liveCopy = true
-				}
-			}
-		}
-		if allDead {
+	}
+	if unrecovered {
+		switch {
+		case allDead:
 			return fmt.Errorf("page %d: all homes dead (%v)", p, homesOf(dir, p))
+		case anyCopy && !liveCopy:
+			return fmt.Errorf("page %d: only copy was on a dead home (%v)", p, homesOf(dir, p))
 		}
-		if !anyCopy {
-			continue
-		}
-		if anyDead {
-			if !liveCopy {
-				return fmt.Errorf("page %d: only copy was on a dead home (%v)", p, homesOf(dir, p))
-			}
-			continue // one live copy suffices until recovery rebuilds the rest
-		}
-		prim := copyAt(0)
-		if prim == nil {
+		return nil // one live copy suffices until recovery rebuilds the rest
+	}
+	if !anyCopy {
+		return nil // never touched
+	}
+	prim, primVer := cl.homeCopy(p, 0)
+	if prim == nil {
+		return fmt.Errorf("page %d: one replica missing", p)
+	}
+	for s := 1; s < deg; s++ {
+		tent, tentVer := cl.homeCopy(p, s)
+		if tent == nil {
 			return fmt.Errorf("page %d: one replica missing", p)
 		}
-		for s := 1; s < deg; s++ {
-			tent := copyAt(s)
-			if tent == nil {
-				return fmt.Errorf("page %d: one replica missing", p)
-			}
-			for i := range prim {
-				if prim[i] != tent[i] {
-					return fmt.Errorf("page %d: replicas diverge at byte %d (committed %d vs tentative %d)",
-						p, i, prim[i], tent[i])
-				}
-			}
+		if i := firstDiff(prim, tent); i >= 0 {
+			return fmt.Errorf("page %d: replicas diverge at byte %d (committed %d vs tentative %d)",
+				p, i, prim[i], tent[i])
+		}
+		if !primVer.Equal(tentVer) {
+			return fmt.Errorf("page %d: replica versions diverge: %v vs %v", p, primVer, tentVer)
 		}
 	}
 	return nil
+}
+
+// homeCopy returns the copy of page p that its home in slot s keeps, with
+// its version vector: the primary's committed copy, a secondary's
+// tentative one.
+func (cl *Cluster) homeCopy(p, s int) ([]byte, proto.VectorTime) {
+	pg := cl.nodes[cl.pageHomes.Replica(p, s)].pt.page(p)
+	if s == 0 {
+		return pg.committed, pg.commitVer
+	}
+	return pg.tentative, pg.tentVer
+}
+
+// firstDiff returns the first offset at which two equal-length copies
+// differ, or -1 when they are equal.
+func firstDiff(a, b []byte) int {
+	if bytes.Equal(a, b) {
+		return -1
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
 }
 
 // distinctHomes checks that no two replica slots of a page share a node.
