@@ -164,15 +164,9 @@ func report(out io.Writer, cl *svm.Cluster, c harness.Config, name string, wall 
 	for _, c := range svm.Components() {
 		fmt.Fprintf(out, "  %-12s %10.2f\n", c, float64(bd.Comp[c])/1e6)
 	}
-	var msgs, bytes, stalls int64
-	for i := 0; i < cl.Nodes(); i++ {
-		st := cl.Network().Endpoint(i).Stats()
-		msgs += st.MsgsSent
-		bytes += st.BytesSent
-		stalls += st.PostStallsNs
-	}
+	tr := cl.Network().Totals()
 	fmt.Fprintf(out, "traffic: %d messages, %.1f MB, post-queue stalls %.2f ms\n",
-		msgs, float64(bytes)/1e6, float64(stalls)/1e6)
+		tr.MsgsSent, float64(tr.BytesSent)/1e6, float64(tr.PostStallsNs)/1e6)
 	fmt.Fprintf(out, "checkpoints: %d\n", cl.CheckpointCount())
 
 	ps := cl.ProtoStats()

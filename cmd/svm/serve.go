@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ftsvm/internal/model"
+	"ftsvm/internal/par"
 	"ftsvm/internal/serve"
 )
 
@@ -82,7 +83,7 @@ func serveCmd(args []string, out, errw io.Writer) int {
 	fmt.Fprintln(out)
 
 	start := time.Now()
-	rs := serve.RunCells(specs)
+	rs := par.Map(specs, 0, serve.RunCell, nil)
 	wall := time.Since(start)
 
 	failed := 0

@@ -23,6 +23,7 @@ import (
 
 	"ftsvm/internal/harness"
 	"ftsvm/internal/model"
+	"ftsvm/internal/par"
 	"ftsvm/internal/serve"
 	"ftsvm/internal/svm"
 )
@@ -382,7 +383,7 @@ func TestGolden(t *testing.T) {
 	}
 
 	names, specs := serveFamily()
-	for i, r := range serve.RunCells(specs) {
+	for i, r := range par.Map(specs, 0, serve.RunCell, nil) {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", names[i], r.Err)
 		}

@@ -94,8 +94,8 @@ func WaterSp(s Shape, n, steps int) *Workload {
 	}
 	energyLock := cells
 
-	// Precompute, per cell, its interaction partners and whether it needs
-	// a lock when flushed (it receives contributions from another owner).
+	// Precompute, per cell, its interaction partners and the owners that
+	// contribute to it.
 	coord := func(c int) (int, int, int) { return c % G, (c / G) % G, c / (G * G) }
 	cellAt := func(x, y, z int) int {
 		if x < 0 || y < 0 || z < 0 || x >= G || y >= G || z >= G {
@@ -104,7 +104,6 @@ func WaterSp(s Shape, n, steps int) *Workload {
 		return x + y*G + z*G*G
 	}
 	partners := make([][]int, cells)
-	needLock := make([]bool, cells)
 	touchers := make([]map[int]bool, cells)
 	for c := range touchers {
 		touchers[c] = map[int]bool{ownerOfCell(c): true}
@@ -120,9 +119,6 @@ func WaterSp(s Shape, n, steps int) *Workload {
 			touchers[nb][ownerOfCell(c)] = true
 			touchers[c][ownerOfCell(nb)] = true
 		}
-	}
-	for c := 0; c < cells; c++ {
-		needLock[c] = len(touchers[c]) > 1
 	}
 	// contributors[c]: the threads whose contribution regions a cell's
 	// owner must gather.

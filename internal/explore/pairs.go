@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ftsvm/internal/obs"
+	"ftsvm/internal/par"
 )
 
 // Pair is one ordered failure-point pair: a first kill at First, then a
@@ -95,10 +96,6 @@ func ExplorePairs(sp Spec, firsts []Boundary, secondsPer int, budget int64, work
 			pairs = append(pairs, Pair{First: b1, Second: b2})
 		}
 	}
-	schedules := make([][]Boundary, len(pairs))
-	for i, p := range pairs {
-		schedules[i] = p.Schedule()
-	}
-	vs := SweepSchedules(sp, schedules, budget, workers, progress)
+	vs := par.Map(pairs, workers, func(p Pair) Verdict { return ExploreSchedule(sp, p.Schedule(), budget) }, progress)
 	return pairs, vs, nil
 }

@@ -1,10 +1,6 @@
 package explore
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "ftsvm/internal/par"
 
 // Sweep runs one injection per boundary on a pool of up to workers
 // goroutines (workers <= 0: GOMAXPROCS), and returns the verdicts in
@@ -15,57 +11,7 @@ import (
 // progress, when non-nil, is called once per completed run (serialized,
 // in completion order).
 func Sweep(sp Spec, bs []Boundary, budget int64, workers int, progress func(done int, v Verdict)) []Verdict {
-	schedules := make([][]Boundary, len(bs))
-	for i, b := range bs {
-		schedules[i] = []Boundary{b}
-	}
-	return SweepSchedules(sp, schedules, budget, workers, progress)
-}
-
-// SweepSchedules is Sweep over multi-kill schedules: one injection run
-// per schedule, same pool, same input-order verdicts.
-func SweepSchedules(sp Spec, schedules [][]Boundary, budget int64, workers int, progress func(done int, v Verdict)) []Verdict {
-	out := make([]Verdict, len(schedules))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(schedules) {
-		workers = len(schedules)
-	}
-	if workers <= 1 {
-		for i, s := range schedules {
-			out[i] = ExploreSchedule(sp, s, budget)
-			if progress != nil {
-				progress(i+1, out[i])
-			}
-		}
-		return out
-	}
-	var next, done atomic.Int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(schedules) {
-					return
-				}
-				v := ExploreSchedule(sp, schedules[i], budget)
-				out[i] = v
-				d := int(done.Add(1))
-				if progress != nil {
-					mu.Lock()
-					progress(d, v)
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return out
+	return par.Map(bs, workers, func(b Boundary) Verdict { return ExploreSchedule(sp, []Boundary{b}, budget) }, progress)
 }
 
 // Shard selects the i-th of n interleaved slices of bs (every boundary

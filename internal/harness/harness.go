@@ -7,14 +7,12 @@ package harness
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"ftsvm/internal/apps"
 	"ftsvm/internal/model"
 	"ftsvm/internal/obs"
+	"ftsvm/internal/par"
 	"ftsvm/internal/serve"
 	"ftsvm/internal/svm"
 )
@@ -290,36 +288,7 @@ type Result struct {
 // fully independent (own engine, own page pool, own workload instance), so
 // the results are identical to running the cells serially — only the
 // wall-clock time changes.
-func RunGrid(cells []Config) []Result {
-	out := make([]Result, len(cells))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers <= 1 {
-		for i, c := range cells {
-			out[i] = Run(c)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cells) {
-					return
-				}
-				out[i] = Run(cells[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
+func RunGrid(cells []Config) []Result { return par.Map(cells, 0, Run, nil) }
 
 // ModelConfig assembles the cell's cost-model configuration: defaults,
 // then the tier preset, then the cell's explicit shape fields, then the
@@ -413,12 +382,8 @@ func Run(c Config) Result {
 		EngineWorkers:  cl.EngineWorkers(),
 		SerialFallback: cl.SerialFallbackReason(),
 	}
-	for i := 0; i < cl.Nodes(); i++ {
-		st := cl.Network().Endpoint(i).Stats()
-		r.MsgsSent += st.MsgsSent
-		r.BytesSent += st.BytesSent
-		r.PostStallNs += st.PostStallsNs
-	}
+	tr := cl.Network().Totals()
+	r.MsgsSent, r.BytesSent, r.PostStallNs = tr.MsgsSent, tr.BytesSent, tr.PostStallsNs
 	r.Checkpoints = cl.CheckpointCount()
 	r.DirBytes = cl.DirectoryBytes()
 	r.Phase = cl.PhaseTimes()

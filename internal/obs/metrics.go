@@ -8,7 +8,7 @@ type Counter struct {
 	Value int64  `json:"value"`
 }
 
-// Snapshot is a point-in-time reading of a registry, in registration
+// Snapshot is a point-in-time reading of a run's counters, in a fixed
 // order (stable across runs, so snapshots of deterministic simulations
 // compare bit-identically).
 type Snapshot []Counter
@@ -37,38 +37,5 @@ func (s Snapshot) Get(name string) (int64, bool) {
 func (s Snapshot) Sorted() Snapshot {
 	out := append(Snapshot(nil), s...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Registry aggregates counter sources from independent subsystems
-// (protocol stats, network stats, checkpoint counts) under dotted
-// prefixes. Sources are closures read only at Snapshot, so registering
-// them costs nothing during the run.
-type Registry struct {
-	sources []source
-}
-
-type source struct {
-	prefix string
-	read   func() []Counter
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
-
-// Add registers a counter source under prefix ("svm", "vmmc", ...).
-func (r *Registry) Add(prefix string, read func() []Counter) {
-	r.sources = append(r.sources, source{prefix: prefix, read: read})
-}
-
-// Snapshot reads every source and returns the combined counters as
-// "prefix.name" entries, in registration order.
-func (r *Registry) Snapshot() Snapshot {
-	var out Snapshot
-	for _, s := range r.sources {
-		for _, c := range s.read() {
-			out = append(out, Counter{Name: s.prefix + "." + c.Name, Value: c.Value})
-		}
-	}
 	return out
 }

@@ -1,7 +1,7 @@
 // Package obs is the simulator's observability layer: a per-node
-// flight recorder of structured protocol events, a metrics registry
-// unifying the counters scattered across the protocol and network
-// layers, and the event/kind vocabulary shared by both.
+// flight recorder of structured protocol events, the event/kind
+// vocabulary it records, the counter snapshot a finished run reports,
+// and the latency histogram.
 //
 // The design constraint is the same one PR 1 imposed on diff buffers:
 // zero allocation in steady state. Events are fixed-size value structs

@@ -94,22 +94,15 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-func TestRegistrySnapshot(t *testing.T) {
-	reg := NewRegistry()
-	a := int64(1)
-	reg.Add("svm", func() []Counter { return []Counter{{Name: "faults", Value: a}} })
-	reg.Add("vmmc", func() []Counter { return []Counter{{Name: "msgs", Value: 5}} })
-
-	snap := reg.Snapshot()
-	if len(snap) != 2 || snap[0].Name != "svm.faults" || snap[1].Name != "vmmc.msgs" {
-		t.Fatalf("snapshot = %+v", snap)
+func TestSnapshotGetMap(t *testing.T) {
+	snap := Snapshot{{Name: "svm.faults", Value: 10}, {Name: "vmmc.msgs", Value: 5}}
+	if v, ok := snap.Get("svm.faults"); !ok || v != 10 {
+		t.Fatalf("Get(svm.faults) = %d, %v", v, ok)
 	}
-	a = 10
-	if v, ok := reg.Snapshot().Get("svm.faults"); !ok || v != 10 {
-		t.Fatalf("Get(svm.faults) = %d, %v — sources must be read at snapshot time", v, ok)
+	if _, ok := snap.Get("svm.msgs"); ok {
+		t.Fatalf("Get found a counter the snapshot does not hold")
 	}
-	m := snap.Map()
-	if m["vmmc.msgs"] != 5 {
+	if m := snap.Map(); len(m) != 2 || m["svm.faults"] != 10 || m["vmmc.msgs"] != 5 {
 		t.Fatalf("Map = %v", m)
 	}
 }

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"ftsvm/internal/model"
 	"ftsvm/internal/obs"
@@ -39,9 +37,7 @@ func RunCell(sp Spec) Result {
 	cfg.ThreadsPerNode = sp.ThreadsPerNode
 	cfg.Detection = sp.Detect
 	cfg.Chaos = sp.Chaos
-	if sp.Seed != 0 {
-		cfg.Seed = sp.Seed
-	}
+	cfg.Seed = sp.Seed
 
 	d, err := NewDriver(sp, cfg.PageSize)
 	if err != nil {
@@ -94,35 +90,4 @@ func RunCell(sp Spec) Result {
 	res.HealthyP99Ns = healthyP99(d.arrive, d.done, res.Milestones.KillNs)
 	res.Phases, res.RewarmEndNs = computeTimeline(res.ExecNs, res.Milestones, d.arrive, d.done, sp.RewarmFactor)
 	return res
-}
-
-// RunCells runs the cells concurrently (each cell is internally
-// deterministic, so the result slice is order-stable regardless of
-// scheduling) and returns results in input order.
-func RunCells(specs []Spec) []Result {
-	out := make([]Result, len(specs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i] = RunCell(specs[i])
-			}
-		}()
-	}
-	for i := range specs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return out
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ftsvm/internal/model"
+	"ftsvm/internal/par"
 	"ftsvm/internal/svm"
 )
 
@@ -137,14 +138,32 @@ func TestServeSeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestServeRunCells: the concurrent grid runner returns results in
-// input order, identical to serial RunCell runs.
+// TestServeSeedZero: Seed 0 is a seed like any other, not "unset": the
+// cluster runs on it, so the cell differs from the same cell at Seed 1.
+func TestServeSeedZero(t *testing.T) {
+	sp := testSpec()
+	sp.Seed = 0
+	a := RunCell(sp)
+	sp.Seed = 1
+	b := RunCell(sp)
+	if a.Err != nil || b.Err != nil {
+		t.Fatalf("errs: %v / %v", a.Err, b.Err)
+	}
+	ja, _ := json.Marshal(a.Report())
+	jb, _ := json.Marshal(b.Report())
+	if bytes.Equal(ja, jb) {
+		t.Fatalf("Seed 0 ran the Seed 1 cell")
+	}
+}
+
+// TestServeRunCells: cells run concurrently on the worker pool return
+// results in input order, identical to serial RunCell runs.
 func TestServeRunCells(t *testing.T) {
 	specs := []Spec{testSpec(), testSpec()}
 	specs[0].Scenario = "a"
 	specs[1].Scenario = "b"
 	specs[1].KillAtNs = 8_000_000
-	rs := RunCells(specs)
+	rs := par.Map(specs, 0, RunCell, nil)
 	for i, r := range rs {
 		if r.Err != nil {
 			t.Fatalf("cell %d: %v", i, r.Err)

@@ -21,10 +21,6 @@ func (t *Thread) suspendSiblings() {
 	}
 }
 
-// resumeSiblings is the counterpart of suspendSiblings; the resume cost is
-// folded into the suspend charge.
-func (t *Thread) resumeSiblings() {}
-
 func (t *Thread) liveSiblings() int {
 	c := 0
 	for _, s := range t.node.threads {

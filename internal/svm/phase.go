@@ -1,45 +1,14 @@
 package svm
 
-import (
-	"ftsvm/internal/model"
-	"ftsvm/internal/obs"
-)
+import "ftsvm/internal/model"
 
-// Availability-phase hooks: the cluster stamps the virtual times of its
-// failure-lifecycle milestones at the same trace points the flight
-// recorder observes (kill, recovery.start, recovery.done), plus the
-// probe detector's suspicion-streak start from vmmc. The open-loop
+// Availability-phase milestones: KillNode, reportFailure and
+// runRecovery stamp the virtual times of the failure lifecycle (kill,
+// recovery.start, recovery.done) where each happens, and the probe
+// detector's suspicion-streak start comes from vmmc. The open-loop
 // serving layer (internal/serve) turns these into the per-phase
 // availability timeline: healthy → undetected failure → probe
 // detection → recovery → re-warm.
-
-// phaseTrace is the raw milestone record, written by Cluster.trace.
-type phaseTrace struct {
-	killNs    int64
-	victim    int
-	detectNs  int64 // recovery.start: the failure was reported cluster-wide
-	recoverNs int64 // recovery.done: the recovery actions completed
-}
-
-// note records the first occurrence of each milestone. It runs on the
-// trace hot path: three equality tests for every non-milestone event.
-func (pc *phaseTrace) note(kind obs.Kind, nodeID int, now int64) {
-	switch kind {
-	case obs.KKill:
-		if pc.killNs == 0 {
-			pc.killNs = now
-			pc.victim = nodeID
-		}
-	case obs.KRecoveryStart:
-		if pc.detectNs == 0 {
-			pc.detectNs = now
-		}
-	case obs.KRecoveryDone:
-		if pc.recoverNs == 0 {
-			pc.recoverNs = now
-		}
-	}
-}
 
 // PhaseTimes are the virtual times of the failure-lifecycle milestones
 // of a run's first (and under the single-failure model, only) failure.
@@ -64,12 +33,7 @@ type PhaseTimes struct {
 // PhaseTimes returns the recorded failure-lifecycle milestones. Call
 // after Run; all times are virtual.
 func (cl *Cluster) PhaseTimes() PhaseTimes {
-	pt := PhaseTimes{
-		KillNs:    cl.phase.killNs,
-		Victim:    cl.phase.victim,
-		DetectNs:  cl.phase.detectNs,
-		RecoverNs: cl.phase.recoverNs,
-	}
+	pt := cl.phase
 	if pt.KillNs > 0 && cl.cfg.Detection == model.DetectProbe {
 		pt.SuspectNs = cl.net.SuspicionNs(pt.Victim)
 	}

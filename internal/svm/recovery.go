@@ -53,6 +53,9 @@ func (cl *Cluster) KillNode(id int) {
 			t.proc.Kill()
 		}
 	}
+	if cl.phase.KillNs == 0 {
+		cl.phase.KillNs, cl.phase.Victim = cl.eng.Now(), id
+	}
 	cl.trace(obs.KKill, id, -1, 0)
 }
 
@@ -106,6 +109,9 @@ func (cl *Cluster) reportFailure(id int) {
 			return // false alarm
 		}
 		rec.deads = append(rec.deads, id)
+		if cl.phase.DetectNs == 0 {
+			cl.phase.DetectNs = cl.eng.Now()
+		}
 		cl.trace(obs.KRecoveryStart, id, -1, int64(rec.epoch))
 		cl.wakeForRecovery()
 		return
@@ -117,6 +123,9 @@ func (cl *Cluster) reportFailure(id int) {
 	rec.deads = append(rec.deads[:0], id)
 	rec.arrived = 0
 	rec.claimed = false
+	if cl.phase.DetectNs == 0 {
+		cl.phase.DetectNs = cl.eng.Now()
+	}
 	cl.trace(obs.KRecoveryStart, id, -1, int64(rec.epoch))
 	cl.wakeForRecovery()
 }
@@ -370,6 +379,9 @@ func (t *Thread) runRecovery() {
 				pg.serveWaiters(pg.commitVer, pg.committed, cfg.PageSize+64)
 			}
 		}
+	}
+	if len(done) > 0 && cl.phase.RecoverNs == 0 {
+		cl.phase.RecoverNs = cl.eng.Now()
 	}
 	for _, dead := range done {
 		cl.trace(obs.KRecoveryDone, dead, t.id, int64(rec.epoch))

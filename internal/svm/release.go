@@ -249,7 +249,6 @@ func (t *Thread) releaseFT(afterVisible func()) {
 	itv, caps := t.commitInterval()
 	t.cl.trace(obs.KReleaseCommit, n.id, t.id, n.releaseSeq+1)
 	t.checkpointSiblings()
-	t.resumeSiblings()
 
 	// If a recovery episode completes while this release is in flight —
 	// possible whenever the thread parks between commit and the final

@@ -223,11 +223,11 @@ type Cluster struct {
 	// engine ("" when parallel execution was enabled or never requested).
 	parReason string
 
-	// phase records the virtual times of the failure-lifecycle milestones
-	// (kill, recovery start, recovery done) as trace() passes them — the
-	// phase-transition hook behind PhaseTimes. Always recorded, whether
-	// or not a tracer or recorder is attached.
-	phase phaseTrace
+	// phase holds the virtual times of the first kill, recovery start
+	// and recovery done, written where each happens (SuspectNs is left
+	// to PhaseTimes). Always recorded, whether or not a tracer or
+	// recorder is attached.
+	phase PhaseTimes
 }
 
 // node is one SMP node: a set of threads sharing a page table and the
@@ -653,7 +653,6 @@ func (cl *Cluster) spawnThread(t *Thread) {
 // event stream is identical with or without them, and a kill from
 // either observer at the same event gives the same run.
 func (cl *Cluster) trace(kind obs.Kind, nodeID, threadID int, seq int64) {
-	cl.phase.note(kind, nodeID, cl.eng.Now())
 	if cl.opt.Tracer != nil {
 		cl.opt.Tracer.Event(TraceEvent{Kind: kind.String(), Node: nodeID, Thread: threadID, Seq: seq})
 	}
@@ -765,56 +764,41 @@ func (cl *Cluster) LiveVT() proto.VectorTime {
 }
 
 // Metrics returns the unified counter snapshot: protocol stats,
-// network traffic, and checkpoint counts under dotted prefixes.
+// checkpoint count and network traffic under dotted prefixes, always in
+// this order (the bench ledger hashes the snapshot into its cell
+// fingerprints).
 func (cl *Cluster) Metrics() obs.Snapshot {
-	reg := obs.NewRegistry()
-	reg.Add("svm", func() []obs.Counter {
-		s := cl.ProtoStats()
-		return []obs.Counter{
-			{Name: "read_faults", Value: s.ReadFaults},
-			{Name: "remote_fetches", Value: s.RemoteFetches},
-			{Name: "local_fetches", Value: s.LocalFetches},
-			{Name: "write_faults", Value: s.WriteFaults},
-			{Name: "pages_diffed", Value: s.PagesDiffed},
-			{Name: "home_pages_diffed", Value: s.HomePagesDiffed},
-			{Name: "twin_bytes_copied", Value: s.TwinBytesCopied},
-			{Name: "diff_msgs", Value: s.DiffMsgs},
-			{Name: "diff_bytes", Value: s.DiffBytes},
-			{Name: "invalidations", Value: s.Invalidations},
-			{Name: "intervals", Value: s.Intervals},
-			{Name: "deferred_words", Value: s.DeferredWords},
-			{Name: "remote_acquires", Value: s.RemoteAcquires},
-			{Name: "intra_node_handoffs", Value: s.IntraNodeHandoffs},
-			{Name: "barrier_episodes", Value: s.BarrierEpisodes},
-			{Name: "recoveries", Value: s.Recoveries},
-			{Name: "migrated_threads", Value: s.MigratedThreads},
-		}
-	})
-	reg.Add("ckpt", func() []obs.Counter {
-		return []obs.Counter{{Name: "checkpoints", Value: cl.CheckpointCount()}}
-	})
-	reg.Add("vmmc", func() []obs.Counter {
-		var sum vmmc.Stats
-		for i := range cl.nodes {
-			st := cl.net.Endpoint(i).Stats()
-			sum.MsgsSent += st.MsgsSent
-			sum.BytesSent += st.BytesSent
-			sum.MsgsReceived += st.MsgsReceived
-			sum.PostStallsNs += st.PostStallsNs
-		}
-		return []obs.Counter{
-			{Name: "msgs_sent", Value: sum.MsgsSent},
-			{Name: "bytes_sent", Value: sum.BytesSent},
-			{Name: "msgs_received", Value: sum.MsgsReceived},
-			{Name: "post_stalls_ns", Value: sum.PostStallsNs},
-			{Name: "retransmits", Value: cl.net.Retransmits},
-			{Name: "retx_bytes", Value: cl.net.RetxBytes},
-			{Name: "probes_sent", Value: cl.net.ProbesSent},
-			{Name: "probe_acks", Value: cl.net.ProbeAcks},
-			{Name: "false_suspicions", Value: cl.net.FalseSuspicions},
-		}
-	})
-	return reg.Snapshot()
+	s := cl.ProtoStats()
+	tr := cl.net.Totals()
+	return obs.Snapshot{
+		{Name: "svm.read_faults", Value: s.ReadFaults},
+		{Name: "svm.remote_fetches", Value: s.RemoteFetches},
+		{Name: "svm.local_fetches", Value: s.LocalFetches},
+		{Name: "svm.write_faults", Value: s.WriteFaults},
+		{Name: "svm.pages_diffed", Value: s.PagesDiffed},
+		{Name: "svm.home_pages_diffed", Value: s.HomePagesDiffed},
+		{Name: "svm.twin_bytes_copied", Value: s.TwinBytesCopied},
+		{Name: "svm.diff_msgs", Value: s.DiffMsgs},
+		{Name: "svm.diff_bytes", Value: s.DiffBytes},
+		{Name: "svm.invalidations", Value: s.Invalidations},
+		{Name: "svm.intervals", Value: s.Intervals},
+		{Name: "svm.deferred_words", Value: s.DeferredWords},
+		{Name: "svm.remote_acquires", Value: s.RemoteAcquires},
+		{Name: "svm.intra_node_handoffs", Value: s.IntraNodeHandoffs},
+		{Name: "svm.barrier_episodes", Value: s.BarrierEpisodes},
+		{Name: "svm.recoveries", Value: s.Recoveries},
+		{Name: "svm.migrated_threads", Value: s.MigratedThreads},
+		{Name: "ckpt.checkpoints", Value: cl.CheckpointCount()},
+		{Name: "vmmc.msgs_sent", Value: tr.MsgsSent},
+		{Name: "vmmc.bytes_sent", Value: tr.BytesSent},
+		{Name: "vmmc.msgs_received", Value: tr.MsgsReceived},
+		{Name: "vmmc.post_stalls_ns", Value: tr.PostStallsNs},
+		{Name: "vmmc.retransmits", Value: cl.net.Retransmits},
+		{Name: "vmmc.retx_bytes", Value: cl.net.RetxBytes},
+		{Name: "vmmc.probes_sent", Value: cl.net.ProbesSent},
+		{Name: "vmmc.probe_acks", Value: cl.net.ProbeAcks},
+		{Name: "vmmc.false_suspicions", Value: cl.net.FalseSuspicions},
+	}
 }
 
 // backupOf returns the node that stores checkpoints and saved timestamps

@@ -460,6 +460,18 @@ func New(eng *sim.Engine, cfg *model.Config) *Network {
 // Endpoint returns node i's interface.
 func (n *Network) Endpoint(i int) *Endpoint { return n.eps[i] }
 
+// Totals returns the sum of every endpoint's traffic counters.
+func (n *Network) Totals() Stats {
+	var sum Stats
+	for _, ep := range n.eps {
+		sum.MsgsSent += ep.stats.MsgsSent
+		sum.BytesSent += ep.stats.BytesSent
+		sum.MsgsReceived += ep.stats.MsgsReceived
+		sum.PostStallsNs += ep.stats.PostStallsNs
+	}
+	return sum
+}
+
 // Alive reports whether node i's endpoint is still up. This is the oracle a
 // waiting process consults after a heartbeat timeout; in the real system
 // the equivalent information comes from the communication layer's
