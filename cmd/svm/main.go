@@ -8,7 +8,6 @@ package main
 import (
 	"bytes"
 	"cmp"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -163,11 +162,8 @@ func parseScenarios(s string) ([]harness.ChaosScenario, error) {
 	return list(harness.ChaosByName)(s)
 }
 
-// appNames is every application harness.Build knows: the paper's six
-// SPLASH-2 workloads, the extension applications and the micro-workloads
-// written for failure-point sweeps.
-var appNames = append(append([]string{}, harness.AppNames...),
-	"ocean", "kvstore", "kvserve", "counter", "falseshare", "kvmicro")
+// appNames is every application harness.Build knows.
+var appNames = harness.Apps()
 
 // appName checks one application name.
 func appName(s string) (string, error) {
@@ -256,20 +252,11 @@ func (p *profiles) close(errw io.Writer, code *int) {
 	}
 }
 
-// finish runs cl to completion and checks that every thread finished,
-// the workload's own result verification passed and the replicas hold.
+// finish runs cl to completion and ends in the one end-of-run check,
+// with the workload's own result verification.
 func finish(cl *svm.Cluster, w *apps.Workload) error {
 	if err := cl.Run(); err != nil {
 		return fmt.Errorf("simulation error: %w", err)
 	}
-	if !cl.Finished() {
-		return errors.New("threads did not finish")
-	}
-	if err := w.Err(); err != nil {
-		return fmt.Errorf("result verification: %w", err)
-	}
-	if err := cl.VerifyReplicas(); err != nil {
-		return fmt.Errorf("replica verification: %w", err)
-	}
-	return nil
+	return cl.Verify(w.Err)
 }

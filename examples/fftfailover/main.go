@@ -75,8 +75,8 @@ func main() {
 	if !killed {
 		log.Fatal("node 3 never reached phase 1 of its second release; nothing was killed")
 	}
-	if err := w.Err(); err != nil {
-		log.Fatal("spectrum verification FAILED: ", err)
+	if err := cl.Verify(w.Err); err != nil {
+		log.Fatal("verification FAILED: ", err)
 	}
 	fmt.Printf("FFT complete and verified in %.2f ms of virtual time\n", float64(cl.ExecTime())/1e6)
 }

@@ -59,7 +59,17 @@ func run(algo svm.LockAlgo) (*svm.Cluster, error) {
 	if err := cl.Run(); err != nil {
 		return nil, err
 	}
-	return cl, nil
+	// Every increment must have landed.
+	return cl, cl.Verify(func() error {
+		var sum uint64
+		for l := 0; l < nLocks; l++ {
+			sum += cl.PeekU64(l * 8)
+		}
+		if want := uint64(8 * iters); sum != want {
+			return fmt.Errorf("%s: counters sum %d, want %d", algo, sum, want)
+		}
+		return nil
+	})
 }
 
 func main() {
@@ -69,14 +79,6 @@ func main() {
 		cl, err := run(algo)
 		if err != nil {
 			log.Fatal(err)
-		}
-		// Sanity: every increment must have landed.
-		var sum uint64
-		for l := 0; l < nLocks; l++ {
-			sum += cl.PeekU64(l * 8)
-		}
-		if want := uint64(8 * iters); sum != want {
-			log.Fatalf("%s: counters sum %d, want %d", algo, sum, want)
 		}
 		bd := cl.AvgBreakdown()
 		fmt.Printf("%-22s %12.2f %12.2f\n", algo.String(),

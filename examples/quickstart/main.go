@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 
@@ -75,11 +76,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	got := cl.PeekU64(counterAddr)
-	want := uint64(cfg.Nodes * iters)
-	fmt.Printf("final counter: %d (want %d)\n", got, want)
-	if got != want {
-		log.Fatal("COUNT WRONG — recovery failed")
+	exact := func() error {
+		got := cl.PeekU64(counterAddr)
+		want := uint64(cfg.Nodes * iters)
+		fmt.Printf("final counter: %d (want %d)\n", got, want)
+		if got != want {
+			return errors.New("COUNT WRONG — recovery failed")
+		}
+		return nil
+	}
+	if err := cl.Verify(exact); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("virtual execution time: %.2f ms\n", float64(cl.ExecTime())/1e6)
 	fmt.Println("OK: single-node failure tolerated, not one increment lost or duplicated")

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 
@@ -90,9 +91,6 @@ func main() {
 	if err := cl.Run(); err != nil {
 		log.Fatal(err)
 	}
-	if !cl.Finished() {
-		log.Fatal("threads did not finish")
-	}
 	if !killed {
 		log.Fatal("node 2 never saved release #5's timestamp; nothing was killed")
 	}
@@ -100,19 +98,22 @@ func main() {
 	// Every thread adds (id+1) once per iteration, so the accumulators
 	// must sum to iters * sum(id+1) — any duplicated or lost critical
 	// section breaks this.
-	var got, want uint64
-	for a := 0; a < accs; a++ {
-		got += cl.PeekU64(a * 256)
+	exactlyOnce := func() error {
+		var got, want uint64
+		for a := 0; a < accs; a++ {
+			got += cl.PeekU64(a * 256)
+		}
+		for id := 0; id < nodes*tpn; id++ {
+			want += uint64(iters * (id + 1))
+		}
+		fmt.Printf("  accumulator sum: %d (expected %d)\n", got, want)
+		if got != want {
+			return errors.New("exactly-once violated")
+		}
+		return nil
 	}
-	for id := 0; id < nodes*tpn; id++ {
-		want += uint64(iters * (id + 1))
-	}
-	fmt.Printf("  accumulator sum: %d (expected %d)\n", got, want)
-	if got != want {
-		log.Fatal("exactly-once violated")
-	}
-	if err := cl.VerifyReplicas(); err != nil {
-		log.Fatalf("replica audit: %v", err)
+	if err := cl.Verify(exactlyOnce); err != nil {
+		log.Fatal(err)
 	}
 	st := cl.ProtoStats()
 	fmt.Printf("  deferred mid-CS words: %d, recoveries: %d, migrated threads: %d\n",

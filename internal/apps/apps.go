@@ -19,7 +19,6 @@ package apps
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"ftsvm/internal/svm"
@@ -99,7 +98,7 @@ func splitRange(n, nparts, i int) (lo, hi int) {
 	return
 }
 
-// runStages drives a barrier-phased computation with exact-once replay.
+// RunStages drives a barrier-phased computation with exact-once replay.
 // Stage k runs its body, sets the arrived flag, passes one global
 // barrier, then advances the stage counter; cur and arrived live in the
 // thread's checkpointed state. A restored thread therefore:
@@ -114,8 +113,9 @@ func splitRange(n, nparts, i int) (lo, hi int) {
 //
 // Bodies checkpointed mid-stage by their own lock releases must be
 // re-entrant via their own progress fields (e.g. a flush index advanced
-// before each Release).
-func runStages(t *svm.Thread, cur *int, arrived *bool, total int, body func(stage int)) {
+// before each Release). internal/serve's workload follows the same
+// discipline.
+func RunStages(t *svm.Thread, cur *int, arrived *bool, total int, body func(stage int)) {
 	for *cur < total {
 		if !*arrived {
 			body(*cur)
@@ -126,9 +126,6 @@ func runStages(t *svm.Thread, cur *int, arrived *bool, total int, body func(stag
 		*cur++
 	}
 }
-
-// sortInts sorts a small int slice (deterministic iteration orders).
-func sortInts(a []int) { sort.Ints(a) }
 
 // waterMolBytes is the shared-record stride of one water molecule (see
 // the water workloads: positions/velocities/forces plus derivative
@@ -170,51 +167,28 @@ func writeMolsFull(t *svm.Thread, base, lo, hi int, src []float64) {
 	}
 }
 
-// prng is a small deterministic generator (xorshift64*) used to build
-// reproducible inputs without pulling math/rand state into checkpoints.
-type prng struct{ s uint64 }
+// Rand is the workloads' small deterministic generator (xorshift64*):
+// reproducible inputs without math/rand state in any checkpoint.
+// internal/serve draws its arrival process and request mix from it too.
+type Rand struct{ s uint64 }
 
-func newPrng(seed uint64) *prng {
+// NewRand seeds a generator; seed 0 is remapped to a fixed non-zero seed.
+func NewRand(seed uint64) *Rand {
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15
 	}
-	return &prng{s: seed}
-}
-
-func (p *prng) next() uint64 {
-	p.s ^= p.s >> 12
-	p.s ^= p.s << 25
-	p.s ^= p.s >> 27
-	return p.s * 0x2545F4914F6CDD1D
-}
-
-// float returns a deterministic value in [0, 1).
-func (p *prng) float() float64 {
-	return float64(p.next()>>11) / float64(1<<53)
-}
-
-// Rand is the exported face of the workloads' xorshift64* generator for
-// sibling packages that build reproducible input streams the same way
-// (internal/serve's arrival process and request mix).
-type Rand struct{ p prng }
-
-// NewRand seeds a deterministic generator (seed 0 is remapped like
-// newPrng).
-func NewRand(seed uint64) *Rand {
-	r := &Rand{}
-	r.p = *newPrng(seed)
-	return r
+	return &Rand{s: seed}
 }
 
 // Next returns the next 64-bit draw.
-func (r *Rand) Next() uint64 { return r.p.next() }
+func (r *Rand) Next() uint64 {
+	r.s ^= r.s >> 12
+	r.s ^= r.s << 25
+	r.s ^= r.s >> 27
+	return r.s * 0x2545F4914F6CDD1D
+}
 
 // Float returns a deterministic value in [0, 1).
-func (r *Rand) Float() float64 { return r.p.float() }
-
-// RunStages exposes the barrier-phased exactly-once stage driver to
-// sibling packages whose workloads follow the same checkpoint-resume
-// discipline (internal/serve); see runStages for the replay contract.
-func RunStages(t *svm.Thread, cur *int, arrived *bool, total int, body func(stage int)) {
-	runStages(t, cur, arrived, total, body)
+func (r *Rand) Float() float64 {
+	return float64(r.Next()>>11) / float64(1<<53)
 }

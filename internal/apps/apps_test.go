@@ -30,10 +30,7 @@ func runWorkload(t *testing.T, mode svm.Mode, s Shape, w *Workload) *svm.Cluster
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !cl.Finished() {
-		t.Fatal("threads did not finish")
-	}
-	if err := w.Err(); err != nil {
+	if err := cl.Verify(w.Err); err != nil {
 		t.Fatal(err)
 	}
 	return cl

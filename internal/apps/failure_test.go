@@ -52,11 +52,8 @@ func runWithFailure(t *testing.T, s Shape, w *Workload, victim int, kind obs.Kin
 	if !killed {
 		t.Skipf("kill trigger %s never fired (workload finished first)", kind)
 	}
-	if !cl.Finished() {
-		t.Fatal("threads did not finish after recovery")
-	}
-	if err := w.Err(); err != nil {
-		t.Fatalf("workload verification failed after recovery: %v", err)
+	if err := cl.Verify(w.Err); err != nil {
+		t.Fatalf("after recovery: %v", err)
 	}
 }
 

@@ -180,7 +180,7 @@ func FFT(s Shape, n int) *Workload {
 			}
 		})
 
-		runStages(t, &st.Phase, &st.Arrived, len(stage), func(p int) { stage[p]() })
+		RunStages(t, &st.Phase, &st.Arrived, len(stage), func(p int) { stage[p]() })
 	}
 	return w
 }

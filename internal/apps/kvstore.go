@@ -201,9 +201,9 @@ func KVStoreKeys(s Shape, buckets, slotsPerBucket, opsPerThread, keySpace int) *
 	// opFor returns thread tid's op i: (key, delta). Deterministic and
 	// recomputable during replay.
 	opFor := func(tid, i int) (uint64, uint64) {
-		rng := newPrng(uint64(tid)<<32 | uint64(i) | 1)
-		key := rng.next()%uint64(keySpace) + 1 // keys are nonzero
-		delta := rng.next()%100 + 1
+		rng := NewRand(uint64(tid)<<32 | uint64(i) | 1)
+		key := rng.Next()%uint64(keySpace) + 1 // keys are nonzero
+		delta := rng.Next()%100 + 1
 		return key, delta
 	}
 
@@ -267,7 +267,7 @@ func KVStoreKeys(s Shape, buckets, slotsPerBucket, opsPerThread, keySpace int) *
 			}
 		}
 
-		runStages(t, &st.Phase, &st.Arrived, 2, func(s int) {
+		RunStages(t, &st.Phase, &st.Arrived, 2, func(s int) {
 			switch s {
 			case 0:
 				opsStage(s)

@@ -179,7 +179,7 @@ func LU(s Shape, n, b int) *Workload {
 			if tid != 0 {
 				return
 			}
-			rng := newPrng(12345)
+			rng := NewRand(12345)
 			samples := 64
 			if n <= 64 {
 				samples = n * n // exhaustive only for test-size matrices
@@ -192,7 +192,7 @@ func LU(s Shape, n, b int) *Workload {
 				if n <= 128 {
 					i, j = sIdx/n, sIdx%n
 				} else {
-					i, j = int(rng.next()%uint64(n)), int(rng.next()%uint64(n))
+					i, j = int(rng.Next()%uint64(n)), int(rng.Next()%uint64(n))
 				}
 				readRowSeg(t, blockAddr, i, n, b, rowI)
 				readColSeg(t, blockAddr, j, n, b, colJ)
@@ -220,7 +220,7 @@ func LU(s Shape, n, b int) *Workload {
 		}
 
 		total := 2 + 3*N // init + 3 stages per step + verify
-		runStages(t, &st.Phase, &st.Arrived, total, func(s int) {
+		RunStages(t, &st.Phase, &st.Arrived, total, func(s int) {
 			switch {
 			case s == 0:
 				initStage()

@@ -14,7 +14,7 @@ import "ftsvm/internal/svm"
 // exactly once), and the sync CALL itself is re-executed by the replay
 // (so a thread restored from a mid-barrier snapshot re-issues the open
 // episode's call and its barrier numbering stays aligned — the same
-// shape runStages gives the SPLASH ports with its Arrived flag;
+// shape RunStages gives the SPLASH ports with its Arrived flag;
 // FalseShare packs the equivalent into Iter's parity to keep the
 // checkpoint blob, and with it every virtual time, unchanged).
 

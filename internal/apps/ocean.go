@@ -113,7 +113,7 @@ func Ocean(s Shape, n, sweeps int) *Workload {
 		}
 
 		total := 1 + 2*sweeps + 1
-		runStages(t, &st.Phase, &st.Arrived, total, func(sg int) {
+		RunStages(t, &st.Phase, &st.Arrived, total, func(sg int) {
 			switch {
 			case sg == 0:
 				initStage()

@@ -78,9 +78,9 @@ func Radix(s Shape, n int) *Workload {
 		dst := func(pass int) int { return src(pass + 1) }
 
 		initStage := func() {
-			rng := newPrng(uint64(tid)*2654435761 + 1)
+			rng := NewRand(uint64(tid)*2654435761 + 1)
 			for i := range keys {
-				keys[i] = uint32(rng.next() & (1<<keyBits - 1))
+				keys[i] = uint32(rng.Next() & (1<<keyBits - 1))
 			}
 			t.WriteU32s(keysA+lo*4, keys)
 		}
@@ -201,10 +201,10 @@ func Radix(s Shape, n int) *Workload {
 			var wantXor uint32
 			for pt := 0; pt < T; pt++ {
 				plo, phi := splitRange(n, T, pt)
-				rng := newPrng(uint64(pt)*2654435761 + 1)
+				rng := NewRand(uint64(pt)*2654435761 + 1)
 				for i := plo; i < phi; i++ {
 					_ = i
-					k := uint32(rng.next() & (1<<keyBits - 1))
+					k := uint32(rng.Next() & (1<<keyBits - 1))
 					wantSum += uint64(k)
 					wantXor ^= k
 				}
@@ -215,7 +215,7 @@ func Radix(s Shape, n int) *Workload {
 		}
 
 		total := 2 + 4*passes // init + 4 stages per pass + verify
-		runStages(t, &st.Phase, &st.Arrived, total, func(s int) {
+		RunStages(t, &st.Phase, &st.Arrived, total, func(s int) {
 			switch {
 			case s == 0:
 				initStage()

@@ -48,17 +48,17 @@ func TestSplitRangeBalance(t *testing.T) {
 }
 
 func TestPrngDeterministicAndBounded(t *testing.T) {
-	a, b := newPrng(42), newPrng(42)
+	a, b := NewRand(42), NewRand(42)
 	for i := 0; i < 100; i++ {
-		x, y := a.float(), b.float()
+		x, y := a.Float(), b.Float()
 		if x != y {
-			t.Fatal("prng not deterministic")
+			t.Fatal("Rand not deterministic")
 		}
 		if x < 0 || x >= 1 {
-			t.Fatalf("prng.float out of range: %g", x)
+			t.Fatalf("Rand.Float out of range: %g", x)
 		}
 	}
-	if newPrng(0).next() != newPrng(0).next() {
+	if NewRand(0).Next() != NewRand(0).Next() {
 		t.Fatal("zero seed not normalized deterministically")
 	}
 }

@@ -164,11 +164,11 @@ func Volrend(s Shape, vdim, idim int) *Workload {
 			if tid != 0 {
 				return
 			}
-			rng := newPrng(99)
+			rng := NewRand(99)
 			worst := 0.0
 			for sIdx := 0; sIdx < 64; sIdx++ {
-				ix := int(rng.next() % uint64(idim))
-				iy := int(rng.next() % uint64(idim))
+				ix := int(rng.Next() % uint64(idim))
+				iy := int(rng.Next() % uint64(idim))
 				got := t.ReadF64(imgBase + (iy*idim+ix)*8)
 				vx := int(float64(ix) / float64(idim) * float64(vdim))
 				vy := int(float64(iy) / float64(idim) * float64(vdim))
@@ -187,7 +187,7 @@ func Volrend(s Shape, vdim, idim int) *Workload {
 			}
 		}
 
-		runStages(t, &st.Phase, &st.Arrived, 3, func(s int) {
+		RunStages(t, &st.Phase, &st.Arrived, 3, func(s int) {
 			switch s {
 			case 0:
 				initStage()

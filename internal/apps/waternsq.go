@@ -108,11 +108,11 @@ func WaterNsq(s Shape, n, steps int) *Workload {
 		dstVel := func(step int) int { return srcVel(step + 1) }
 
 		initStage := func() {
-			rng := newPrng(uint64(tid + 1))
+			rng := NewRand(uint64(tid + 1))
 			for i := lo; i < hi; i++ {
-				buf[3*(i-lo)] = float64(i%16) + 0.3*rng.float()
-				buf[3*(i-lo)+1] = float64((i/16)%16) + 0.3*rng.float()
-				buf[3*(i-lo)+2] = float64(i/256) + 0.3*rng.float()
+				buf[3*(i-lo)] = float64(i%16) + 0.3*rng.Float()
+				buf[3*(i-lo)+1] = float64((i/16)%16) + 0.3*rng.Float()
+				buf[3*(i-lo)+2] = float64(i/256) + 0.3*rng.Float()
 			}
 			writeMols(t, posA, lo, hi, buf[:3*own])
 			for i := 0; i < 3*own; i++ {
@@ -246,7 +246,7 @@ func WaterNsq(s Shape, n, steps int) *Workload {
 		}
 
 		total := 1 + 4*steps
-		runStages(t, &st.Phase, &st.Arrived, total, func(s int) {
+		RunStages(t, &st.Phase, &st.Arrived, total, func(s int) {
 			if s == 0 {
 				initStage()
 				return

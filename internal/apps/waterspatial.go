@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"ftsvm/internal/svm"
 )
@@ -127,7 +128,7 @@ func WaterSp(s Shape, n, steps int) *Workload {
 		for tid := range touchers[c] {
 			contributors[c] = append(contributors[c], tid)
 		}
-		sortInts(contributors[c])
+		sort.Ints(contributors[c])
 	}
 
 	const dt = 1e-3
@@ -160,12 +161,12 @@ func WaterSp(s Shape, n, steps int) *Workload {
 		dstVel := func(step int) int { return srcVel(step + 1) }
 
 		initStage := func() {
-			rng := newPrng(uint64(tid + 77))
+			rng := NewRand(uint64(tid + 77))
 			for i := mLo; i < mHi; i++ {
 				x, y, z := coord(cellOf[i])
-				buf[3*(i-mLo)] = float64(x) + rng.float()
-				buf[3*(i-mLo)+1] = float64(y) + rng.float()
-				buf[3*(i-mLo)+2] = float64(z) + rng.float()
+				buf[3*(i-mLo)] = float64(x) + rng.Float()
+				buf[3*(i-mLo)+1] = float64(y) + rng.Float()
+				buf[3*(i-mLo)+2] = float64(z) + rng.Float()
 			}
 			writeMols(t, posA, mLo, mHi, buf[:3*own])
 			for i := 0; i < 3*own; i++ {
@@ -196,7 +197,7 @@ func WaterSp(s Shape, n, steps int) *Workload {
 			for c := range needed {
 				cs = append(cs, c)
 			}
-			sortInts(cs)
+			sort.Ints(cs)
 			for _, c := range cs {
 				lo, hi := cellLo[c], cellLo[c+1]
 				if hi > lo {
@@ -327,7 +328,7 @@ func WaterSp(s Shape, n, steps int) *Workload {
 		}
 
 		total := 1 + 4*steps
-		runStages(t, &st.Phase, &st.Arrived, total, func(s int) {
+		RunStages(t, &st.Phase, &st.Arrived, total, func(s int) {
 			if s == 0 {
 				initStage()
 				return

@@ -111,8 +111,8 @@ func (tr *Trace) Budget() int64 {
 
 // Record executes the workload once, failure-free, enumerating every
 // protocol-step boundary. The run must itself pass the auditor and the
-// end-of-run check every injection run is held to (self-check, replica
-// invariant, oracle): boundaries of a broken baseline mean nothing.
+// end-of-run check every injection run is held to (verify): boundaries
+// of a broken baseline mean nothing.
 func Record(sp Spec) (*Trace, error) {
 	x, err := instrument(sp, 0, true, true, 0)
 	if err != nil {
@@ -128,9 +128,6 @@ func Record(sp Spec) (*Trace, error) {
 		bs.add(Boundary{Kind: e.Kind, Node: e.Node, Occ: occ})
 	}); err != nil {
 		return nil, fmt.Errorf("explore: %s baseline run: %w", sp.Name, err)
-	}
-	if !cl.Finished() {
-		return nil, fmt.Errorf("explore: %s baseline run did not finish", sp.Name)
 	}
 	if err := x.verify(&log); err != nil {
 		return nil, fmt.Errorf("explore: %s baseline check: %w", sp.Name, err)
@@ -346,8 +343,6 @@ func replay(sp Spec, schedule []Boundary, budget int64, ring int) (v Verdict, re
 			ids[i] = b.ID()
 		}
 		v.Err = fmt.Sprintf("boundaries never fired: %s", strings.Join(ids, ","))
-	case !cl.Finished():
-		v.Err = "surviving threads did not finish"
 	default:
 		if err := x.verify(&log); err != nil {
 			v.Err = err.Error()
@@ -357,13 +352,10 @@ func replay(sp Spec, schedule []Boundary, budget int64, ring int) (v Verdict, re
 	return v, x.rec
 }
 
-// verify is the check every finished run ends in: the workload's
-// self-check, the replica invariant, then the oracle's replay of log.
+// verify is the check every run ends in: the cluster's end-of-run check
+// with the workload's self-check, then the oracle's replay of log.
 func (x *execution) verify(log *oracle.Log) error {
-	if err := x.Check(); err != nil {
-		return err
-	}
-	if err := x.Cluster.VerifyReplicas(); err != nil {
+	if err := x.Cluster.Verify(x.Check); err != nil {
 		return err
 	}
 	return checkOracle(x.Cluster, log)

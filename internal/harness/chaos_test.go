@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -44,14 +43,8 @@ func TestChaosCostsOnlyTime(t *testing.T) {
 					rec := cl.EnableFlightRecorder(8)
 					cl.EnableAuditor()
 					err = cl.Run()
-					if err == nil && !cl.Finished() {
-						err = errors.New("threads did not finish")
-					}
 					if err == nil {
-						err = w.Err()
-					}
-					if err == nil {
-						err = cl.VerifyReplicas() // nil under the base protocol
+						err = cl.Verify(w.Err)
 					}
 					if err != nil {
 						var dump bytes.Buffer

@@ -47,72 +47,95 @@ func ParseSize(s string) (Size, error) {
 // Build constructs the named workload at the given size for a cluster
 // shape.
 func Build(app string, size Size, s apps.Shape) (*apps.Workload, error) {
-	// The per-size maps below read 0 for an unknown size, which the apps
-	// take for an empty (or invalid) problem.
 	if _, err := ParseSize(string(size)); err != nil {
 		return nil, err
 	}
-	switch app {
-	case "fft":
-		n := map[Size]int{SizeSmall: 4096, SizeMedium: 65536, SizePaper: 1 << 20}[size]
-		return apps.FFT(s, n), nil
-	case "lu":
-		n := map[Size]int{SizeSmall: 128, SizeMedium: 512, SizePaper: 1024}[size]
-		return apps.LU(s, n, 16), nil
-	case "waternsq":
-		n := map[Size]int{SizeSmall: 256, SizeMedium: 1024, SizePaper: 4096}[size]
-		return apps.WaterNsq(s, n, 2), nil
-	case "watersp":
-		n := map[Size]int{SizeSmall: 256, SizeMedium: 1024, SizePaper: 4096}[size]
-		return apps.WaterSp(s, n, 2), nil
-	case "radix":
-		n := map[Size]int{SizeSmall: 1 << 16, SizeMedium: 1 << 20, SizePaper: 4 << 20}[size]
-		return apps.Radix(s, n), nil
-	case "volrend":
-		v := map[Size]int{SizeSmall: 32, SizeMedium: 64, SizePaper: 128}[size]
-		i := map[Size]int{SizeSmall: 64, SizeMedium: 128, SizePaper: 256}[size]
-		return apps.Volrend(s, v, i), nil
-	case "ocean":
-		// Nearest-neighbour stencil extension (not in the paper's
-		// figures).
-		n := map[Size]int{SizeSmall: 64, SizeMedium: 258, SizePaper: 514}[size]
-		return apps.Ocean(s, n, 6), nil
-	case "counter":
-		// Micro workload for exhaustive failure-point sweeps (svm fi): a
-		// lock-protected shared counter.
-		n := map[Size]int{SizeSmall: 6, SizeMedium: 24, SizePaper: 96}[size]
-		return apps.Counter(s, n), nil
-	case "falseshare":
-		// Micro workload for sweeps: barrier-phased multi-writer page.
-		n := map[Size]int{SizeSmall: 8, SizeMedium: 32, SizePaper: 128}[size]
-		return apps.FalseShare(s, n), nil
-	case "kvstore":
-		// The §6 "broader application domain" extension: a transactional
-		// key-value server (not part of the paper's figures).
-		b := map[Size]int{SizeSmall: 32, SizeMedium: 128, SizePaper: 512}[size]
-		ops := map[Size]int{SizeSmall: 100, SizeMedium: 1000, SizePaper: 5000}[size]
-		return apps.KVStore(s, b, 32, ops), nil
-	case "kvmicro":
-		// Micro-scale KV store for exhaustive failure-point sweeps
-		// (svm fi/explore): few buckets, few ops, every interleaving cheap.
-		ops := map[Size]int{SizeSmall: 4, SizeMedium: 8, SizePaper: 16}[size]
-		return apps.KVStore(s, 4, 8, ops), nil
-	case "kvserve":
-		// Open-loop serving workload (internal/serve): Zipfian GET/PUT
-		// requests on a fixed arrival schedule, latency recorded per
-		// request. Here it rides the generic harness for chaos/ablation
-		// sweeps; `svm serve` owns the latency/timeline reporting.
+	for _, b := range builders {
+		if b.name == app {
+			return b.build(size, s)
+		}
+	}
+	return nil, fmt.Errorf("harness: unknown app %q", app)
+}
+
+// Apps lists every application Build knows.
+func Apps() []string {
+	names := make([]string, len(builders))
+	for i, b := range builders {
+		names[i] = b.name
+	}
+	return names
+}
+
+// bySize picks a problem parameter for a size ParseSize accepted.
+func bySize(z Size, small, medium, paper int) int {
+	switch z {
+	case SizeSmall:
+		return small
+	case SizeMedium:
+		return medium
+	}
+	return paper
+}
+
+// builders is every application Build knows: the paper's suite
+// (AppNames, in its order), then the extensions and the micro-workloads
+// written for failure-point sweeps.
+var builders = []struct {
+	name  string
+	build func(z Size, s apps.Shape) (*apps.Workload, error)
+}{
+	{"fft", func(z Size, s apps.Shape) (*apps.Workload, error) {
+		return apps.FFT(s, bySize(z, 4096, 65536, 1<<20)), nil
+	}},
+	{"lu", func(z Size, s apps.Shape) (*apps.Workload, error) {
+		return apps.LU(s, bySize(z, 128, 512, 1024), 16), nil
+	}},
+	{"waternsq", func(z Size, s apps.Shape) (*apps.Workload, error) {
+		return apps.WaterNsq(s, bySize(z, 256, 1024, 4096), 2), nil
+	}},
+	{"watersp", func(z Size, s apps.Shape) (*apps.Workload, error) {
+		return apps.WaterSp(s, bySize(z, 256, 1024, 4096), 2), nil
+	}},
+	{"radix", func(z Size, s apps.Shape) (*apps.Workload, error) {
+		return apps.Radix(s, bySize(z, 1<<16, 1<<20, 4<<20)), nil
+	}},
+	{"volrend", func(z Size, s apps.Shape) (*apps.Workload, error) {
+		return apps.Volrend(s, bySize(z, 32, 64, 128), bySize(z, 64, 128, 256)), nil
+	}},
+	// Nearest-neighbour stencil extension (not in the paper's figures).
+	{"ocean", func(z Size, s apps.Shape) (*apps.Workload, error) {
+		return apps.Ocean(s, bySize(z, 64, 258, 514), 6), nil
+	}},
+	// The §6 "broader application domain" extension: a transactional
+	// key-value server (not part of the paper's figures).
+	{"kvstore", func(z Size, s apps.Shape) (*apps.Workload, error) {
+		return apps.KVStore(s, bySize(z, 32, 128, 512), 32, bySize(z, 100, 1000, 5000)), nil
+	}},
+	// The open-loop serving workload (internal/serve), here for chaos and
+	// ablation sweeps; `svm serve` owns its latency reporting.
+	{"kvserve", func(z Size, s apps.Shape) (*apps.Workload, error) {
 		sp := serve.DefaultSpec()
 		sp.Nodes = s.Nodes
 		sp.ThreadsPerNode = s.ThreadsPerNode
-		sp.Requests = map[Size]int{SizeSmall: 100, SizeMedium: 400, SizePaper: 2000}[size]
+		sp.Requests = bySize(z, 100, 400, 2000)
 		d, err := serve.NewDriver(sp, s.PageSize)
 		if err != nil {
 			return nil, err
 		}
 		return d.Workload(), nil
-	}
-	return nil, fmt.Errorf("harness: unknown app %q", app)
+	}},
+	// Micro workloads for exhaustive failure-point sweeps (svm fi): a
+	// locked counter, a multi-writer page, a few-bucket KV store.
+	{"counter", func(z Size, s apps.Shape) (*apps.Workload, error) {
+		return apps.Counter(s, bySize(z, 6, 24, 96)), nil
+	}},
+	{"falseshare", func(z Size, s apps.Shape) (*apps.Workload, error) {
+		return apps.FalseShare(s, bySize(z, 8, 32, 128)), nil
+	}},
+	{"kvmicro", func(z Size, s apps.Shape) (*apps.Workload, error) {
+		return apps.KVStore(s, 4, 8, bySize(z, 4, 8, 16)), nil
+	}},
 }
 
 // Tier names a cluster-scale preset. The paper's grid stops at 8 nodes;
@@ -334,9 +357,8 @@ func NewCluster(c Config) (*svm.Cluster, *apps.Workload, error) {
 	return cl, w, err
 }
 
-// Run executes one experiment cell to a verified finish: every thread
-// done, the workload's self-check passed and the replicas holding
-// (svm.Cluster.VerifyReplicas).
+// Run executes one experiment cell to a verified finish
+// (svm.Cluster.Verify with the workload's self-check).
 func Run(c Config) Result {
 	var kind obs.Kind
 	if c.KillKind != "" {
@@ -365,13 +387,7 @@ func Run(c Config) Result {
 	if fired != nil && !*fired {
 		return Result{Config: c, Err: fmt.Errorf("harness: kill never fired: node %d did not record %s (KillSeq %d)", c.KillVictim, c.KillKind, c.KillSeq)}
 	}
-	if !cl.Finished() {
-		return Result{Config: c, Err: fmt.Errorf("harness: %s did not finish", c.App)}
-	}
-	if err := w.Err(); err != nil {
-		return Result{Config: c, Err: err}
-	}
-	if err := cl.VerifyReplicas(); err != nil {
+	if err := cl.Verify(w.Err); err != nil {
 		return Result{Config: c, Err: err}
 	}
 	r := Result{

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,7 +13,10 @@ import (
 
 func TestBuildAllApps(t *testing.T) {
 	s := apps.Shape{Nodes: 4, ThreadsPerNode: 1, PageSize: 4096}
-	for _, app := range AppNames {
+	if all := Apps(); !slices.Equal(all[:len(AppNames)], AppNames) {
+		t.Fatalf("Apps() = %v does not start with the paper's suite %v", all, AppNames)
+	}
+	for _, app := range Apps() {
 		w, err := Build(app, SizeSmall, s)
 		if err != nil {
 			t.Fatalf("%s: %v", app, err)
@@ -26,7 +30,7 @@ func TestBuildAllApps(t *testing.T) {
 	}
 	// An unknown size must not reach the apps as problem size 0 (FFT
 	// panics on it; the micro workloads run zero iterations and "pass").
-	for _, app := range append([]string{"counter", "kvserve"}, AppNames...) {
+	for _, app := range Apps() {
 		_, err := Build(app, "bogus", s)
 		if err == nil || !strings.Contains(err.Error(), `unknown size "bogus"`) {
 			t.Fatalf("%s at size bogus: err = %v, want one naming the size", app, err)

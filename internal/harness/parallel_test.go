@@ -42,11 +42,8 @@ func parallelCell(t *testing.T, app string, mode svm.Mode, tpn int, seed int64, 
 	if err := cl.Run(); err != nil {
 		t.Fatalf("%s (workers=%d): %v", app, workers, err)
 	}
-	if !cl.Finished() {
-		t.Fatalf("%s (workers=%d): did not finish", app, workers)
-	}
-	if err := w.Err(); err != nil {
-		t.Fatalf("%s (workers=%d): self-check: %v", app, workers, err)
+	if err := cl.Verify(w.Err); err != nil {
+		t.Fatalf("%s (workers=%d): %v", app, workers, err)
 	}
 	if workers > 1 {
 		if r := cl.SerialFallbackReason(); r != "" {

@@ -29,14 +29,8 @@ func runAppWithKillTPN(t *testing.T, app string, kind obs.Kind, victim int, seq 
 	if !*fired {
 		t.Skip("kill point never reached")
 	}
-	if !cl.Finished() {
-		t.Fatal("threads did not finish")
-	}
-	if err := w.Err(); err != nil {
-		t.Fatalf("result verification: %v", err)
-	}
-	if err := cl.VerifyReplicas(); err != nil {
-		t.Fatalf("replica audit: %v", err)
+	if err := cl.Verify(w.Err); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"fmt"
-
 	"ftsvm/internal/model"
 	"ftsvm/internal/obs"
 	"ftsvm/internal/svm"
@@ -62,13 +60,7 @@ func RunCell(sp Spec) Result {
 	if err := cl.Run(); err != nil {
 		return Result{Spec: sp, Err: err}
 	}
-	if !cl.Finished() {
-		return Result{Spec: sp, Err: fmt.Errorf("serve: %s/%s did not finish", sp.Scenario, sp.Detect)}
-	}
-	if err := w.Err(); err != nil {
-		return Result{Spec: sp, Err: err}
-	}
-	if err := cl.VerifyReplicas(); err != nil {
+	if err := cl.Verify(w.Err); err != nil {
 		return Result{Spec: sp, Err: err}
 	}
 

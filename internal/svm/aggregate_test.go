@@ -22,8 +22,8 @@ func runAggregate(t *testing.T, mode Mode, body func(*Thread)) *Cluster {
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !cl.Finished() {
-		t.Fatal("threads did not finish")
+	if err := cl.Verify(nil); err != nil {
+		t.Fatal(err)
 	}
 	return cl
 }

@@ -77,10 +77,7 @@ func TestAuditDifferentialHealthy(t *testing.T) {
 			if d.RefErr != nil {
 				t.Fatalf("reference auditor: %v", d.RefErr)
 			}
-			if !cl.Finished() {
-				t.Fatal("threads did not finish")
-			}
-			if err := w.Err(); err != nil {
+			if err := cl.Verify(w.Err); err != nil {
 				t.Fatal(err)
 			}
 			if d.Boundaries != cl.Engine().Events() {

@@ -258,7 +258,10 @@ func TestAuditDifferentialFirstNoticeInRecovery(t *testing.T) {
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if cl.ProtoStats().Recoveries != 1 || !cl.Finished() {
+	if err := cl.Verify(nil); err != nil {
+		t.Fatal(err)
+	}
+	if cl.ProtoStats().Recoveries != 1 {
 		t.Fatal("the kill was never recovered from")
 	}
 	if atSync != 1 {

@@ -120,8 +120,8 @@ func TestMutualExclusionProperty(t *testing.T) {
 			if fired != nil && !*fired {
 				t.Fatal("kill milestone never fired")
 			}
-			if !cl.Finished() {
-				t.Fatal("not all threads finished")
+			if err := cl.Verify(nil); err != nil {
+				t.Fatal(err)
 			}
 			for l := 0; l < nlocks; l++ {
 				if h := cl.auditHolders(l); len(h) > 1 {
@@ -138,9 +138,6 @@ func TestMutualExclusionProperty(t *testing.T) {
 				if got := finalU64(t, cl, l*8); got != want[l] {
 					t.Errorf("lock %d counter = %d, want %d", l, got, want[l])
 				}
-			}
-			if tc.mode == ModeFT {
-				verifyReplicaInvariants(t, cl)
 			}
 		})
 	}
@@ -186,11 +183,10 @@ func TestNICLockGrantReplicationWindow(t *testing.T) {
 	if !done {
 		t.Fatal("no remote acquire ever happened")
 	}
-	if !cl.Finished() {
-		t.Fatal("not all threads finished after recovery")
+	if err := cl.Verify(nil); err != nil {
+		t.Fatalf("after recovery: %v", err)
 	}
 	checkCounter(t, cl, 4*iters)
-	verifyReplicaInvariants(t, cl)
 }
 
 // TestStrayQueueGrantPanics is the regression for the silent qlGrant

@@ -38,11 +38,10 @@ func finishChaosRun(t *testing.T, cl *Cluster, iters int) {
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !cl.Finished() {
-		t.Fatal("not all threads finished under chaos")
+	if err := cl.Verify(nil); err != nil {
+		t.Fatalf("under chaos: %v", err)
 	}
 	checkCounter(t, cl, uint64(4*iters))
-	verifyReplicaInvariants(t, cl)
 	for i := 0; i < 4; i++ {
 		if cl.Network().ConfirmedDead(i) {
 			t.Fatalf("chaos (not a failure) got node %d confirmed dead", i)

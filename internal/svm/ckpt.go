@@ -76,7 +76,7 @@ func (s *Thread) encodeSnapshot(buf []byte) (checkpoint.Snapshot, int) {
 	// BarSeq records the thread's pre-arrival barrier count, even when
 	// the snapshot is taken inside a barrier call (point B of episode
 	// barSeq+1). The workload contract (internal/apps) is that replay
-	// re-executes the suspended sync CALL — runStages guards stage
+	// re-executes the suspended sync CALL — apps.RunStages guards stage
 	// bodies with an Arrived flag, and the micro workloads guard work
 	// with a half-step counter — so the restored thread's first replayed
 	// Barrier is numbered barSeq+1, exactly the open episode: it arrives

@@ -152,8 +152,8 @@ func TestReleaseConsistencyUnderFailure(t *testing.T) {
 		if err := cl.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if !cl.Finished() {
-			t.Logf("seed %d: not finished", seed)
+		if err := cl.Verify(nil); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
 		want := make([]uint64, locks)

@@ -27,8 +27,8 @@ func runCounterWithDir(t *testing.T, dir model.DirectoryMode, kill bool) *Cluste
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !cl.Finished() {
-		t.Fatal("not all threads finished")
+	if err := cl.Verify(nil); err != nil {
+		t.Fatal(err)
 	}
 	checkCounter(t, cl, 4*iters)
 	return cl
@@ -86,11 +86,10 @@ func TestDirectoryHashedEveryVictim(t *testing.T) {
 			if err := cl.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if !cl.Finished() {
-				t.Fatal("not all threads finished after recovery")
+			if err := cl.Verify(nil); err != nil {
+				t.Fatalf("after recovery: %v", err)
 			}
 			checkCounter(t, cl, 4*iters)
-			verifyReplicaInvariants(t, cl)
 		})
 	}
 }

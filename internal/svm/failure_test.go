@@ -59,11 +59,10 @@ func runWithKill(t *testing.T, kind obs.Kind, victim int, seq int64, tpn int) *C
 	if !*fired {
 		t.Fatalf("event %s seq %d never fired for node %d", kind, seq, victim)
 	}
-	if !cl.Finished() {
-		t.Fatal("not all threads finished after recovery")
+	if err := cl.Verify(nil); err != nil {
+		t.Fatalf("after recovery: %v", err)
 	}
 	checkCounter(t, cl, uint64(4*tpn*iters))
-	verifyReplicaInvariants(t, cl)
 	return cl
 }
 
@@ -181,10 +180,9 @@ func TestFailAtBarrier(t *testing.T) {
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !cl.Finished() {
-		t.Fatal("threads did not finish after barrier-time failure")
+	if err := cl.Verify(nil); err != nil {
+		t.Fatalf("after barrier-time failure: %v", err)
 	}
-	verifyReplicaInvariants(t, cl)
 }
 
 // TestFailBarrierMaster kills node 0 (the barrier master and recovery
@@ -222,11 +220,10 @@ func TestSuccessiveFailuresKillTwo(t *testing.T) {
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !cl.Finished() {
-		t.Fatal("threads did not finish after successive failures")
+	if err := cl.Verify(nil); err != nil {
+		t.Fatalf("after successive failures: %v", err)
 	}
 	checkCounter(t, cl, uint64(5*iters))
-	verifyReplicaInvariants(t, cl)
 }
 
 // TestNoPostCheckpointLeakage verifies the paper's third guarantee: no

@@ -264,8 +264,8 @@ func siblingFault(t *testing.T, mid func(cl *Cluster)) (*Cluster, [2]uint64) {
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !cl.Finished() {
-		t.Fatal("threads did not finish: a waiting sibling was never woken")
+	if err := cl.Verify(nil); err != nil {
+		t.Fatalf("%v (a waiting sibling never woken?)", err)
 	}
 	if f := cl.nodes[1].pt.page(0).fetching; f != nil {
 		t.Fatalf("page 0 is still marked as being fetched (%p)", f)

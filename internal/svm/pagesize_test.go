@@ -52,8 +52,8 @@ func TestPageSizeVariants(t *testing.T) {
 				if err := cl.Run(); err != nil {
 					t.Fatal(err)
 				}
-				if !cl.Finished() {
-					t.Fatal("threads did not finish")
+				if err := cl.Verify(nil); err != nil {
+					t.Fatal(err)
 				}
 				for p := 0; p < pages; p++ {
 					if got := cl.PeekU64(p * size); got != nodes*iters {
@@ -94,15 +94,14 @@ func TestPageSizeFailure(t *testing.T) {
 			if !*fired {
 				t.Skip("kill point never reached")
 			}
-			if !cl.Finished() {
-				t.Fatal("threads did not finish")
+			if err := cl.Verify(nil); err != nil {
+				t.Fatal(err)
 			}
 			for p := 0; p < 4; p++ {
 				if got := cl.PeekU64(p * size); got != 4*iters {
 					t.Fatalf("page %d shared word = %d, want %d", p, got, 4*iters)
 				}
 			}
-			verifyReplicaInvariants(t, cl)
 		})
 	}
 }

@@ -132,8 +132,8 @@ func TestLiveHolderKeepsLockThroughRecovery(t *testing.T) {
 	if !holderEntered {
 		t.Fatal("holder never entered the critical section")
 	}
-	if !cl.Finished() {
-		t.Fatal("threads did not finish")
+	if err := cl.Verify(nil); err != nil {
+		t.Fatal(err)
 	}
 	if got := cl.PeekU64(0); got != 1 {
 		t.Fatalf("critical-section write lost: %d", got)
@@ -244,8 +244,8 @@ func TestOracleSweepReportsAtSameEvent(t *testing.T) {
 			if got := cl.ProtoStats().Recoveries; got != int64(len(tc.wantEvents)) {
 				t.Fatalf("%d recoveries, want %d", got, len(tc.wantEvents))
 			}
-			if !cl.Finished() {
-				t.Fatal("threads stranded after recovery")
+			if err := cl.Verify(nil); err != nil {
+				t.Fatalf("after recovery: %v", err)
 			}
 		})
 	}

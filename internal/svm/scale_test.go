@@ -231,8 +231,8 @@ func TestTreeFanoutBarrier(t *testing.T) {
 		if err := cl.Run(); err != nil {
 			t.Fatalf("nodes=%d arity=%d: %v", tc.nodes, tc.arity, err)
 		}
-		if !cl.Finished() {
-			t.Fatalf("nodes=%d arity=%d: not all threads finished", tc.nodes, tc.arity)
+		if err := cl.Verify(nil); err != nil {
+			t.Fatalf("nodes=%d arity=%d: %v", tc.nodes, tc.arity, err)
 		}
 		checkPhased(t, cl, rounds)
 	}
@@ -275,11 +275,10 @@ func TestTreeFanoutMasterDeath(t *testing.T) {
 			if !fired {
 				t.Fatal("master never merged episode 3")
 			}
-			if !cl.Finished() {
-				t.Fatal("threads stranded after master death")
+			if err := cl.Verify(nil); err != nil {
+				t.Fatalf("after master death: %v", err)
 			}
 			checkPhased(t, cl, rounds)
-			verifyReplicaInvariants(t, cl)
 		})
 	}
 }
@@ -330,8 +329,8 @@ func TestBoundedProbeDetection(t *testing.T) {
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !cl.Finished() {
-		t.Fatal("cluster never recovered with a bounded probe window")
+	if err := cl.Verify(nil); err != nil {
+		t.Fatalf("with a bounded probe window: %v", err)
 	}
 	if cl.ProtoStats().Recoveries == 0 {
 		t.Fatal("no recovery ran — the kill never happened?")

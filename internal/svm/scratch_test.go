@@ -88,9 +88,10 @@ func TestRecycledScratchKill(t *testing.T) {
 			if err := cl.Run(); err != nil {
 				t.Fatal(err)
 			}
+			if err := cl.Verify(nil); err != nil {
+				t.Fatal(err)
+			}
 			switch {
-			case !cl.Finished():
-				t.Fatal("threads did not finish")
 			case cl.ProtoStats().Recoveries != 1:
 				t.Fatalf("%d recoveries, want 1", cl.ProtoStats().Recoveries)
 			case tc.want == "roll-back" && rollBacks == 0:
@@ -103,9 +104,6 @@ func TestRecycledScratchKill(t *testing.T) {
 				if got := binary.LittleEndian.Uint64(cl.PeekBytes(p*psz, 8)); got != nodes*iters {
 					t.Errorf("page %d counter = %d, want %d", p, got, nodes*iters)
 				}
-			}
-			if err := cl.VerifyReplicas(); err != nil {
-				t.Fatal(err)
 			}
 		})
 	}
@@ -186,9 +184,10 @@ func TestRecycledCheckpointRestore(t *testing.T) {
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if err := cl.Verify(nil); err != nil {
+		t.Fatal(err)
+	}
 	switch {
-	case !cl.Finished():
-		t.Fatal("threads did not finish")
 	case cl.ProtoStats().Recoveries != 1:
 		t.Fatalf("%d recoveries, want 1", cl.ProtoStats().Recoveries)
 	case restores != tpn:
@@ -198,8 +197,5 @@ func TestRecycledCheckpointRestore(t *testing.T) {
 		if got := binary.LittleEndian.Uint64(cl.PeekBytes(l*psz, 8)); got != nodes*iters/2 {
 			t.Errorf("lock %d's counter = %d, want %d", l, got, nodes*iters/2)
 		}
-	}
-	if err := cl.VerifyReplicas(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -83,17 +83,16 @@ func TestMultiLockSMPFailureSweep(t *testing.T) {
 					continue
 				}
 				ran++
-				if !cl.Finished() {
-					t.Fatalf("%s: threads did not finish", name)
-				}
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
 							t.Fatalf("%s: %v", name, r)
 						}
 					}()
+					if err := cl.Verify(nil); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
 					checkMultiLock(t, cl, locks, nodes*2*iters)
-					verifyReplicaInvariants(t, cl)
 				}()
 			}
 		}

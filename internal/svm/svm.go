@@ -875,11 +875,15 @@ func (cl *Cluster) CheckpointCount() int64 {
 }
 
 // Finished reports whether every live thread ran to completion.
-func (cl *Cluster) Finished() bool {
+func (cl *Cluster) Finished() bool { return cl.unfinished() == nil }
+
+// unfinished returns the first live thread that has not run to
+// completion, or nil.
+func (cl *Cluster) unfinished() *Thread {
 	for _, t := range cl.threads {
 		if !t.dead && !t.finished {
-			return false
+			return t
 		}
 	}
-	return true
+	return nil
 }

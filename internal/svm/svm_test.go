@@ -28,8 +28,8 @@ func runCluster(t *testing.T, mode Mode, nodes, tpn, pages, locks int, body func
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !cl.Finished() {
-		t.Fatal("not all threads finished")
+	if err := cl.Verify(nil); err != nil {
+		t.Fatal(err)
 	}
 	return cl
 }

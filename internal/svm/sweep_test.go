@@ -45,17 +45,16 @@ func TestFailureScheduleSweep(t *testing.T) {
 					continue
 				}
 				ran++
-				if !cl.Finished() {
-					t.Fatalf("%s: threads did not finish", name)
-				}
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
 							t.Fatalf("%s: invariant check panicked: %v", name, r)
 						}
 					}()
+					if err := cl.Verify(nil); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
 					checkCounter(t, cl, nodes*iters)
-					verifyReplicaInvariants(t, cl)
 				}()
 			}
 		}
@@ -92,11 +91,10 @@ func TestFailureScheduleSweepSMP(t *testing.T) {
 				continue
 			}
 			ran++
-			if !cl.Finished() {
-				t.Fatalf("%s/n%d: did not finish", kind, victim)
+			if err := cl.Verify(nil); err != nil {
+				t.Fatalf("%s/n%d: %v", kind, victim, err)
 			}
 			checkCounter(t, cl, nodes*2*iters)
-			verifyReplicaInvariants(t, cl)
 		}
 	}
 	if ran < 5 {

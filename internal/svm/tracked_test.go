@@ -39,8 +39,8 @@ func diffPair(t *testing.T, mode Mode, nodes, tpn, pages, locks int, body func(*
 		if err := cl.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if !cl.Finished() {
-			t.Fatal("threads did not finish")
+		if err := cl.Verify(nil); err != nil {
+			t.Fatal(err)
 		}
 		return cl
 	}

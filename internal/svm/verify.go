@@ -7,11 +7,33 @@ import (
 	"ftsvm/internal/proto"
 )
 
-// VerifyReplicas audits the extended protocol's replication invariant
-// after a run, page by page (verifyPage). Every runner ends in it, after
-// any failure, detected or not. Returns nil for ModeBase clusters (no
-// replicas to audit).
+// Verify is the check every run ends in, after any failure, detected or
+// not: every live thread finished, then check (the workload's own
+// self-check; nil for none), then VerifyReplicas.
+func (cl *Cluster) Verify(check func() error) error {
+	if t := cl.unfinished(); t != nil {
+		return fmt.Errorf("svm: thread %d on node %d did not finish", t.id, t.node.id)
+	}
+	if check != nil {
+		if err := check(); err != nil {
+			return err
+		}
+	}
+	return cl.VerifyReplicas()
+}
+
+// VerifyReplicas audits the state a finished run leaves behind. Under
+// either protocol no live node may still hold a write it never released:
+// a thread that returns, or replays past a sync call it did not re-run,
+// with pages on its node's dirty list has lost those writes. The
+// extended protocol's replication invariant is then audited page by page
+// (verifyPage).
 func (cl *Cluster) VerifyReplicas() error {
+	for _, n := range cl.nodes {
+		if !n.dead && len(n.dirty) > 0 {
+			return fmt.Errorf("svm: node %d ended the run holding unreleased writes to page %d", n.id, n.dirty[0])
+		}
+	}
 	if cl.opt.Mode != ModeFT {
 		return nil
 	}

@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -25,7 +26,7 @@ func writeEveryPage(nodes, pages int) func(*Thread) {
 func wantErr(t *testing.T, err error, want string) {
 	t.Helper()
 	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("VerifyReplicas = %v, want %q", err, want)
+		t.Fatalf("verify = %v, want %q", err, want)
 	}
 }
 
@@ -101,4 +102,78 @@ func TestDebugPageEveryReplica(t *testing.T) {
 		}
 	}
 	wantErr(t, cl.VerifyReplicas(), "page 0: replicas diverge at byte 5")
+}
+
+// TestUnreleasedWriteFailsVerify: a run that ends with a write still on a
+// live node's dirty list has lost that write, and the end-of-run check
+// names the node and the page under either protocol. phasedBody advances
+// its round before its barrier, so thread 1, killed while waiting in
+// barrier 4, replays on node 2 as: write round 5's value, fall through
+// the completed episode, return — the write is never released.
+func TestUnreleasedWriteFailsVerify(t *testing.T) {
+	cfg := model.Default()
+	cfg.Nodes = 4
+	cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Body: phasedBody(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Engine().At(1_000_000, func() { cl.KillNode(1) })
+	if err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := cl.PeekU64(8); got != 4001 {
+		t.Fatalf("slot 1 = %d, want round 4's 4001 (the lost write)", got)
+	}
+	const lost = "svm: node 2 ended the run holding unreleased writes to page 0"
+	wantErr(t, cl.VerifyReplicas(), lost)
+	wantErr(t, cl.Verify(nil), lost)
+
+	// Base protocol: a body that writes after its last barrier and returns.
+	cfg.Nodes = 2
+	cl, err = New(Options{Config: cfg, Mode: ModeBase, Pages: 2, Locks: 1, Body: func(th *Thread) {
+		th.Setup(&counterState{})
+		th.Barrier()
+		th.WriteU64(th.ID()*8, 1)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	wantErr(t, cl.Verify(nil), "svm: node 0 ended the run holding unreleased writes to page 0")
+}
+
+// TestVerifyOrder: the end-of-run check tests, in order, that every live
+// thread finished (naming the first that did not), the workload's check,
+// then the replicas; a check is not consulted for a run that never ended.
+func TestVerifyOrder(t *testing.T) {
+	build := func() *Cluster {
+		cfg := model.Default()
+		cfg.Nodes = 2
+		cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 2, Locks: 1, Body: writeEveryPage(2, 2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}
+	called := false
+	check := func() error { called = true; return errors.New("self-check failed") }
+	cl := build()
+	cl.Engine().At(1, cl.Engine().Stop) // cut the run short
+	if err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	wantErr(t, cl.Verify(check), "svm: thread 0 on node 0 did not finish")
+	if called {
+		t.Fatal("the workload's check ran before every thread finished")
+	}
+	cl = build()
+	if err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	wantErr(t, cl.Verify(check), "self-check failed")
+	if err := cl.Verify(nil); err != nil {
+		t.Fatal(err)
+	}
 }
