@@ -245,9 +245,10 @@ type Config struct {
 	// extended protocol does, under the base protocol too (ablation: the
 	// price of release serialization, §4.4).
 	SerialReleases bool
-	// FullTwins disables write-set tracked diffing (ablation: full-page
-	// twin copies and full-page diff scans, the pre-tracking behavior).
-	// Protocol outputs are identical either way; only host time moves.
+	// FullTwins makes every write fault copy the whole page into its twin
+	// and mark every chunk dirty (ablation: full-page twin copies and
+	// full-page diff scans, the pre-tracking behavior). Protocol outputs
+	// are identical either way; only host time moves.
 	FullTwins bool
 	// Detection selects the failure detector: the zero value is the free
 	// oracle (seed behavior); model.DetectProbe pays for real probe/ack

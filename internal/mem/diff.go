@@ -169,7 +169,10 @@ func (b *DiffBuf) Reset() {
 // compute/apply/discard cycle allocates nothing. See DiffBuf for the
 // lifetime contract.
 func ComputeInto(buf *DiffBuf, twin, cur []byte, word int) []Run {
-	return ComputeTrackedInto(buf, twin, cur, word, nil)
+	buf.Reset()
+	checkComputeArgs(twin, cur, word)
+	buf.spans = appendSpans(buf.spans[:0], twin, cur, word)
+	return buf.emit(cur)
 }
 
 // reserve makes room for n more runs and size more payload bytes. A slab

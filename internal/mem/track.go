@@ -180,10 +180,9 @@ func appendTrackedSpans(spans []span, twin, cur []byte, word int, mask []uint64)
 }
 
 // ComputeTrackedInto is ComputeInto restricted to the dirty chunks in
-// mask. A nil mask means "untracked" and falls back to the full scan. For
-// any mask that covers the true write set, the output is identical to
-// Compute's (verified by differential fuzz tests). See DiffBuf for the
-// storage-lifetime contract.
+// mask. For any mask that covers the true write set, the output is
+// identical to Compute's (verified by differential fuzz tests). See
+// DiffBuf for the storage-lifetime contract.
 func ComputeTrackedInto(buf *DiffBuf, twin, cur []byte, word int, mask []uint64) []Run {
 	buf.Reset()
 	return AppendTrackedInto(buf, twin, cur, word, mask)
@@ -195,24 +194,15 @@ func ComputeTrackedInto(buf *DiffBuf, twin, cur []byte, word int, mask []uint64)
 // them together.
 func AppendTrackedInto(buf *DiffBuf, twin, cur []byte, word int, mask []uint64) []Run {
 	checkComputeArgs(twin, cur, word)
-	if mask == nil {
-		buf.spans = appendSpans(buf.spans[:0], twin, cur, word)
-	} else {
-		buf.spans = appendTrackedSpans(buf.spans[:0], twin, cur, word, mask)
-	}
+	buf.spans = appendTrackedSpans(buf.spans[:0], twin, cur, word, mask)
 	return buf.emit(cur)
 }
 
 // ApplyMasked writes only the portions of the runs that fall inside dirty
 // chunks. A partial twin is valid only inside its dirty chunks, so a diff
 // patched onto it must skip everything else (clean chunks snapshot later,
-// from a working copy that already has the diff applied). A nil mask
-// applies the whole diff.
+// from a working copy that already has the diff applied).
 func (d *Diff) ApplyMasked(dst []byte, mask []uint64) {
-	if mask == nil {
-		d.Apply(dst)
-		return
-	}
 	for _, r := range d.Runs {
 		off := r.Off
 		data := r.Data

@@ -96,23 +96,28 @@ func TestComputeTrackedMatchesFull(t *testing.T) {
 	}
 }
 
-// TestComputeTrackedNilMask pins the untracked fallback: a nil mask means
-// full scan, bit for bit.
-func TestComputeTrackedNilMask(t *testing.T) {
+// TestComputeTrackedFullMask pins the whole-page twin (FullTwins, and the
+// dense-writer path): a mask with every chunk marked scans the whole page,
+// bit for bit, including a page that is not a whole number of chunks.
+func TestComputeTrackedFullMask(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	twin := make([]byte, 4096)
-	rng.Read(twin)
-	cur := append([]byte(nil), twin...)
-	mutate(rng, cur, 4, 50, 0, 4095)
-	want := Compute(twin, cur, 4)
-	if got := computeTracked(twin, cur, 4, nil); !runsEqual(got, want) {
-		t.Fatal("tracked scan with nil mask != Compute")
+	for _, size := range []int{4096, 4000} {
+		twin := make([]byte, size)
+		rng.Read(twin)
+		cur := append([]byte(nil), twin...)
+		mutate(rng, cur, 4, 50, 0, size-1)
+		mask := make([]uint64, MaskWords(size))
+		MarkRange(mask, 0, size)
+		want := Compute(twin, cur, 4)
+		if got := computeTracked(twin, cur, 4, mask); !runsEqual(got, want) {
+			t.Fatalf("size %d: tracked scan with a full mask != Compute", size)
+		}
+		buf := GetDiffBuf()
+		if got := ComputeTrackedInto(buf, twin, cur, 4, mask); !runsEqual(got, want) {
+			t.Fatalf("size %d: ComputeTrackedInto(full mask) != Compute", size)
+		}
+		buf.Release()
 	}
-	buf := GetDiffBuf()
-	if got := ComputeTrackedInto(buf, twin, cur, 4, nil); !runsEqual(got, want) {
-		t.Fatal("ComputeTrackedInto(nil mask) != Compute")
-	}
-	buf.Release()
 }
 
 // TestComputeTrackedGarbageInsensitive re-randomizes the clean chunks of
@@ -198,7 +203,7 @@ func TestMarkAndSnapshot(t *testing.T) {
 }
 
 // TestApplyMasked pins masked application: runs land only inside dirty
-// chunks; with a nil mask the whole diff lands.
+// chunks; with every chunk marked the whole diff lands.
 func TestApplyMasked(t *testing.T) {
 	mask := make([]uint64, 1)
 	MarkRange(mask, 64, 64)                                                  // chunk 1 only
@@ -215,10 +220,11 @@ func TestApplyMasked(t *testing.T) {
 		}
 	}
 	full := make([]byte, 256)
-	d.ApplyMasked(full, nil)
+	MarkRange(mask, 0, len(full))
+	d.ApplyMasked(full, mask)
 	for i := 60; i < 132; i++ {
 		if full[i] != 0xAB {
-			t.Fatalf("nil mask: byte %d not applied", i)
+			t.Fatalf("full mask: byte %d not applied", i)
 		}
 	}
 }

@@ -296,7 +296,6 @@ func (a *auditor) checkLocks(steady bool) *AuditViolation {
 
 // checkPages re-checks page-state structure on the touched pages.
 func (a *auditor) checkPages() *AuditViolation {
-	tracked := a.cl.tracked
 	for _, pg := range a.pages {
 		n := pg.pt.node
 		if n.dead {
@@ -310,15 +309,13 @@ func (a *auditor) checkPages() *AuditViolation {
 			bad = "read-only without working copy"
 		case pg.dirtyWorking != nil && (pg.dirtyTwin == nil || pg.state != pInvalid):
 			bad = fmt.Sprintf("has an inconsistent dirty stash (state=%d)", pg.state)
-		// Tracking structure: a twin and its dirty mask travel together
-		// (partial twins are meaningless without the mask saying which
-		// chunks are valid), and vice versa.
-		case tracked && (pg.twin != nil) != (pg.dirtyMask != nil):
-			bad = fmt.Sprintf("twin/dirty-mask mismatch (twin=%v mask=%v)", pg.twin != nil, pg.dirtyMask != nil)
-		case tracked && (pg.dirtyTwin != nil) != (pg.stashMask != nil):
-			bad = fmt.Sprintf("stashed twin/mask mismatch (twin=%v mask=%v)", pg.dirtyTwin != nil, pg.stashMask != nil)
-		case !tracked && (pg.dirtyMask != nil || pg.stashMask != nil):
-			bad = "carries a dirty mask with tracking off"
+		// A twin and its dirty mask travel together (a partial twin is
+		// meaningless without the mask saying which chunks are valid),
+		// and vice versa. A mask buffer is never empty.
+		case (pg.twin != nil) != (len(pg.dirtyMask) > 0):
+			bad = fmt.Sprintf("twin/dirty-mask mismatch (twin=%v mask=%v)", pg.twin != nil, len(pg.dirtyMask) > 0)
+		case (pg.dirtyTwin != nil) != (len(pg.stashMask) > 0):
+			bad = fmt.Sprintf("stashed twin/mask mismatch (twin=%v mask=%v)", pg.dirtyTwin != nil, len(pg.stashMask) > 0)
 		}
 		if bad != "" {
 			return &AuditViolation{Invariant: "page-state", Node: n.id, Item: fmt.Sprintf("page %d", pg.id), Detail: bad}

@@ -143,15 +143,11 @@ func (r *refAuditor) checkPages() error {
 			if pg.dirtyWorking != nil && (pg.dirtyTwin == nil || pg.state != pInvalid) {
 				return fmt.Errorf("page-state: node %d page %d has an inconsistent dirty stash (state=%d)", n.id, pid, pg.state)
 			}
-			if cl.tracked {
-				if (pg.twin != nil) != (pg.dirtyMask != nil) {
-					return fmt.Errorf("page-state: node %d page %d twin/dirty-mask mismatch", n.id, pid)
-				}
-				if (pg.dirtyTwin != nil) != (pg.stashMask != nil) {
-					return fmt.Errorf("page-state: node %d page %d stashed twin/mask mismatch", n.id, pid)
-				}
-			} else if pg.dirtyMask != nil || pg.stashMask != nil {
-				return fmt.Errorf("page-state: node %d page %d carries a dirty mask with tracking off", n.id, pid)
+			if (pg.twin != nil) != (len(pg.dirtyMask) > 0) {
+				return fmt.Errorf("page-state: node %d page %d twin/dirty-mask mismatch", n.id, pid)
+			}
+			if (pg.dirtyTwin != nil) != (len(pg.stashMask) > 0) {
+				return fmt.Errorf("page-state: node %d page %d stashed twin/mask mismatch", n.id, pid)
 			}
 			prev := r.prevReq[n.id][pid]
 			for src := range prev {

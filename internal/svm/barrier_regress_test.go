@@ -11,17 +11,22 @@ import (
 
 // perSlotBody is a falseshare-style workload: each thread owns an 8-byte
 // slot and bumps it once per phase, with a barrier between phases. All
-// slots share pages, so every phase's release ships diffs.
+// slots share pages, so every phase's release ships diffs. Phase counts
+// half-steps, as in apps.FalseShare, so a replay re-issues a suspended
+// barrier call.
 func perSlotBody(iters int) func(*Thread) {
 	return func(th *Thread) {
 		st := &barrierState{}
 		th.Setup(st)
-		for st.Phase < iters {
-			v := th.ReadU64(th.ID() * 8)
-			th.Compute(150)
-			th.WriteU64(th.ID()*8, v+1)
-			st.Phase++
+		for st.Phase < 2*iters {
+			if st.Phase%2 == 0 {
+				v := th.ReadU64(th.ID() * 8)
+				th.Compute(150)
+				th.WriteU64(th.ID()*8, v+1)
+				st.Phase++
+			}
 			th.Barrier()
+			st.Phase++
 		}
 	}
 }
@@ -30,13 +35,15 @@ func perSlotBody(iters int) func(*Thread) {
 // cluster-wide livelock found by failure-point exploration: kill a node
 // exactly at its own barrier arrival. The node's thread migrates and
 // replays from a checkpoint whose barrier sequence is one episode
-// behind, so the migrated thread finishes its body WITHOUT arriving at
-// the destination node's final episode. Threads already waiting there
-// had counted it as a future arriver; unless every barrier wake
-// re-evaluates whether the waiter is now the node's last live arriver,
-// the node never releases, no arrival ever reaches the master, and the
-// whole cluster probes forever. The run must instead complete with every
-// slot at its full count.
+// behind. When this body advanced its phase before the barrier call, the
+// migrated thread finished WITHOUT arriving at the destination node's
+// final episode, and threads already waiting there had counted it as a
+// future arriver; unless every barrier wake re-evaluates whether the
+// waiter is now the node's last live arriver, the node never releases,
+// no arrival ever reaches the master, and the whole cluster probes
+// forever. The body now re-issues the suspended call (perSlotBody), so
+// the run must complete with every slot at its full count and every
+// thread after the same number of episodes (Cluster.Verify).
 func TestFailAtBarrierArrivalEpoch(t *testing.T) {
 	const iters = 8
 	for _, victim := range []int{1, 2} {

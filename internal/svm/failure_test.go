@@ -162,10 +162,15 @@ func TestFailAtBarrier(t *testing.T) {
 	body := func(th *Thread) {
 		st := &barrierState{}
 		th.Setup(st)
-		for st.Phase < phases {
-			th.WriteU64(th.ID()*8+int(st.Phase)*64, uint64(th.ID()+st.Phase))
-			st.Phase++
+		// Phase counts half-steps (see perSlotBody).
+		for st.Phase < 2*phases {
+			if st.Phase%2 == 0 {
+				ph := st.Phase / 2
+				th.WriteU64(th.ID()*8+ph*64, uint64(th.ID()+ph))
+				st.Phase++
+			}
 			th.Barrier()
+			st.Phase++
 		}
 	}
 	cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Body: body})

@@ -159,38 +159,36 @@ func (t *Thread) remoteFetch(pg *page, home int) (needRecovery bool) {
 // finishFetch installs a fetched copy: if the page held uncommitted local
 // writes when it was invalidated, replay the local diff over the fetched
 // copy and keep the page dirty (the multiple-writer merge); otherwise the
-// page becomes read-only.
+// page becomes read-only. The merge reads, consumes and clears the stash
+// without an intervening yield, and charges its cost only once the page
+// has made its transition: a sibling's commit during a yield would diff
+// the stash and drop it under the merge.
 func (t *Thread) finishFetch(pg *page) {
-	cfg := t.cl.cfg
-	if pg.dirtyWorking != nil {
-		// The merge diff lives only for this replay: compute it in pooled
-		// storage and release everything before returning.
-		dbuf := mem.GetDiffBuf()
-		localDiff := mem.Diff{Page: pg.id, Runs: mem.ComputeTrackedInto(dbuf, pg.dirtyTwin, pg.dirtyWorking, cfg.WordSize, pg.stashMask)}
-		t.charge(CompDataWait, cfg.DiffNs(cfg.PageSize))
-		// New twin = fetched copy (pre-merge), so the next commit diffs out
-		// exactly the local modifications. Tracked: the dirty set carries
-		// over from the stash, and only those chunks need pre-merge images.
-		if pg.stashMask != nil {
-			pg.setTwin(t.node.getPageBuf(), pg.stashMask)
-			t.node.stats.TwinBytesCopied += int64(mem.CopyMasked(pg.twin, pg.working, pg.dirtyMask))
-		} else {
-			pg.setTwin(t.node.clonePageBuf(pg.working), nil)
-			t.node.stats.TwinBytesCopied += int64(cfg.PageSize)
-		}
-		localDiff.Apply(pg.working)
-		dbuf.Release()
-		t.node.putPageBuf(pg.dirtyWorking)
-		t.node.putPageBuf(pg.dirtyTwin)
-		pg.setStash(nil, nil, nil)
-		pg.setState(pWritable)
-		// Re-list the page: the dirty-list entry that accompanied the
-		// stashed writes may already have been consumed by a commit
-		// (duplicates are deduplicated there).
-		t.node.dirty = append(t.node.dirty, pg.id)
+	if pg.dirtyWorking == nil {
+		pg.setState(pReadOnly)
 		return
 	}
-	pg.setState(pReadOnly)
+	cfg := t.cl.cfg
+	// The merge diff lives only for this replay: compute it in pooled
+	// storage and release everything before returning.
+	dbuf := mem.GetDiffBuf()
+	localDiff := mem.Diff{Page: pg.id, Runs: mem.ComputeTrackedInto(dbuf, pg.dirtyTwin, pg.dirtyWorking, cfg.WordSize, pg.stashMask)}
+	// New twin = fetched copy (pre-merge), so the next commit diffs out
+	// exactly the local modifications. The dirty set carries over from
+	// the stash, and only those chunks need pre-merge images.
+	pg.setTwin(t.node.getPageBuf(), pg.stashMask)
+	t.node.stats.TwinBytesCopied += int64(mem.CopyMasked(pg.twin, pg.working, pg.dirtyMask))
+	localDiff.Apply(pg.working)
+	dbuf.Release()
+	t.node.putPageBuf(pg.dirtyWorking)
+	t.node.putPageBuf(pg.dirtyTwin)
+	pg.setStash(nil, nil, nil)
+	pg.setState(pWritable)
+	// Re-list the page: the dirty-list entry that accompanied the
+	// stashed writes may already have been consumed by a commit
+	// (duplicates are deduplicated there).
+	t.node.dirty = append(t.node.dirty, pg.id)
+	t.charge(CompDataWait, cfg.DiffNs(cfg.PageSize))
 }
 
 // writeFault promotes a read-only page to writable: stall while the page
@@ -213,21 +211,18 @@ func (t *Thread) writeFault(pg *page) {
 	// Check, clone, and transition without an intervening yield: a sibling
 	// completing the same fault during a yield would have its writes
 	// captured into a re-cloned twin and silently excluded from the diff.
-	if t.cl.tracked {
-		// Lazy partial twin: no copy here — each chunk is snapshotted at
-		// its first write (Thread.track). The buffer holds garbage outside
-		// dirty chunks and is never read there. The modeled cost below is
-		// unchanged: the simulated machine still pays a full-page copy.
-		pg.setTwin(t.node.getPageBuf(), t.node.getMaskBuf())
-		if pg.denseHint {
-			// Dense-writer fast path (see page.denseHint).
-			copy(pg.twin, pg.working)
-			mem.MarkRange(pg.dirtyMask, 0, cfg.PageSize)
-			pg.maskFull = true
-			t.node.stats.TwinBytesCopied += int64(cfg.PageSize)
-		}
-	} else {
-		pg.setTwin(t.node.clonePageBuf(pg.working), nil)
+	// The twin is lazy and partial: no copy here — each chunk is
+	// snapshotted at its first write (Thread.track). The buffer holds
+	// garbage outside dirty chunks and is never read there. The modeled
+	// cost below is unchanged: the simulated machine still pays a
+	// full-page copy.
+	pg.setTwin(t.node.getPageBuf(), t.node.getMaskBuf())
+	if pg.denseHint || t.cl.opt.FullTwins {
+		// Dense-writer fast path (see page.denseHint), and every write
+		// fault with FullTwins: a whole-page twin with a full mask.
+		copy(pg.twin, pg.working)
+		mem.MarkRange(pg.dirtyMask, 0, cfg.PageSize)
+		pg.maskFull = true
 		t.node.stats.TwinBytesCopied += int64(cfg.PageSize)
 	}
 	pg.setState(pWritable)

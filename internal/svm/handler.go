@@ -85,8 +85,7 @@ func (n *node) applyDiffMsg(m *diffMsg) {
 		// Keep concurrently-diffed local copies coherent so the home's own
 		// diffs contain only its own modifications. A partial twin is
 		// patched only inside its dirty chunks (clean chunks hold garbage
-		// and snapshot later from the already-patched working copy); a
-		// nil mask (FullTwins) patches the whole twin.
+		// and snapshot later from the already-patched working copy).
 		if pg.twin != nil {
 			m.Diff.ApplyMasked(pg.twin, pg.dirtyMask)
 		}

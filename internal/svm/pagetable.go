@@ -55,15 +55,15 @@ type page struct {
 
 	// dirtyMask records which ChunkBytes-granular chunks were written
 	// since the twin was created (one bit per chunk; see internal/mem
-	// tracking). When tracking is on, the twin is partial: it holds valid
-	// pre-write data only inside dirty chunks, snapshotted lazily at the
-	// first write to each chunk. nil when tracking is off (FullTwins),
-	// in which case the twin is a complete page copy and diffs full-scan.
+	// tracking). Every twin carries one. The twin is partial: it holds
+	// valid pre-write data only inside dirty chunks, snapshotted lazily at
+	// the first write to each chunk, or at once for the whole page with
+	// every chunk marked (maskFull).
 	dirtyMask []uint64
 
 	// maskFull means every chunk of dirtyMask is marked: the write fault
-	// took a complete upfront twin (dense-writer path), so per-write chunk
-	// snapshotting is a no-op for this interval.
+	// took a complete upfront twin (dense-writer path, or FullTwins), so
+	// per-write chunk snapshotting is a no-op for this interval.
 	maskFull bool
 
 	// denseHint records that this page's previous commit had dirtied nearly
@@ -250,7 +250,7 @@ func (pg *page) setWorking(b []byte) {
 }
 
 // setTwin assigns the twin and the dirty mask that says which of its
-// chunks are valid (nil with tracking off); the two travel together.
+// chunks are valid; the two travel together.
 func (pg *page) setTwin(twin []byte, mask []uint64) {
 	pg.twin, pg.dirtyMask = twin, mask
 	pg.touch()
@@ -329,13 +329,6 @@ func (n *node) getPageBufZero() []byte {
 	}
 	b := n.getPageBuf()
 	clear(b)
-	return b
-}
-
-// clonePageBuf returns a pooled copy of src (which must be page-size).
-func (n *node) clonePageBuf(src []byte) []byte {
-	b := n.getPageBuf()
-	copy(b, src)
 	return b
 }
 

@@ -66,17 +66,14 @@ func (t *Thread) commitInterval() (int32, []capturedDiff) {
 		// The diff lives in the release scratch: it is shipped and stashed
 		// at the backups, and every receiver that keeps it keeps a copy.
 		// The scan is restricted to the chunks the write path recorded as
-		// dirty (identical output; a nil mask — FullTwins — falls back to
-		// the full scan).
+		// dirty (identical output to a full scan).
 		d := rs.diff(pid, mem.AppendTrackedInto(&rs.buf, twin, cur, cfg.WordSize, mask))
-		if mask != nil {
-			// Re-learn the page's write density for the next interval's
-			// twin strategy (see page.denseHint). The crossover sits low:
-			// one page-sized copy plus a full scan beats per-write probes
-			// and scattered chunk copies well before half the chunks are
-			// dirty, so ≥1/4 dirty reads as dense.
-			pg.denseHint = mem.MaskCount(mask)*4 >= maskChunks
-		}
+		// Re-learn the page's write density for the next interval's twin
+		// strategy (see page.denseHint). The crossover sits low: one
+		// page-sized copy plus a full scan beats per-write probes and
+		// scattered chunk copies well before half the chunks are dirty,
+		// so ≥1/4 dirty reads as dense.
+		pg.denseHint = mem.MaskCount(mask)*4 >= maskChunks
 		// SMP replay exactness: words last written by a sibling that is
 		// inside a critical section right now are NOT committed with this
 		// interval — they stay twinned and commit with that sibling's own
@@ -402,17 +399,11 @@ func (t *Thread) fenced(c Component, t0 int64, what string) bool {
 	panic(fmt.Sprintf("svm: %s: %v", what, err))
 }
 
-// clearWriters resets last-writer marks after a commit. With a dirty
-// mask, only words inside dirty chunks can carry marks (a mark is set at
-// each write, which also dirties the chunk), so the reset skips the rest
-// of the page instead of clearing ~PageSize/WordSize words wholesale.
+// clearWriters resets last-writer marks after a commit. Only words inside
+// dirty chunks can carry marks (a mark is set at each write, which also
+// dirties the chunk), so the reset skips the rest of the page instead of
+// clearing ~PageSize/WordSize words wholesale.
 func clearWriters(writers []int16, mask []uint64, wordSize, pageSize int) {
-	if mask == nil {
-		for i := range writers {
-			writers[i] = -1
-		}
-		return
-	}
 	mem.MaskRuns(mask, pageSize, func(lo, hi int) {
 		for w := lo / wordSize; w < (hi+wordSize-1)/wordSize && w < len(writers); w++ {
 			writers[w] = -1

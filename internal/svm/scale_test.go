@@ -188,7 +188,29 @@ func TestRecoveryBarrierReset(t *testing.T) {
 
 // phasedBody writes the thread's slot and barriers, rounds times: the
 // minimal many-episode workload for exercising the release broadcast.
+// Iter counts half-steps, as in apps.FalseShare: odd means the round's
+// write is done and its barrier call is not, so a replay from a
+// mid-barrier snapshot re-issues the suspended call.
 func phasedBody(rounds int) func(*Thread) {
+	return func(t *Thread) {
+		st := &counterState{}
+		t.Setup(st)
+		for st.Iter < 2*rounds {
+			if st.Iter%2 == 0 {
+				t.WriteU64(t.ID()*8, uint64((st.Iter/2+1)*1000+t.ID()))
+				st.Iter++
+			}
+			t.Barrier()
+			st.Iter++
+		}
+	}
+}
+
+// unguardedPhasedBody is phasedBody without the half-step guard: it
+// breaks the replay contract. A thread restored from a snapshot taken
+// inside barrier k writes round k+1's value, falls through the completed
+// episode k and finishes one barrier short, its last write unreleased.
+func unguardedPhasedBody(rounds int) func(*Thread) {
 	return func(t *Thread) {
 		st := &counterState{}
 		t.Setup(st)

@@ -11,8 +11,8 @@ type ProtoStats struct {
 	LocalFetches  int64 // FT primary homes copying committed -> working
 	WriteFaults   int64 // twin creations (pages entering an interval)
 	// TwinBytesCopied counts bytes the simulator actually copied into
-	// twins: with dirty-chunk tracking only first-dirtied chunks are
-	// snapshotted, with FullTwins every write fault copies a whole page.
+	// twins: lazy partial twins snapshot only first-dirtied chunks, with
+	// FullTwins every write fault copies a whole page.
 	// (Host-side work; the modeled twin-copy charge is unchanged.)
 	TwinBytesCopied int64
 

@@ -121,12 +121,12 @@ type Options struct {
 	// mid-propagation can leave the two replicas of a page irreconcilable
 	// (neither copy is known-complete). For ablation only.
 	UnsafeSinglePhase bool
-	// FullTwins disables dirty-chunk write tracking: write faults copy
-	// the whole page into the twin and diff creation scans the whole
-	// page, as in the original implementation. Protocol outputs (virtual
-	// times, messages, diff contents) are identical either way — tracking
-	// only changes how the simulator computes them — so this is an
-	// ablation/cross-check knob for host-side performance.
+	// FullTwins makes every write fault copy the whole page into the
+	// twin and mark every chunk of its dirty mask, so diff creation scans
+	// the whole page, as in the original implementation. Protocol outputs
+	// (virtual times, messages, diff contents) are identical either way —
+	// lazy chunk twinning only changes how the simulator computes them —
+	// so this is an ablation/cross-check knob for host-side performance.
 	FullTwins bool
 	// Workers selects the execution engine: 0 or 1 runs the classic
 	// serial engine; > 1 runs the conservative parallel engine with one
@@ -185,10 +185,6 @@ type Cluster struct {
 	// on first use and dropped by exclude, the one writer of node.excluded.
 	fanoutOrder []int
 	fanoutIndex []int
-
-	// tracked enables dirty-chunk write tracking with lazy partial twins
-	// (the default; see Options.FullTwins).
-	tracked bool
 
 	// pageShift/pageLow turn pageOf's div/mod into shift/mask when
 	// PageSize is a power of two (pageShift == 0 means it is not).
@@ -390,7 +386,6 @@ func New(opt Options) (*Cluster, error) {
 		sliceNs: 20_000,
 	}
 	cl.trackWriters = opt.Mode == ModeFT && cfg.ThreadsPerNode > 1
-	cl.tracked = !opt.FullTwins
 	if psz := cfg.PageSize; psz&(psz-1) == 0 {
 		cl.pageShift = uint(bits.TrailingZeros(uint(psz)))
 		cl.pageLow = psz - 1
@@ -874,8 +869,9 @@ func (cl *Cluster) CheckpointCount() int64 {
 	return sum
 }
 
-// Finished reports whether every live thread ran to completion.
-func (cl *Cluster) Finished() bool { return cl.unfinished() == nil }
+// Finished reports whether the cluster ran and every live thread ran to
+// completion.
+func (cl *Cluster) Finished() bool { return len(cl.threads) > 0 && cl.unfinished() == nil }
 
 // unfinished returns the first live thread that has not run to
 // completion, or nil.

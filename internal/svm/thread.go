@@ -209,13 +209,13 @@ func (t *Thread) writable(pg *page) {
 // track snapshots the chunks about to be dirtied by an n-byte write at
 // off into pg's partial twin (lazy, chunk-granular twinning). Call after
 // writable(pg) and before mutating pg.working. No-op on the steady-state
-// path (chunks already dirty) and when tracking is off (nil mask: the
-// write fault took a full-page twin).
+// path (chunks already dirty) and when the write fault took a whole-page
+// twin (maskFull).
 func (t *Thread) track(pg *page, off, n int) {
-	mask := pg.dirtyMask
-	if mask == nil || pg.maskFull {
+	if pg.maskFull {
 		return
 	}
+	mask := pg.dirtyMask
 	// Steady-state fast path: a write confined to one already-dirty chunk
 	// (the overwhelmingly common case — word writes into hot chunks) needs
 	// only the bit probe, not MarkAndSnapshot's loop.

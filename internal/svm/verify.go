@@ -8,11 +8,33 @@ import (
 )
 
 // Verify is the check every run ends in, after any failure, detected or
-// not: every live thread finished, then check (the workload's own
+// not: the cluster ran and every live thread finished, every one after
+// the same number of barrier episodes, then check (the workload's own
 // self-check; nil for none), then VerifyReplicas.
+//
+// A thread that finished short of an episode the others completed was
+// restored from a snapshot taken inside that episode's barrier and did
+// not replay the suspended call: it fell through the completed episode
+// after redoing work past it (the replay contract, encodeSnapshot), and
+// the writes of that work were never released.
 func (cl *Cluster) Verify(check func() error) error {
+	if len(cl.threads) == 0 {
+		return fmt.Errorf("svm: the cluster has not run")
+	}
 	if t := cl.unfinished(); t != nil {
 		return fmt.Errorf("svm: thread %d on node %d did not finish", t.id, t.node.id)
+	}
+	var last int64
+	for _, t := range cl.threads {
+		if !t.dead {
+			last = max(last, t.barSeq)
+		}
+	}
+	for _, t := range cl.threads {
+		if !t.dead && t.barSeq < last {
+			return fmt.Errorf("svm: thread %d on node %d finished without barrier episode %d (its last was %d)",
+				t.id, t.node.id, t.barSeq+1, t.barSeq)
+		}
 	}
 	if check != nil {
 		if err := check(); err != nil {

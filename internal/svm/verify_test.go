@@ -106,14 +106,17 @@ func TestDebugPageEveryReplica(t *testing.T) {
 
 // TestUnreleasedWriteFailsVerify: a run that ends with a write still on a
 // live node's dirty list has lost that write, and the end-of-run check
-// names the node and the page under either protocol. phasedBody advances
-// its round before its barrier, so thread 1, killed while waiting in
-// barrier 4, replays on node 2 as: write round 5's value, fall through
-// the completed episode, return — the write is never released.
+// names the node and the page under either protocol. unguardedPhasedBody
+// advances its round before its barrier, so thread 1, killed while
+// waiting in barrier 4, replays on node 2 as: write round 5's value,
+// fall through the completed episode, return — the write is never
+// released. Verify names the thread, its node and the episode it
+// skipped; VerifyReplicas, which does not count barriers, names the
+// unreleased write.
 func TestUnreleasedWriteFailsVerify(t *testing.T) {
 	cfg := model.Default()
 	cfg.Nodes = 4
-	cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Body: phasedBody(5)})
+	cl, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Body: unguardedPhasedBody(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +127,8 @@ func TestUnreleasedWriteFailsVerify(t *testing.T) {
 	if got := cl.PeekU64(8); got != 4001 {
 		t.Fatalf("slot 1 = %d, want round 4's 4001 (the lost write)", got)
 	}
-	const lost = "svm: node 2 ended the run holding unreleased writes to page 0"
-	wantErr(t, cl.VerifyReplicas(), lost)
-	wantErr(t, cl.Verify(nil), lost)
+	wantErr(t, cl.VerifyReplicas(), "svm: node 2 ended the run holding unreleased writes to page 0")
+	wantErr(t, cl.Verify(nil), "svm: thread 1 on node 2 finished without barrier episode 5 (its last was 4)")
 
 	// Base protocol: a body that writes after its last barrier and returns.
 	cfg.Nodes = 2
@@ -144,9 +146,10 @@ func TestUnreleasedWriteFailsVerify(t *testing.T) {
 	wantErr(t, cl.Verify(nil), "svm: node 0 ended the run holding unreleased writes to page 0")
 }
 
-// TestVerifyOrder: the end-of-run check tests, in order, that every live
-// thread finished (naming the first that did not), the workload's check,
-// then the replicas; a check is not consulted for a run that never ended.
+// TestVerifyOrder: the end-of-run check tests, in order, that the cluster
+// ran, that every live thread finished (naming the first that did not),
+// the workload's check, then the replicas; a check is not consulted for a
+// run that never ended, nor for one that never started.
 func TestVerifyOrder(t *testing.T) {
 	build := func() *Cluster {
 		cfg := model.Default()
@@ -160,6 +163,10 @@ func TestVerifyOrder(t *testing.T) {
 	called := false
 	check := func() error { called = true; return errors.New("self-check failed") }
 	cl := build()
+	wantErr(t, cl.Verify(check), "svm: the cluster has not run")
+	if cl.Finished() {
+		t.Fatal("a cluster that never ran reports Finished")
+	}
 	cl.Engine().At(1, cl.Engine().Stop) // cut the run short
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
