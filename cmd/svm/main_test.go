@@ -67,6 +67,17 @@ func TestSubcommandSmoke(t *testing.T) {
 	}
 }
 
+// TestLateKillFails: a kill scheduled after the workload has ended kills
+// a node the run no longer needed, so the run is exit 1 with one line
+// naming the kill time and the workload's end, not a survived failure.
+func TestLateKillFails(t *testing.T) {
+	code, out, errw := runCapture(t, "run", "-app", "counter", "-size", "small", "-nodes", "4", "-kill", "1", "-killat", "100s")
+	want := regexp.MustCompile(`^svm run: node 1 failed at t=1m40s, after counter had ended at t=[0-9.]+ms: the run survived no failure\n$`)
+	if code != 1 || !want.MatchString(errw) {
+		t.Fatalf("exit %d, want 1 and one line matching %s\nstdout:\n%s\nstderr:\n%s", code, want, out, errw)
+	}
+}
+
 // TestBoundaryReplayDumpsOnFailure: a failing -boundary replay prints its
 // verdict and then each node's last flight-recorder events. A boundary
 // that never fires fails the same way whatever the protocol does.

@@ -21,6 +21,9 @@ import (
 //	svm run -app fft -mode extended -nodes 8 -threads 2 -size medium
 //	svm run -app waternsq -mode extended -kill 2 -killat 5ms
 //
+// A kill that lands at or after the workload's end fails the run (exit
+// 1): the run survived no failure, whatever the check says.
+//
 // With -events it instead streams the protocol's flight-recorder events
 // (releases, phases, checkpoints, barriers, lock traffic, failures,
 // recovery milestones) with virtual timestamps, the view for inspecting
@@ -114,6 +117,10 @@ func runCmd(args []string, out, errw io.Writer) (code int) {
 	start := time.Now()
 	err = finish(cl, w)
 	wall := time.Since(start)
+	if killNs := cl.PhaseTimes().KillNs; err == nil && *kill >= 0 && killNs >= cl.ExecTime() {
+		err = fmt.Errorf("node %d failed at t=%v, after %s had ended at t=%v: the run survived no failure",
+			*kill, time.Duration(killNs), w.Name, time.Duration(cl.ExecTime()))
+	}
 	if err != nil {
 		fmt.Fprintf(errw, "svm run: %v\n", err)
 		if *dump {

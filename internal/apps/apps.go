@@ -67,10 +67,17 @@ func (w *Workload) failf(format string, args ...any) {
 }
 
 // layout is a trivial bump allocator for laying shared arrays out in the
-// page-grained address space.
+// page-grained address space. It also keeps the workload's page-to-home
+// table: home places pages, and homeOf, the table's lookup, is the
+// workload's HomeAssign.
 type layout struct {
 	pageSize int
 	next     int
+	// homes maps page to home node, 0 where home placed nothing. The
+	// first home call makes it, one entry per page allocated so far, so
+	// a workload that allocates before it places pays one allocation;
+	// from then on alloc extends it.
+	homes []int
 }
 
 func newLayout(pageSize int) *layout { return &layout{pageSize: pageSize} }
@@ -81,6 +88,9 @@ func (l *layout) alloc(size int) int {
 	base := l.next
 	pages := (size + l.pageSize - 1) / l.pageSize
 	l.next += pages * l.pageSize
+	if l.homes != nil {
+		l.homes = append(l.homes, make([]int, pages)...)
+	}
 	return base
 }
 
@@ -89,6 +99,22 @@ func (l *layout) pages() int { return l.next / l.pageSize }
 
 // pageOf returns the page index containing address a.
 func (l *layout) pageOf(a int) int { return a / l.pageSize }
+
+// home places on node the pages of from, from+pageSize, ... below to. A
+// later call wins on a page both mark.
+func (l *layout) home(from, to, node int) {
+	if l.homes == nil {
+		l.homes = make([]int, l.pages())
+	}
+	for a := from; a < to; a += l.pageSize {
+		l.homes[l.pageOf(a)] = node
+	}
+}
+
+// homeOf returns page p's home node. Its value receiver makes the method
+// value l.homeOf, a Workload's HomeAssign, bind a copy of the finished
+// layout, so the layout itself need not move to the heap.
+func (l layout) homeOf(p int) int { return l.homes[p] }
 
 // splitRange divides [0,n) into nparts contiguous chunks and returns the
 // bounds of part i.
@@ -124,46 +150,6 @@ func RunStages(t *svm.Thread, cur *int, arrived *bool, total int, body func(stag
 		t.Barrier()
 		*arrived = false
 		*cur++
-	}
-}
-
-// waterMolBytes is the shared-record stride of one water molecule (see
-// the water workloads: positions/velocities/forces plus derivative
-// vectors, as in SPLASH-2).
-const waterMolBytes = 18 * 8
-
-// readMols gathers the 3-vector heads of molecules [lo,hi) from a strided
-// record array into dst (3 doubles per molecule).
-func readMols(t *svm.Thread, base, lo, hi int, dst []float64) {
-	for m := lo; m < hi; m++ {
-		t.ReadF64s(base+m*waterMolBytes, dst[3*(m-lo):3*(m-lo)+3])
-	}
-}
-
-// writeMols scatters 3-vectors back into the strided record array.
-func writeMols(t *svm.Thread, base, lo, hi int, src []float64) {
-	for m := lo; m < hi; m++ {
-		t.WriteF64s(base+m*waterMolBytes, src[3*(m-lo):3*(m-lo)+3])
-	}
-}
-
-// waterMolDoubles is the full record width in doubles.
-const waterMolDoubles = waterMolBytes / 8
-
-// readMolsFull gathers whole records (positions plus derivative vectors,
-// 18 doubles each) — the predictor-corrector integration reads and
-// rewrites all of them, which is what makes water's home-page diff volume
-// large in the paper.
-func readMolsFull(t *svm.Thread, base, lo, hi int, dst []float64) {
-	for m := lo; m < hi; m++ {
-		t.ReadF64s(base+m*waterMolBytes, dst[waterMolDoubles*(m-lo):waterMolDoubles*(m-lo+1)])
-	}
-}
-
-// writeMolsFull scatters whole records back.
-func writeMolsFull(t *svm.Thread, base, lo, hi int, src []float64) {
-	for m := lo; m < hi; m++ {
-		t.WriteF64s(base+m*waterMolBytes, src[waterMolDoubles*(m-lo):waterMolDoubles*(m-lo+1)])
 	}
 }
 

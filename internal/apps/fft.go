@@ -57,29 +57,21 @@ func FFT(s Shape, n int) *Workload {
 	matA := l.alloc(n * 16) // working matrix
 	matB := l.alloc(n * 16) // transpose target
 
-	homeOf := make([]int, l.pages())
 	for tid := 0; tid < T; tid++ {
 		lo, hi := splitRange(m, T, tid)
 		for _, base := range []int{matA, matB} {
 			for r := lo; r < hi; r++ {
-				for pb := base + r*rowBytes; pb < base+(r+1)*rowBytes; pb += s.PageSize {
-					homeOf[l.pageOf(pb)] = s.NodeOfThread(tid)
-				}
+				l.home(base+r*rowBytes, base+(r+1)*rowBytes, s.NodeOfThread(tid))
 			}
 		}
 	}
 
 	const spike = 3 // the exponential's frequency
 	w := &Workload{
-		Name:  fmt.Sprintf("FFT-%dK", n/1024),
-		Pages: l.pages(),
-		Locks: 1,
-		HomeAssign: func(p int) int {
-			if p < len(homeOf) {
-				return homeOf[p]
-			}
-			return 0
-		},
+		Name:       fmt.Sprintf("FFT-%dK", n/1024),
+		Pages:      l.pages(),
+		Locks:      1,
+		HomeAssign: l.homeOf,
 	}
 
 	w.Body = func(t *svm.Thread) {

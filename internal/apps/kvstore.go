@@ -31,29 +31,29 @@ type KVTable struct {
 	Pages          int
 	BucketAddr     []int
 
-	homeOf []int
+	layout layout
 }
 
 // NewKVTable lays out buckets*slotsPerBucket slots in the page-grained
-// shared address space and computes the per-page home map. It panics if
-// two buckets would share a page (see kvPlaceBuckets).
+// shared address space and places every bucket's pages. It panics if two
+// buckets would share a page (see kvPlaceBuckets).
 func NewKVTable(s Shape, buckets, slotsPerBucket int) *KVTable {
-	l := newLayout(s.PageSize)
-	bucketBytes := slotsPerBucket * KVSlotBytes
-	bucketAddr := make([]int, buckets)
-	for b := range bucketAddr {
-		bucketAddr[b] = l.alloc(bucketBytes)
-	}
-	return &KVTable{
+	tb := &KVTable{
 		Buckets:        buckets,
 		SlotsPerBucket: slotsPerBucket,
-		Pages:          l.pages(),
-		BucketAddr:     bucketAddr,
-		homeOf:         kvPlaceBuckets(s, l.pages(), s.PageSize, bucketBytes, bucketAddr),
+		BucketAddr:     make([]int, buckets),
+		layout:         layout{pageSize: s.PageSize},
 	}
+	bucketBytes := slotsPerBucket * KVSlotBytes
+	for b := range tb.BucketAddr {
+		tb.BucketAddr[b] = tb.layout.alloc(bucketBytes)
+	}
+	kvPlaceBuckets(s, &tb.layout, bucketBytes, tb.BucketAddr)
+	tb.Pages = tb.layout.pages()
+	return tb
 }
 
-// kvPlaceBuckets assigns every page of every bucket's slot run to the
+// kvPlaceBuckets homes every page of every bucket's slot run at the
 // bucket's home node and asserts that no two buckets share a page. The
 // "partitioned store" claim rests on that exclusivity: with a shared
 // page the last-placed bucket would silently win the page's home and
@@ -61,36 +61,28 @@ func NewKVTable(s Shape, buckets, slotsPerBucket int) *KVTable {
 // it today by starting every allocation on a fresh page, so the check
 // exists to turn any future packing-allocator change into an immediate,
 // attributable panic instead of a silent home-map corruption.
-func kvPlaceBuckets(s Shape, pages, pageSize, bucketBytes int, bucketAddr []int) []int {
+func kvPlaceBuckets(s Shape, l *layout, bucketBytes int, bucketAddr []int) {
 	T := s.Threads()
-	homeOf := make([]int, pages)
-	owner := make([]int, pages)
+	owner := make([]int, l.pages())
 	for p := range owner {
 		owner[p] = -1
 	}
-	for b := range bucketAddr {
-		nd := s.NodeOfThread(b % T)
-		for a := bucketAddr[b]; a < bucketAddr[b]+bucketBytes; a += pageSize {
-			p := a / pageSize
+	for b, base := range bucketAddr {
+		for a := base; a < base+bucketBytes; a += l.pageSize {
+			p := l.pageOf(a)
 			if owner[p] >= 0 && owner[p] != b {
 				panic(fmt.Sprintf(
 					"apps: kv buckets %d and %d share page %d (bucket runs must be page-exclusive)",
 					owner[p], b, p))
 			}
 			owner[p] = b
-			homeOf[p] = nd
 		}
+		l.home(base, base+bucketBytes, s.NodeOfThread(b%T))
 	}
-	return homeOf
 }
 
 // HomeAssign is the page-to-home map for svm.Options.HomeAssign.
-func (tb *KVTable) HomeAssign(p int) int {
-	if p < len(tb.homeOf) {
-		return tb.homeOf[p]
-	}
-	return 0
-}
+func (tb *KVTable) HomeAssign(p int) int { return tb.layout.homeOf(p) }
 
 // BucketOf hashes a key to its bucket. The multiply stays in uint64 and
 // the reduction happens before the int conversion: the product of the

@@ -120,5 +120,7 @@ func TestKVPlaceBucketsAliasPanic(t *testing.T) {
 		}
 	}()
 	// Bucket 1 starts mid-page inside bucket 0's run.
-	kvPlaceBuckets(s, 2, 4096, 4096, []int{0, 2048})
+	l := newLayout(4096)
+	l.alloc(2 * 4096)
+	kvPlaceBuckets(s, l, 4096, []int{0, 2048})
 }

@@ -45,7 +45,6 @@ func LU(s Shape, n, b int) *Workload {
 	for I := range blockAddr {
 		blockAddr[I] = make([]int, N)
 	}
-	homeOf := []int{}
 	for tid := 0; tid < T; tid++ {
 		var mine [][2]int
 		for I := 0; I < N; I++ {
@@ -59,23 +58,14 @@ func LU(s Shape, n, b int) *Workload {
 		for k, ij := range mine {
 			blockAddr[ij[0]][ij[1]] = base + k*blockBytes
 		}
-		for p := l.pageOf(base); p < l.pages(); p++ {
-			for len(homeOf) <= p {
-				homeOf = append(homeOf, s.NodeOfThread(tid))
-			}
-		}
+		l.home(base, l.next, s.NodeOfThread(tid))
 	}
 
 	w := &Workload{
-		Name:  fmt.Sprintf("LU-%d", n),
-		Pages: l.pages(),
-		Locks: 1,
-		HomeAssign: func(p int) int {
-			if p < len(homeOf) {
-				return homeOf[p]
-			}
-			return 0
-		},
+		Name:       fmt.Sprintf("LU-%d", n),
+		Pages:      l.pages(),
+		Locks:      1,
+		HomeAssign: l.homeOf,
 	}
 
 	// The input matrix entry (analytic, diagonally dominant so the

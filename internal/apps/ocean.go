@@ -35,24 +35,16 @@ func Ocean(s Shape, n, sweeps int) *Workload {
 	grid := l.alloc(n * n * 8)
 	residAddr := l.alloc(8 * (sweeps + 1))
 
-	homeOf := make([]int, l.pages())
 	for tid := 0; tid < T; tid++ {
 		lo, hi := splitRange(n, T, tid)
-		for a := grid + lo*rowBytes; a < grid+hi*rowBytes; a += s.PageSize {
-			homeOf[l.pageOf(a)] = s.NodeOfThread(tid)
-		}
+		l.home(grid+lo*rowBytes, grid+hi*rowBytes, s.NodeOfThread(tid))
 	}
 
 	w := &Workload{
-		Name:  fmt.Sprintf("Ocean-%d", n),
-		Pages: l.pages(),
-		Locks: 1,
-		HomeAssign: func(p int) int {
-			if p < len(homeOf) {
-				return homeOf[p]
-			}
-			return 0
-		},
+		Name:       fmt.Sprintf("Ocean-%d", n),
+		Pages:      l.pages(),
+		Locks:      1,
+		HomeAssign: l.homeOf,
 	}
 
 	// Boundary condition: top edge held at 100, the others at 0.

@@ -36,26 +36,18 @@ func Radix(s Shape, n int) *Workload {
 	totalBase := l.alloc(R * 4)      // global bucket totals
 	offsetBase := l.alloc(T * R * 4) // per-thread write offsets
 
-	homeOf := make([]int, l.pages())
 	for tid := 0; tid < T; tid++ {
 		lo, hi := splitRange(n, T, tid)
 		for _, base := range []int{keysA, keysB} {
-			for a := base + lo*4; a < base+hi*4; a += s.PageSize {
-				homeOf[l.pageOf(a)] = s.NodeOfThread(tid)
-			}
+			l.home(base+lo*4, base+hi*4, s.NodeOfThread(tid))
 		}
 	}
 
 	w := &Workload{
-		Name:  fmt.Sprintf("Radix-%dK", n/1024),
-		Pages: l.pages(),
-		Locks: R + 2,
-		HomeAssign: func(p int) int {
-			if p < len(homeOf) {
-				return homeOf[p]
-			}
-			return 0
-		},
+		Name:       fmt.Sprintf("Radix-%dK", n/1024),
+		Pages:      l.pages(),
+		Locks:      R + 2,
+		HomeAssign: l.homeOf,
 	}
 
 	w.Body = func(t *svm.Thread) {

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -120,5 +121,25 @@ func TestTouchedCellsOwnFirstNoDuplicates(t *testing.T) {
 	}
 	if !seen[3] {
 		t.Fatalf("forward neighbor missing: %v", got)
+	}
+}
+
+// TestLayoutHomes: home marks the pages of from, from+pageSize, ...
+// below to; a later call wins; an unmarked page, including one allocated
+// after the first home call, stays on node 0.
+func TestLayoutHomes(t *testing.T) {
+	l := newLayout(4096)
+	a := l.alloc(3 * 4096)
+	l.home(a+100, a+2*4096+100, 2) // pages 0 and 1: a+2*4096+100 is not below to
+	l.home(a+4096, a+4097, 3)      // page 1 again
+	b := l.alloc(4096)
+	l.alloc(4096)
+	l.home(b, b+4096, 1)
+	got := []int{}
+	for p := 0; p < l.pages(); p++ {
+		got = append(got, l.homeOf(p))
+	}
+	if want := []int{2, 3, 0, 1, 0}; !slices.Equal(got, want) {
+		t.Fatalf("homes %v, want %v", got, want)
 	}
 }

@@ -33,32 +33,22 @@ func Volrend(s Shape, vdim, idim int) *Workload {
 	imgBase := l.alloc(idim * idim * 8)
 	headBase := l.alloc(T * 8) // per-queue next-tile index (padded to 8B)
 
-	homeOf := make([]int, l.pages())
 	// Volume slabs homed by initializing thread; image rows round-robin;
 	// queue heads at their owner.
 	for tid := 0; tid < T; tid++ {
 		zlo, zhi := splitRange(vdim, T, tid)
-		for a := volBase + zlo*vdim*vdim*4; a < volBase+zhi*vdim*vdim*4; a += s.PageSize {
-			homeOf[l.pageOf(a)] = s.NodeOfThread(tid)
-		}
-		homeOf[l.pageOf(headBase+tid*8)] = s.NodeOfThread(tid)
+		l.home(volBase+zlo*vdim*vdim*4, volBase+zhi*vdim*vdim*4, s.NodeOfThread(tid))
+		l.home(headBase+tid*8, headBase+tid*8+8, s.NodeOfThread(tid))
 	}
 	for r := 0; r < idim; r++ {
-		for a := imgBase + r*idim*8; a < imgBase+(r+1)*idim*8; a += s.PageSize {
-			homeOf[l.pageOf(a)] = s.NodeOfThread(r * T / idim)
-		}
+		l.home(imgBase+r*idim*8, imgBase+(r+1)*idim*8, s.NodeOfThread(r*T/idim))
 	}
 
 	w := &Workload{
-		Name:  fmt.Sprintf("Volrend-%d", idim),
-		Pages: l.pages(),
-		Locks: T + 1, // one lock per tile queue + a global
-		HomeAssign: func(p int) int {
-			if p < len(homeOf) {
-				return homeOf[p]
-			}
-			return 0
-		},
+		Name:       fmt.Sprintf("Volrend-%d", idim),
+		Pages:      l.pages(),
+		Locks:      T + 1, // one lock per tile queue + a global
+		HomeAssign: l.homeOf,
 	}
 
 	// Queue q owns tiles q, q+T, q+2T, ... (static round-robin seeding).

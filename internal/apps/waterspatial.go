@@ -2,7 +2,6 @@ package apps
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"ftsvm/internal/svm"
@@ -46,54 +45,22 @@ func WaterSp(s Shape, n, steps int) *Workload {
 	ownerOfCell := func(c int) int { return c * T / cells }
 
 	l := newLayout(s.PageSize)
-	// SPLASH-2 water keeps, per molecule, positions/velocities/forces plus
-	// higher-order derivative vectors (~18 doubles); the record stride
-	// determines how many molecules share a page and therefore how well
-	// per-owner page homing resolves.
-	const molBytes = 18 * 8
-	posA := l.alloc(n * molBytes)
-	posB := l.alloc(n * molBytes)
-	velA := l.alloc(n * molBytes)
-	velB := l.alloc(n * molBytes)
-	frc := l.alloc(n * molBytes)
-	// Per-thread contribution regions (shared memory homed at the writer,
-	// like SPLASH's per-process arrays): a thread writes every force
-	// contribution it computes into its own region, and cell owners gather
-	// them — so nearly all diffed pages are the writer's own home pages,
-	// the >99% the paper reports for Water-SpatialFL.
-	accBase := make([]int, T)
-	for i := range accBase {
-		accBase[i] = l.alloc(n * molBytes)
-	}
-	energyAddr := l.alloc(8)
-
-	homeOf := make([]int, l.pages())
+	// The per-thread accumulation regions are contribution regions here: a
+	// thread writes every force contribution it computes into its own
+	// region, and cell owners gather them — so nearly all diffed pages
+	// are the writer's own home pages, the >99% the paper reports for
+	// Water-SpatialFL.
+	mols := newWaterMols(l, s, n, cells) // the energy lock is the first of the 6 globals
 	for c := 0; c < cells; c++ {
-		nd := s.NodeOfThread(ownerOfCell(c))
-		for _, base := range []int{posA, posB, velA, velB, frc} {
-			for a := base + cellLo[c]*molBytes; a < base+cellLo[c+1]*molBytes; a += s.PageSize {
-				homeOf[l.pageOf(a)] = nd
-			}
-		}
-	}
-	for tid := 0; tid < T; tid++ {
-		for a := accBase[tid]; a < accBase[tid]+n*molBytes; a += s.PageSize {
-			homeOf[l.pageOf(a)] = s.NodeOfThread(tid)
-		}
+		mols.home(l, cellLo[c], cellLo[c+1], s.NodeOfThread(ownerOfCell(c)))
 	}
 
 	w := &Workload{
-		Name:  fmt.Sprintf("WaterSp-%d", n),
-		Pages: l.pages(),
-		Locks: cells + 6, // per-cell locks + globals (paper: 518 for 4096)
-		HomeAssign: func(p int) int {
-			if p < len(homeOf) {
-				return homeOf[p]
-			}
-			return 0
-		},
+		Name:       fmt.Sprintf("WaterSp-%d", n),
+		Pages:      l.pages(),
+		Locks:      cells + 6, // per-cell locks + globals (paper: 518 for 4096)
+		HomeAssign: l.homeOf,
 	}
-	energyLock := cells
 
 	// Precompute, per cell, its interaction partners and the owners that
 	// contribute to it.
@@ -131,34 +98,16 @@ func WaterSp(s Shape, n, steps int) *Workload {
 		sort.Ints(contributors[c])
 	}
 
-	const dt = 1e-3
-
 	w.Body = func(t *svm.Thread) {
 		st := &waterState{FlushStage: -1, EnergyStage: -1}
 		t.Setup(st)
 		tid := t.ID()
 		cLo, cHi := splitRange(cells, T, tid)
 		mLo, mHi := cellLo[cLo], cellLo[cHi]
-		own := mHi - mLo
 
 		pos := make([]float64, 3*n)
 		acc := make([]float64, 3*n)
 		buf := make([]float64, 3*n)
-
-		srcPos := func(step int) int {
-			if step%2 == 0 {
-				return posA
-			}
-			return posB
-		}
-		dstPos := func(step int) int { return srcPos(step + 1) }
-		srcVel := func(step int) int {
-			if step%2 == 0 {
-				return velA
-			}
-			return velB
-		}
-		dstVel := func(step int) int { return srcVel(step + 1) }
 
 		initStage := func() {
 			rng := NewRand(uint64(tid + 77))
@@ -168,15 +117,10 @@ func WaterSp(s Shape, n, steps int) *Workload {
 				buf[3*(i-mLo)+1] = float64(y) + rng.Float()
 				buf[3*(i-mLo)+2] = float64(z) + rng.Float()
 			}
-			writeMols(t, posA, mLo, mHi, buf[:3*own])
-			for i := 0; i < 3*own; i++ {
-				buf[i] = 0
-			}
-			writeMols(t, velA, mLo, mHi, buf[:3*own])
+			mols.start(t, mLo, mHi, buf)
 			// Zero the whole contribution region once; afterwards every
 			// step overwrites exactly the ranges the gathers read.
-			zero := make([]float64, 3*n)
-			writeMols(t, accBase[tid], 0, n, zero)
+			mols.clearAcc(t, tid)
 		}
 
 		// computePairs accumulates the cell-pair interactions into the
@@ -201,7 +145,7 @@ func WaterSp(s Shape, n, steps int) *Workload {
 			for _, c := range cs {
 				lo, hi := cellLo[c], cellLo[c+1]
 				if hi > lo {
-					readMols(t, srcPos(step), lo, hi, pos[3*lo:3*hi])
+					readMols(t, mols.srcPos(step), lo, hi, pos[3*lo:3*hi])
 				}
 			}
 			for i := range acc {
@@ -234,7 +178,7 @@ func WaterSp(s Shape, n, steps int) *Workload {
 			for _, c := range touched {
 				lo, hi := cellLo[c], cellLo[c+1]
 				if hi > lo {
-					writeMols(t, accBase[tid], lo, hi, acc[3*lo:3*hi])
+					writeMols(t, mols.acc[tid], lo, hi, acc[3*lo:3*hi])
 				}
 			}
 		}
@@ -261,53 +205,15 @@ func WaterSp(s Shape, n, steps int) *Workload {
 					buf[i] = 0
 				}
 				for _, ct := range contributors[c] {
-					readMols(t, accBase[ct], lo, hi, part[:3*(hi-lo)])
+					readMols(t, mols.acc[ct], lo, hi, part[:3*(hi-lo)])
 					for i := 0; i < 3*(hi-lo); i++ {
 						buf[i] += part[i]
 					}
 				}
-				writeMols(t, frc, lo, hi, buf[:3*(hi-lo)])
+				writeMols(t, mols.frc, lo, hi, buf[:3*(hi-lo)])
 				t.Compute(int64((hi-lo)*len(contributors[c])) * 3 * costFlop)
 				st.FlushM = k + 1
 				t.Release(c)
-			}
-		}
-
-		// integrateStage is the predictor-corrector step: it reads and
-		// rewrites the molecules' full records (positions, velocities, and
-		// their derivative vectors) into the alternate buffers — the bulk
-		// of water's home-page diff volume — then folds kinetic energy
-		// into the global sum under the energy lock, exactly once.
-		integrateStage := func(stage, step int) {
-			D := waterMolDoubles
-			posR := make([]float64, D*own)
-			velR := make([]float64, D*own)
-			readMolsFull(t, srcPos(step), mLo, mHi, posR)
-			readMolsFull(t, srcVel(step), mLo, mHi, velR)
-			readMols(t, frc, mLo, mHi, acc[:3*own])
-			kin := 0.0
-			for i := 0; i < own; i++ {
-				for k := 0; k < 3; k++ {
-					velR[i*D+k] += acc[3*i+k] * dt
-					posR[i*D+k] += velR[i*D+k] * dt
-					kin += velR[i*D+k] * velR[i*D+k]
-				}
-				// Higher-order derivative updates (deterministic damping
-				// toward the base vectors, as the corrector would).
-				for j := 3; j < D; j++ {
-					posR[i*D+j] = 0.9*posR[i*D+j] + 0.1*posR[i*D+j%3]
-					velR[i*D+j] = 0.9*velR[i*D+j] + 0.1*velR[i*D+j%3]
-				}
-			}
-			t.Compute(int64(own) * int64(4*D) * costFlop)
-			writeMolsFull(t, dstPos(step), mLo, mHi, posR)
-			writeMolsFull(t, dstVel(step), mLo, mHi, velR)
-			if st.EnergyStage != stage {
-				t.Acquire(energyLock)
-				e := t.ReadF64(energyAddr)
-				t.WriteF64(energyAddr, e+kin)
-				st.EnergyStage = stage
-				t.Release(energyLock)
 			}
 		}
 
@@ -315,14 +221,7 @@ func WaterSp(s Shape, n, steps int) *Workload {
 			if tid != 0 {
 				return
 			}
-			readMols(t, frc, 0, n, buf)
-			var sx, sy, sz float64
-			for m := 0; m < n; m++ {
-				sx += buf[3*m]
-				sy += buf[3*m+1]
-				sz += buf[3*m+2]
-			}
-			if mag := math.Abs(sx) + math.Abs(sy) + math.Abs(sz); mag > 1e-6*float64(n) {
+			if mag := mols.netForce(t, buf); mag > 1e-6*float64(n) {
 				w.failf("step %d: net force %g", step, mag)
 			}
 		}
@@ -340,26 +239,13 @@ func WaterSp(s Shape, n, steps int) *Workload {
 			case 1:
 				gatherStage(s)
 			case 2:
-				integrateStage(s, step)
+				mols.integrate(t, st, s, step, mLo, mHi, acc)
 			case 3:
 				verifyStage(step)
 			}
 		})
 	}
 	return w
-}
-
-// accumulatePair adds the antisymmetric pair force to both molecules and
-// reports 1 (for flop accounting).
-func accumulatePair(pos, acc []float64, i, j int) int {
-	fx, fy, fz := pairForce(pos, i, j)
-	acc[3*i] += fx
-	acc[3*i+1] += fy
-	acc[3*i+2] += fz
-	acc[3*j] -= fx
-	acc[3*j+1] -= fy
-	acc[3*j+2] -= fz
-	return 1
 }
 
 // touchedCells returns the deterministic flush order: own cells first,
