@@ -50,6 +50,10 @@ func TestSubcommandSmoke(t *testing.T) {
 		{[]string{"run", "-app", "counter", "-size", "small", "-nodes", "4", "-kill", "2", "-killat", "1ms"}, "recoveries"},
 		{[]string{"run", "-app", "counter", "-size", "small", "-nodes", "4", "-events", "recovery,kill", "-kill", "1", "-killat", "1ms", "-dump", "-audit"},
 			"verified OK; 9 events printed"},
+		{[]string{"run", "-app", "fft", "-size", "medium", "-nodes", "8", "-events", "kill,recovery", "-kill", "3", "-killat", "60ms"},
+			"verified OK; 9 events printed"},
+		{[]string{"fi", "-app", "fft", "-size", "medium", "-nodes", "8", "-boundary", "release.phase1@n3#2"}, `"pass": true`},
+		{[]string{"fi", "-app", "kvstore", "-size", "small", "-threads", "2", "-boundary", "release.savets@n2#5"}, `"pass": true`},
 		{[]string{"bench", "-figure", "7", "-size", "small", "-nodes", "4"}, "Figure 7: execution time breakdown (ms/thread), 4 nodes x 1 thread(s)/node, size=small"},
 		{[]string{"bench", "-ablation", "detection", "-size", "small", "-nodes", "4"}, "probe            32.0"},
 		{[]string{"fi", "-app", "counter", "-budget", "6", "-workers", "2"}, "counter/small/n4/t1: 6/6 boundaries pass"},

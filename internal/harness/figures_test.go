@@ -47,7 +47,8 @@ func TestScalingSummaryRenders(t *testing.T) {
 
 // TestKVStoreViaHarness exercises the §6 workload through Build/Run.
 func TestKVStoreViaHarness(t *testing.T) {
-	base, ext := RunPair("kvstore", SizeSmall, 4, 1)
+	rs := RunGrid(pairCells("kvstore", SizeSmall, 4, 1))
+	base, ext := rs[0], rs[1]
 	if base.Err != nil || ext.Err != nil {
 		t.Fatalf("base=%v ext=%v", base.Err, ext.Err)
 	}

@@ -441,13 +441,6 @@ func killOn(cl *svm.Cluster, kind obs.Kind, node int, seq int64) *bool {
 	return fired
 }
 
-// RunPair runs a base/extended pair for one app and configuration, using
-// both cores when available.
-func RunPair(app string, size Size, nodes, tpn int) (base, ext Result) {
-	rs := RunGrid(pairCells(app, size, nodes, tpn))
-	return rs[0], rs[1]
-}
-
 // pairCells returns the base/extended cell pair for one configuration.
 func pairCells(app string, size Size, nodes, tpn int) []Config {
 	return []Config{

@@ -39,7 +39,8 @@ func TestBuildAllApps(t *testing.T) {
 }
 
 func TestRunPairSmall(t *testing.T) {
-	base, ext := RunPair("radix", SizeSmall, 4, 1)
+	rs := RunGrid(pairCells("radix", SizeSmall, 4, 1))
+	base, ext := rs[0], rs[1]
 	if base.Err != nil || ext.Err != nil {
 		t.Fatalf("base=%v ext=%v", base.Err, ext.Err)
 	}
@@ -71,7 +72,8 @@ func TestFigureBreakdownRenders(t *testing.T) {
 
 func TestOverheadPositiveAcrossApps(t *testing.T) {
 	for _, app := range AppNames {
-		base, ext := RunPair(app, SizeSmall, 4, 1)
+		rs := RunGrid(pairCells(app, SizeSmall, 4, 1))
+		base, ext := rs[0], rs[1]
 		if base.Err != nil || ext.Err != nil {
 			t.Fatalf("%s: base=%v ext=%v", app, base.Err, ext.Err)
 		}

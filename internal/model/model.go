@@ -89,11 +89,6 @@ type Config struct {
 	// to the seed by construction.
 	ReplicaDegree int
 
-	// Retransmission. 0 means derived per message: 4*LinkLatencyNs plus
-	// twice the serialization time (size * BandwidthNsPerByte), so a lost
-	// 4 KB diff is not declared missing before its DMA could have finished.
-	RetxTimeoutNs int64
-
 	// Network chaos (all zero / disabled by default).
 	Chaos Chaos
 
@@ -308,8 +303,6 @@ func Default() Config {
 		ProbeTimeoutNs:     200_000, // 200 µs: >> probe RTT, << heartbeat period
 		ProbeMissLimit:     2,
 
-		RetxTimeoutNs: 0, // derived per message size
-
 		Chaos: Chaos{BurstSrc: -1, BurstDst: -1},
 
 		Seed: 1,
@@ -317,13 +310,10 @@ func Default() Config {
 }
 
 // RetxTimeout returns the NIC retransmission timeout for a message of size
-// bytes: RetxTimeoutNs if configured, otherwise derived from the round-trip
-// latency plus twice the serialization time, so large diff messages are not
-// declared lost while their DMA is still plausibly in progress.
+// bytes: the round-trip latency plus twice the serialization time, so a
+// lost 4 KB diff is not declared missing before its DMA could have
+// finished.
 func (c *Config) RetxTimeout(size int) int64 {
-	if c.RetxTimeoutNs > 0 {
-		return c.RetxTimeoutNs
-	}
 	return 4*c.LinkLatencyNs + 2*int64(float64(size)*c.BandwidthNsPerByte)
 }
 
@@ -462,7 +452,6 @@ func (c *Config) validateCosts() error {
 		{"ThreadSuspendNs", c.ThreadSuspendNs},
 		{"LockBackoffMinNs", c.LockBackoffMinNs},
 		{"ProbeTimeoutNs", c.ProbeTimeoutNs},
-		{"RetxTimeoutNs", c.RetxTimeoutNs},
 		{"Chaos.JitterNs", ch.JitterNs},
 		{"Chaos.DegradePeriodNs", ch.DegradePeriodNs},
 		{"Chaos.DegradeLenNs", ch.DegradeLenNs},

@@ -43,7 +43,6 @@ func TestValidateRejections(t *testing.T) {
 		{"negative fault trap", func(c *Config) { c.PageFaultTrapNs = -1 }},
 		{"negative suspend", func(c *Config) { c.ThreadSuspendNs = -1 }},
 		{"negative backoff", func(c *Config) { c.LockBackoffMinNs, c.LockBackoffMaxNs = -10, -1 }},
-		{"negative retransmit timeout", func(c *Config) { c.RetxTimeoutNs = -1 }},
 		{"negative jitter, chaos off", func(c *Config) { c.Chaos.JitterNs = -1 }},
 		{"negative burst start", func(c *Config) { c.Chaos.BurstStartNs = -1 }},
 		{"negative checkpoint floor", func(c *Config) { c.MinCheckpointBytes = -1 }},

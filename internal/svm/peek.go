@@ -34,7 +34,7 @@ func (cl *Cluster) Frame(pid int, live bool) []byte {
 
 // PeekBytes copies n bytes starting at shared address addr out of the
 // authoritative home copies (Frame without live). It is an inspector for
-// examples and tests after Run returns.
+// tests after Run returns.
 func (cl *Cluster) PeekBytes(addr, n int) []byte { return cl.peek(addr, n, false) }
 
 // PeekLiveBytes is PeekBytes restricted to live nodes (Frame with live):

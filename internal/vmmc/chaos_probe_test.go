@@ -61,12 +61,11 @@ func TestFenceDeduplicatesPerDestination(t *testing.T) {
 	}
 }
 
-// TestRetxTimeoutHonorsConfig: an explicit RetxTimeoutNs delays the
-// retransmission of a dropped packet by exactly that much.
+// TestRetxTimeoutHonorsConfig: the retransmission of a dropped packet
+// waits the timeout the config derives for its size.
 func TestRetxTimeoutHonorsConfig(t *testing.T) {
 	cfg := model.Default()
 	cfg.Nodes = 2
-	cfg.RetxTimeoutNs = 1_000_000
 	eng := sim.New(1)
 	net := New(eng, &cfg)
 	net.SetDropEveryNth(1) // first transmission always lost
@@ -80,14 +79,14 @@ func TestRetxTimeoutHonorsConfig(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if at < cfg.RetxTimeoutNs {
-		t.Fatalf("retransmission delivered at %d, want >= %d", at, cfg.RetxTimeoutNs)
+	if want := cfg.RetxTimeout(64); at < want {
+		t.Fatalf("retransmission delivered at %d, want >= %d", at, want)
 	}
 }
 
-// TestRetxTimeoutDerivedScalesWithSize: with RetxTimeoutNs unset, a large
-// message's retransmission timeout includes its serialization time, so it
-// is not declared lost while its DMA could still be in progress.
+// TestRetxTimeoutDerivedScalesWithSize: a large message's retransmission
+// timeout includes its serialization time, so it is not declared lost
+// while its DMA could still be in progress.
 func TestRetxTimeoutDerivedScalesWithSize(t *testing.T) {
 	cfg := model.Default()
 	small, large := cfg.RetxTimeout(64), cfg.RetxTimeout(64<<10)
@@ -97,10 +96,6 @@ func TestRetxTimeoutDerivedScalesWithSize(t *testing.T) {
 	wantDelta := 2 * int64(float64(64<<10-64)*cfg.BandwidthNsPerByte)
 	if large-small != wantDelta {
 		t.Fatalf("RetxTimeout delta = %d, want serialization-derived %d", large-small, wantDelta)
-	}
-	cfg.RetxTimeoutNs = 123
-	if cfg.RetxTimeout(64<<10) != 123 {
-		t.Fatal("explicit RetxTimeoutNs not honored")
 	}
 }
 
